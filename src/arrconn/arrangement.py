@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InputError, LatticeCapError, PreconditionError
 from .numkernel import (
     ExactVector,
@@ -21,6 +23,7 @@ from .numkernel import (
     rank_kernel,
     span_rank,
     vec,
+    vec_complex,
     vec_dot,
     vec_is_zero,
 )
@@ -86,9 +89,19 @@ class Arrangement:
         return [h.id for h in self.hyperplanes]
 
     def lattice(self, cap: Optional[int] = None) -> "Lattice":
+        """The intersection lattice, built once; the cap is checked on
+        every call, so a cached lattice is never returned past it."""
+        _check_cap(self, cap)
         if self._lattice is None:
             self._lattice = build_lattice(self, cap=cap)
         return self._lattice
+
+
+def complex_forms(arr: Arrangement) -> np.ndarray:
+    """The hyperplane forms as the rows of a complex (m, n) matrix."""
+    return np.array(
+        [vec_complex(h.form) for h in arr.hyperplanes], dtype=complex
+    ).reshape(len(arr), arr.dimension)
 
 
 @dataclass(frozen=True)
@@ -166,11 +179,15 @@ class Lattice:
         return set(l.containing) <= set(m.containing)
 
 
-def build_lattice(arr: Arrangement, cap: Optional[int] = None) -> Lattice:
-    """BFS over intersections; every flat appears once, keyed by closure."""
+def _check_cap(arr: Arrangement, cap: Optional[int]):
     cap = DEFAULT_LATTICE_CAP if cap is None else cap
     if len(arr) > cap:
         raise LatticeCapError(len(arr), cap)
+
+
+def build_lattice(arr: Arrangement, cap: Optional[int] = None) -> Lattice:
+    """BFS over intersections; every flat appears once, keyed by closure."""
+    _check_cap(arr, cap)
     flats = {}
     start = ambient_flat(arr)
     flats[start.containing] = start
@@ -485,12 +502,16 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     }
 
 
-def load_arrangement(path) -> Arrangement:
+def _read_json(path):
+    """The JSON value in a file; unreadable or unparsable files are input errors."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except OSError as exc:
         raise InputError(str(exc)) from None
-    return arrangement_from_json(obj)
+
+
+def load_arrangement(path) -> Arrangement:
+    return arrangement_from_json(_read_json(path))

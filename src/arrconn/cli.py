@@ -21,7 +21,6 @@ from . import holonomy as holmod
 from . import lauricella as laumod
 from . import pkcriteria as pkmod
 from .errors import ArrConnError, InputError, LatticeCapError
-from .numkernel import GaussianRational
 
 
 def _parse_fraction_list(text: str):
@@ -29,10 +28,6 @@ def _parse_fraction_list(text: str):
         return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise InputError(f"bad rational list {text!r}: {exc}") from None
-
-
-def _gauss_json(value: GaussianRational):
-    return [str(value.re), str(value.im)]
 
 
 def _complex_json(z: complex):
@@ -122,7 +117,7 @@ def cmd_check(args) -> int:
         {
             "hyperplanes": [arr.hyperplanes[i].id for i in flat.containing],
             "codim": flat.codim,
-            "weight": _gauss_json(w),
+            "weight": arrmod._entry_to_json(w),
         }
         for flat, w in sorted(
             weight_report.table.items(), key=lambda kv: (kv[0].codim, kv[0].containing)
@@ -137,7 +132,7 @@ def cmd_check(args) -> int:
                 {
                     "h0": row.h0,
                     "valid": row.restriction_essential_irreducible,
-                    "residual": _gauss_json(row.residual),
+                    "residual": arrmod._entry_to_json(row.residual),
                 }
             )
         constraints_ok = constraints.all_zero if constraints.any_valid else True
@@ -201,8 +196,8 @@ def cmd_recover(args) -> int:
         "ok": result.ok,
         "ambiguous": result.ambiguous,
         "failure": result.failure,
-        "parameters": [ _gauss_json(x) for x in result.parameters ] if result.parameters else None,
-        "traces": {f"{i},{j}": _gauss_json(t) for (i, j), t in sorted(result.traces.items())},
+        "parameters": [ arrmod._entry_to_json(x) for x in result.parameters ] if result.parameters else None,
+        "traces": {f"{i},{j}": arrmod._entry_to_json(t) for (i, j), t in sorted(result.traces.items())},
     }
     if result.ok:
         lines = ["recovered parameters: " + ", ".join(repr(x) for x in result.parameters)]

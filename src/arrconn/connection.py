@@ -1,15 +1,17 @@
 """Standard logarithmic connections given by one residue matrix per hyperplane.
 
-Exact-mode criteria (torsion freeness, flatness, weights, normal frames,
-direct-sum decompositions, Euler fields) and the derived constructions:
-localization, quotient and induced connections, and the linear weight
-constraints they impose.
+Residues are exact; every criterion (torsion freeness, flatness, weights,
+normal frames, direct-sum decompositions, Euler fields) is decided over
+Q(i), as are the derived constructions: localization, quotient and induced
+connections, and the linear weight constraints they impose.  Numerical
+code reads the one complex view of a connection, ``numeric``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -20,8 +22,10 @@ from .arrangement import (
     ambient_flat,
     arrangement_from_json,
     arrangement_to_json,
+    complex_forms,
     _entry_to_json,
     _parse_entry,
+    _read_json,
     deletion_restriction,
     flat_from_indices,
     irreducible_decomposition,
@@ -51,16 +55,12 @@ from .numkernel import (
     vec_dot,
 )
 
-EXACT = "exact"
-FLOAT = "float"
-
 
 class StandardConnection:
-    """Arrangement plus one square residue matrix per hyperplane."""
+    """Arrangement plus one exact square residue matrix per hyperplane."""
 
-    def __init__(self, arrangement: Arrangement, residues: dict, mode: str = EXACT):
+    def __init__(self, arrangement: Arrangement, residues: dict):
         self.arrangement = arrangement
-        self.mode = mode
         n = arrangement.dimension
         missing = [h.id for h in arrangement.hyperplanes if h.id not in residues]
         if missing:
@@ -68,21 +68,11 @@ class StandardConnection:
         extra = set(residues) - {h.id for h in arrangement.hyperplanes}
         if extra:
             raise InputError(f"residues for unknown hyperplanes {sorted(extra)}")
-        if mode == EXACT:
-            for hid, m in residues.items():
-                if not isinstance(m, ExactMatrix) or m.rows != n or m.cols != n:
-                    raise InputError(f"residue at {hid} must be an exact {n}x{n} matrix")
-            self.residues = dict(residues)
-        elif mode == FLOAT:
-            coerced = {}
-            for hid, m in residues.items():
-                a = np.asarray(m, dtype=complex)
-                if a.shape != (n, n) or not np.all(np.isfinite(a)):
-                    raise InputError(f"residue at {hid} must be a finite {n}x{n} matrix")
-                coerced[hid] = a
-            self.residues = coerced
-        else:
-            raise InputError(f"unknown mode {mode!r}")
+        for hid, m in residues.items():
+            if not isinstance(m, ExactMatrix) or m.rows != n or m.cols != n:
+                raise InputError(f"residue at {hid} must be an exact {n}x{n} matrix")
+        # read-only, so the numeric view below can never go stale
+        self.residues = MappingProxyType(dict(residues))
 
     @property
     def dimension(self) -> int:
@@ -91,15 +81,23 @@ class StandardConnection:
     def residue(self, hyperplane_id: str):
         return self.residues[hyperplane_id]
 
-    def to_float(self) -> "StandardConnection":
-        if self.mode == FLOAT:
-            return self
-        floats = {hid: m.to_complex() for hid, m in self.residues.items()}
-        return StandardConnection(self.arrangement, floats, mode=FLOAT)
+    @cached_property
+    def numeric(self):
+        """Complex forms (m, n) and residues (m, n*n), rows in hyperplane
+        order; built on first use, read-only."""
+        arr = self.arrangement
+        n = arr.dimension
+        residues = np.array(
+            [self.residues[h.id].to_complex().ravel() for h in arr.hyperplanes], dtype=complex
+        ).reshape(len(arr), n * n)
+        forms = complex_forms(arr)
+        forms.flags.writeable = residues.flags.writeable = False
+        return forms, residues
 
-    def _require_exact(self, what: str):
-        if self.mode != EXACT:
-            raise PreconditionError(f"{what} is an exact criterion; convert the input, not the check")
+    def numeric_residue(self, hyperplane_id: str) -> np.ndarray:
+        """One residue as an n x n view into ``numeric``."""
+        n = self.dimension
+        return self.numeric[1][self.arrangement.index_of(hyperplane_id)].reshape(n, n)
 
 
 # -- basic criteria -----------------------------------------------------------
@@ -112,7 +110,6 @@ class TorsionFreeReport:
 
 def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
     """H inside ker A_H for every hyperplane, decided exactly."""
-    conn._require_exact("torsion freeness")
     violators = []
     for h in conn.arrangement.hyperplanes:
         a = conn.residue(h.id)
@@ -140,7 +137,6 @@ def residue_at_flat(conn: StandardConnection, flat: Flat) -> ExactMatrix:
 
 def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessReport:
     """[A_L, A_H] = 0 for every codimension-two flat L and every H above it."""
-    conn._require_exact("flatness")
     arr = conn.arrangement
     lattice = arr.lattice(cap=cap)
     violations = []
@@ -164,7 +160,6 @@ class WeightReport:
 
 def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport:
     """Weight of every irreducible flat; the verdict lists zero weights."""
-    conn._require_exact("weights")
     table = {}
     zero = []
     for flat in irreducible_flats(conn.arrangement, cap=cap):
@@ -173,10 +168,6 @@ def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport
         if not w:
             zero.append(flat)
     return WeightReport(table, not zero, tuple(zero))
-
-
-def hyperplane_weights(conn: StandardConnection) -> dict:
-    return {h.id: conn.residue(h.id).trace() for h in conn.arrangement.hyperplanes}
 
 
 # -- normal frames ------------------------------------------------------------
@@ -190,7 +181,6 @@ class NormalFrame:
 def hyperplane_normal(conn: StandardConnection, hyperplane_id: str) -> ExactVector:
     """The vector n_H with A_H = (column n_H) x (row dh); errors if A_H is
     not a semi-simple rank-one matrix killing H."""
-    conn._require_exact("normal data")
     i = conn.arrangement.index_of(hyperplane_id)
     h = conn.arrangement.hyperplanes[i]
     a = conn.residue(hyperplane_id)
@@ -243,7 +233,6 @@ def decomposition_at_flat(conn: StandardConnection, flat: Flat) -> Decomposition
     A_L acts by the component weights, and each component is L plus the
     other perps.
     """
-    conn._require_exact("decomposition checks")
     arr = conn.arrangement
     n = arr.dimension
     from .arrangement import irreducible_components
@@ -300,7 +289,6 @@ class EulerField:
 def euler_field(conn: StandardConnection) -> EulerField:
     """The linear vector field with covariant derivative equal to the
     identity, in the basis adapted to the irreducible decomposition."""
-    conn._require_exact("Euler field")
     arr = conn.arrangement
     n = arr.dimension
     if not len(arr):
@@ -358,7 +346,7 @@ def localization_connection(conn: StandardConnection, flat: Flat) -> StandardCon
     the flat."""
     sub = localization(conn.arrangement, flat)
     residues = {h.id: conn.residue(h.id) for h in sub.hyperplanes}
-    return StandardConnection(sub, residues, mode=conn.mode)
+    return StandardConnection(sub, residues)
 
 
 @dataclass(frozen=True)
@@ -376,7 +364,6 @@ def quotient_connection(
     The residues are the restrictions of the A_H (H containing L) to
     L-perp, written in the chosen basis; traces are preserved.
     """
-    conn._require_exact("quotient connection")
     arr = conn.arrangement
     default = flat_perp_basis(conn, flat)
     if basis is None:
@@ -430,7 +417,6 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
     of the codimension-two flat H'' (sum over all hyperplanes through it),
     written in the kernel-basis coordinates of H0.
     """
-    conn._require_exact("induced connection")
     arr = conn.arrangement
     i0 = arr.index_of(h0)
     if conn.residue(h0).is_zero():
@@ -481,7 +467,6 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     """Evaluate the deletion-restriction trace identity for every H0 whose
     induced arrangement is essential and irreducible; the residual must be
     exactly zero for flat torsion-free input."""
-    conn._require_exact("weight constraints")
     arr = conn.arrangement
     n = arr.dimension
     if n < 2:
@@ -546,8 +531,7 @@ def non_resonant(matrix, tol: float = 1e-9) -> bool:
 
 
 def non_resonance_report(conn: StandardConnection, tol: float = 1e-9) -> dict:
-    fconn = conn.to_float()
-    return {h.id: non_resonant(fconn.residue(h.id), tol) for h in conn.arrangement.hyperplanes}
+    return {h.id: non_resonant(conn.numeric_residue(h.id), tol) for h in conn.arrangement.hyperplanes}
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -558,13 +542,14 @@ def connection_from_json(obj) -> StandardConnection:
     arr_obj = {k: v for k, v in obj.items() if k != "residues"}
     arr = arrangement_from_json(arr_obj)
     n = arr.dimension
+    if not isinstance(obj["residues"], dict):
+        raise InputError("'residues' must be an object mapping hyperplane ids to matrices")
     residues = {}
     for hid, grid in obj["residues"].items():
         try:
-            rows = [[_parse_entry(e) for e in row] for row in grid]
-        except (TypeError, ValueError) as exc:
+            m = ExactMatrix([[_parse_entry(e) for e in row] for row in grid])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad residue for {hid}: {exc}") from None
-        m = ExactMatrix(rows)
         if m.rows != n or m.cols != n:
             raise InputError(f"residue for {hid} is {m.rows}x{m.cols}, expected {n}x{n}")
         residues[str(hid)] = m
@@ -572,8 +557,6 @@ def connection_from_json(obj) -> StandardConnection:
 
 
 def connection_to_json(conn: StandardConnection) -> dict:
-    if conn.mode != EXACT:
-        raise InputError("only exact connections are serialized")
     obj = arrangement_to_json(conn.arrangement)
     obj["residues"] = {
         h.id: [[_entry_to_json(e) for e in row] for row in conn.residue(h.id).entries]
@@ -583,13 +566,4 @@ def connection_to_json(conn: StandardConnection) -> dict:
 
 
 def load_connection(path) -> StandardConnection:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    return connection_from_json(obj)
+    return connection_from_json(_read_json(path))

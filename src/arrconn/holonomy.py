@@ -7,6 +7,7 @@ forms of the generated group, and the Burnside irreducibility test.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,14 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .arrangement import Arrangement, Flat, flat_from_basis
+from .arrangement import Arrangement, Flat, complex_forms, flat_from_basis
 from .connection import (
     StandardConnection,
     localization_connection,
     flat_perp_basis,
     residue_at_flat,
 )
-from .errors import ArrConnError, PreconditionError
+from .errors import ArrConnError, InputError, PreconditionError
 from .numkernel import (
     HermForm,
     PoleProximityError,
@@ -35,26 +36,6 @@ from .numkernel import (
 
 CLOSURE_TOL = 1e-12
 POLE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class Segment:
-    start: np.ndarray
-    end: np.ndarray
-
-    def point(self, s: float) -> np.ndarray:
-        return self.start + s * (self.end - self.start)
-
-    def velocity(self, s: float) -> np.ndarray:
-        return self.end - self.start
-
-    @property
-    def first(self):
-        return self.start
-
-    @property
-    def last(self):
-        return self.end
 
 
 @dataclass(frozen=True)
@@ -96,10 +77,6 @@ class LoopPath:
             raise ArrConnError("loop is not closed")
 
 
-def _forms_matrix(arr: Arrangement) -> np.ndarray:
-    return np.array([vec_complex(h.form) for h in arr.hyperplanes], dtype=complex)
-
-
 def _point_clearance(forms: np.ndarray, norms: np.ndarray, z: np.ndarray) -> float:
     if forms.size == 0:
         return np.inf
@@ -108,7 +85,7 @@ def _point_clearance(forms: np.ndarray, norms: np.ndarray, z: np.ndarray) -> flo
 
 def loop_clearance(arr: Arrangement, pieces, samples: int = 64) -> float:
     """Minimum sampled distance from the loop to any hyperplane."""
-    forms = _forms_matrix(arr)
+    forms = complex_forms(arr)
     norms = np.linalg.norm(forms, axis=1) if forms.size else np.array([])
     best = np.inf
     for piece in pieces:
@@ -126,23 +103,19 @@ def make_loop(arr: Arrangement, basepoint: np.ndarray, pieces) -> LoopPath:
 # -- connection form -----------------------------------------------------------
 
 def connection_form(conn: StandardConnection, z, v) -> np.ndarray:
-    """Sum of A_H h(v)/h(z); raises near a pole, naming the hyperplane."""
-    fconn = conn.to_float()
-    arr = fconn.arrangement
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    forms = _forms_matrix(arr)
-    n = arr.dimension
-    total = np.zeros((n, n), dtype=complex)
-    if forms.size == 0:
-        return total
-    hz = forms @ z
-    hv = forms @ v
-    for k, h in enumerate(arr.hyperplanes):
-        if abs(hz[k]) < POLE_TOL:
-            raise PoleProximityError(f"evaluation point lies on hyperplane {h.id}")
-        total += (hv[k] / hz[k]) * fconn.residue(h.id)
-    return total
+    """Sum of A_H h(v)/h(z), the right-hand side of every transport;
+    raises near a pole, naming the hyperplane."""
+    forms, residues = conn.numeric
+    n = conn.dimension
+    hz = forms @ np.asarray(z, dtype=complex)
+    small = np.abs(hz) < POLE_TOL
+    if small.any():
+        hid = conn.arrangement.hyperplanes[int(np.argmax(small))].id
+        raise PoleProximityError(f"path touches hyperplane {hid}")
+    c = (forms @ np.asarray(v, dtype=complex)) / hz
+    # the BLAS product np.tensordot(c, residues, axes=1) makes, without its
+    # Python-level reshapes; the results match it bit for bit
+    return np.dot(c.reshape(1, len(c)), residues).reshape(n, n)
 
 
 # -- loop construction -----------------------------------------------------------
@@ -166,7 +139,7 @@ class GeneratorSet:
 
 def _draw_basepoint(arr: Arrangement, seed: int):
     rng = random.Random(seed)
-    forms = _forms_matrix(arr)
+    forms = complex_forms(arr)
     norms = np.linalg.norm(forms, axis=1) if forms.size else np.array([])
     for _ in range(1000):
         exact = tuple(Fraction(rng.randint(-999, 999), 1000) for _ in range(arr.dimension))
@@ -261,34 +234,16 @@ def holonomy(conn: StandardConnection, loop: LoopPath, tol: float = 1e-8):
     The stepper tolerance is tightened in proportion to the loop clearance
     so that close approaches to the polar locus get smaller steps.
     """
-    fconn = conn.to_float()
-    arr = fconn.arrangement
-    n = arr.dimension
-    forms = _forms_matrix(arr)
-    residues = np.stack([fconn.residue(h.id) for h in arr.hyperplanes]) if len(arr) else None
-    eff_tol = tol * min(1.0, loop.clearance) if len(arr) else tol
-    ids = [h.id for h in arr.hyperplanes]
-
-    def rhs_for(piece):
-        def rhs(t):
-            z = piece.point(t)
-            v = piece.velocity(t)
-            hz = forms @ z
-            small = np.abs(hz) < POLE_TOL
-            if small.any():
-                raise PoleProximityError(
-                    f"path touches hyperplane {ids[int(np.argmax(small))]}"
-                )
-            return np.tensordot((forms @ v) / hz, residues, axes=1)
-
-        return rhs
-
-    x = np.eye(n, dtype=complex)
-    err = 0.0
-    if residues is None:
+    x = np.eye(conn.dimension, dtype=complex)
+    if not len(conn.arrangement):
         return x, 0.0
+    eff_tol = tol * min(1.0, loop.clearance)
+    err = 0.0
     for piece in loop.pieces:
-        x, piece_err = ode_transport(rhs_for(piece), x, tol=eff_tol)
+        def rhs(t, piece=piece):
+            return connection_form(conn, piece.point(t), piece.velocity(t))
+
+        x, piece_err = ode_transport(rhs, x, tol=eff_tol)
         err += piece_err
     return x, err
 
@@ -395,8 +350,7 @@ def residue_limit_check(
     w = data.direction
     t_star = data.t_star
     z_star = p + t_star * w
-    fconn = conn.to_float()
-    limit = matrix_exp(2j * np.pi * fconn.residue(hyperplane_id))
+    limit = matrix_exp(2j * np.pi * conn.numeric_residue(hyperplane_id))
     errors = []
     for r in radii:
         if not 0 < r < 1:
@@ -610,6 +564,8 @@ def holonomy_report(
 ) -> HolonomyReport:
     """Transport all requested loops and assemble the invariant-form and
     irreducibility analysis in the basepoint frame."""
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     if loops not in ("meridians", "central", "all"):
         raise PreconditionError(f"unknown loops selection {loops!r}")
     gen = generator_loops(conn.arrangement, seed=seed)

@@ -15,6 +15,7 @@ from typing import Optional
 from .arrangement import (
     Arrangement,
     Flat,
+    _UnionFind,
     braid_hyperplanes,
     flat_from_indices,
     pair_of_id,
@@ -137,22 +138,12 @@ def _check_braid(arr: Arrangement) -> int:
 def flat_to_partition(arr: Arrangement, flat: Flat) -> Partition:
     """Partition of {1..n+1} generated by i ~ j when the flat lies in H_{i,j}."""
     n = _check_braid(arr)
-    parent = list(range(n + 2))  # 1-based union-find
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n + 2)  # 1-based
     for idx in flat.containing:
-        i, j = pair_of_id(arr.hyperplanes[idx].id)
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+        uf.union(*pair_of_id(arr.hyperplanes[idx].id))
     groups = {}
     for x in range(1, n + 2):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(uf.find(x), []).append(x)
     return _canonical_partition(groups.values())
 
 

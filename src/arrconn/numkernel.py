@@ -173,19 +173,6 @@ def vec(values) -> ExactVector:
     return tuple(GaussianRational.coerce(v) for v in values)
 
 
-def vec_add(u: ExactVector, v: ExactVector) -> ExactVector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: ExactVector, v: ExactVector) -> ExactVector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: ExactVector) -> ExactVector:
-    c = GaussianRational.coerce(c)
-    return tuple(c * a for a in u)
-
-
 def vec_dot(u: ExactVector, v: ExactVector) -> GaussianRational:
     """Bilinear pairing (no conjugation); used to apply linear forms."""
     total = None
@@ -291,9 +278,6 @@ class ExactMatrix:
         for i in range(min(self.rows, self.cols)):
             total = total + self.entries[i][i]
         return total
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)

@@ -88,6 +88,13 @@ class TestLattice:
             arr.lattice()
         assert "2^21" in str(err.value)
 
+    def test_cap_checked_on_cached_lattice(self):
+        arr = braid(5)  # 15 hyperplanes, 203 flats
+        assert len(arr.lattice()) == 203
+        with pytest.raises(LatticeCapError):
+            arr.lattice(cap=3)
+        assert len(arr.lattice(cap=15)) == 203
+
 
 class TestLocalizationRestriction:
     def test_localize_ambient_is_empty(self):

@@ -42,16 +42,39 @@ class TestLattice:
         assert code == 0
         assert json.loads(out)["flat_count"] == 1
 
-    def test_malformed_rational_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "obj, commands",
+        [
+            (
+                {"dimension": 1, "hyperplanes": [{"id": "h", "form": [["1/0", "0"]]}]},
+                ("lattice",),
+            ),
+            (
+                {"builtin": "A_n", "n": 2, "residues": {
+                    "H_1_2": [["1/0", "0"], ["0", "0"]], "H_1_3": [["0", "0"], ["0", "0"]], "H_2_3": [["0", "0"], ["0", "0"]],
+                }},
+                ("check", "recover", "holonomy"),
+            ),
+            (
+                {"builtin": "A_n", "n": 2, "residues": {
+                    "H_1_2": [["1", "0"], ["0"]], "H_1_3": [["0", "0"], ["0", "0"]], "H_2_3": [["0", "0"], ["0", "0"]],
+                }},
+                ("check", "recover", "holonomy"),
+            ),
+            (
+                {"builtin": "A_n", "n": 2, "residues": [[["1", "0"], ["0", "0"]]]},
+                ("check", "recover", "holonomy"),
+            ),
+        ],
+        ids=["form-zero-denominator", "residue-zero-denominator", "residue-ragged-row", "residues-list"],
+    )
+    def test_malformed_rational_exits_2(self, capsys, tmp_path, obj, commands):
         path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {"dimension": 1, "hyperplanes": [{"id": "h", "form": [["1/0", "0"]]}]}
-            )
-        )
-        code, _, err = run(capsys, "lattice", str(path))
-        assert code == 2
-        assert "error" in err
+        path.write_text(json.dumps(obj))
+        for command in commands:
+            code, _, err = run(capsys, command, str(path))
+            assert code == 2
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -162,6 +185,12 @@ class TestNumericCommands:
         assert obj["irreducible"] is True
         assert obj["invariant_form_dim"] == 1
         assert {obj["signature"]["p"], obj["signature"]["q"]} == {0, 2}
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_holonomy_bad_tol_exits_2(self, capsys, lauricella_file, tol):
+        code, _, err = run(capsys, "holonomy", lauricella_file, "--tol", tol)
+        assert code == 2
+        assert "tolerance" in err
 
     def test_holonomy_determinism(self, capsys, lauricella_file):
         args = ("holonomy", lauricella_file, "--json", "--seed", "3")

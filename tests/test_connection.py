@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arrconn.arrangement import (
@@ -27,7 +28,7 @@ from arrconn.connection import (
     residue_at_flat,
     weights,
 )
-from arrconn.errors import NormalDataError, PreconditionError, WeightZeroError
+from arrconn.errors import InputError, NormalDataError, PreconditionError, WeightZeroError
 from arrconn.lauricella import build_An, reduced_residues
 from arrconn.numkernel import ExactMatrix, GaussianRational, vec
 from conftest import random_params_nonzero_subsets
@@ -68,10 +69,15 @@ class TestTorsionFree:
         assert not report.ok
         assert "H_1_3" in report.violators
 
-    def test_float_mode_refused(self):
-        conn = reduced_residues([F(1), F(2), F(3)]).to_float()
-        with pytest.raises(PreconditionError):
-            check_torsion_free(conn)
+    def test_residues_read_only(self):
+        conn = reduced_residues([F(1), F(2), F(3)])
+        with pytest.raises(TypeError):
+            conn.residues["H_1_2"] = ExactMatrix.zeros(2, 2)
+
+    def test_float_residue_refused(self):
+        arr = build_An(1)
+        with pytest.raises(InputError, match="exact"):
+            StandardConnection(arr, {"H_1_2": np.array([[0.5]])})
 
 
 class TestFlatness:

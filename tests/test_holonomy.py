@@ -4,10 +4,9 @@ from fractions import Fraction
 
 from arrconn.arrangement import Arrangement, Hyperplane, flat_from_indices
 from arrconn.connection import StandardConnection
-from arrconn.errors import PreconditionError
+from arrconn.errors import InputError, PreconditionError
 from arrconn.holonomy import (
     Arc,
-    Segment,
     central_loop_spectrum_check,
     connection_form,
     generator_loops,
@@ -32,12 +31,9 @@ def one_dim(a):
 def reverse_loop(loop):
     pieces = []
     for piece in reversed(loop.pieces):
-        if isinstance(piece, Segment):
-            pieces.append(Segment(piece.end, piece.start))
-        else:
-            pieces.append(
-                Arc(piece.center, piece.offset * np.exp(1j * piece.sweep), -piece.sweep)
-            )
+        pieces.append(
+            Arc(piece.center, piece.offset * np.exp(1j * piece.sweep), -piece.sweep)
+        )
     return make_loop_from(loop, pieces)
 
 
@@ -110,6 +106,13 @@ class TestHolonomy:
         )
         t, err = holonomy(conn, loop, tol=1e-10)
         assert abs(t[0, 0] - 1j) < 1e-8
+
+    def test_loop_through_hyperplane_names_it(self):
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        p = np.array([1.0 + 0j, 1.0 + 0j])  # on H_1_2: z1 = z2
+        loop = make_loop(conn.arrangement, p, (Arc(np.zeros(2, dtype=complex), p, 2 * np.pi),))
+        with pytest.raises(PoleProximityError, match="H_1_2"):
+            holonomy(conn, loop)
 
     def test_null_homotopic_loop(self):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
@@ -280,3 +283,22 @@ class TestReportAssembly:
         trivial = one_dim(F(0))
         rep0 = holonomy_report(trivial, tol=1e-8)
         assert rep0.signature is not None  # 1-dim space for the 1-dim identity rep
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+    def test_bad_tolerance_is_input_error(self, tol):
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        with pytest.raises(InputError, match="tolerance"):
+            holonomy_report(conn, tol=tol)
+
+    def test_numeric_view_built_once(self, monkeypatch):
+        calls = []
+        original = ExactMatrix.to_complex
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ExactMatrix, "to_complex", counting)
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
+        holonomy_report(conn, tol=1e-8)
+        assert len(calls) == len(conn.arrangement) == 6
