@@ -478,10 +478,16 @@ def arrangement_from_json(obj) -> Arrangement:
             raise InputError("builtin A_n needs an integer field 'n'") from None
         return Arrangement(n, braid_hyperplanes(n))
     try:
-        dimension = int(obj["dimension"])
+        dimension = obj["dimension"]
         raw = obj["hyperplanes"]
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from None
+    try:
+        dimension = int(dimension)
+    except (TypeError, ValueError):
+        raise InputError(f"field 'dimension' must be an integer, got {dimension!r}") from None
+    if not isinstance(raw, list):
+        raise InputError(f"field 'hyperplanes' must be a list, got {raw!r}")
     planes = []
     for item in raw:
         try:

@@ -191,7 +191,7 @@ def cmd_lauricella(args) -> int:
 
 def cmd_recover(args) -> int:
     conn = connmod.load_connection(args.file)
-    result = laumod.recover_parameters(conn)
+    result = laumod.recover_parameters(conn, cap=_default_cap(args))
     obj = {
         "ok": result.ok,
         "ambiguous": result.ambiguous,
@@ -356,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover parameters from a connection file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("pk-exists", help="cone-metric existence criteria")

@@ -46,12 +46,6 @@ class Arc:
     offset: np.ndarray
     sweep: float
 
-    def point(self, s: float) -> np.ndarray:
-        return self.center + np.exp(1j * self.sweep * s) * self.offset
-
-    def velocity(self, s: float) -> np.ndarray:
-        return 1j * self.sweep * np.exp(1j * self.sweep * s) * self.offset
-
     @property
     def first(self):
         return self.center + self.offset
@@ -84,14 +78,22 @@ def _point_clearance(forms: np.ndarray, norms: np.ndarray, z: np.ndarray) -> flo
 
 
 def loop_clearance(arr: Arrangement, pieces, samples: int = 64) -> float:
-    """Minimum sampled distance from the loop to any hyperplane."""
+    """Minimum distance from the loop to any hyperplane over samples + 1
+    evenly spaced points of each piece.
+
+    On a piece, h(z(s)) = h(center) + exp(i sweep s) h(offset), so one
+    product per piece gives every form at every sample.
+    """
     forms = complex_forms(arr)
-    norms = np.linalg.norm(forms, axis=1) if forms.size else np.array([])
+    if forms.size == 0:
+        return np.inf
+    norms = np.linalg.norm(forms, axis=1)[:, None]
+    s = np.arange(samples + 1) / samples
     best = np.inf
     for piece in pieces:
-        for k in range(samples + 1):
-            z = piece.point(k / samples)
-            best = min(best, _point_clearance(forms, norms, z))
+        h = forms @ np.stack([piece.center, piece.offset], axis=1)
+        hz = h[:, :1] + h[:, 1:] * np.exp(1j * piece.sweep * s)
+        best = min(best, float(np.min(np.abs(hz) / norms)))
     return best
 
 
@@ -103,19 +105,23 @@ def make_loop(arr: Arrangement, basepoint: np.ndarray, pieces) -> LoopPath:
 # -- connection form -----------------------------------------------------------
 
 def connection_form(conn: StandardConnection, z, v) -> np.ndarray:
-    """Sum of A_H h(v)/h(z), the right-hand side of every transport;
-    raises near a pole, naming the hyperplane."""
+    """Sum of A_H h(v)/h(z), the right-hand side of every transport.
+
+    z and v are one point and direction, shape (n,), giving an (n, n)
+    matrix, or stacks of k of them, shape (k, n), giving (k, n, n).
+    Raises near a pole, naming the hyperplane of the first point that
+    touches one.
+    """
     forms, residues = conn.numeric
     n = conn.dimension
-    hz = forms @ np.asarray(z, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    hz = z @ forms.T
     small = np.abs(hz) < POLE_TOL
     if small.any():
-        hid = conn.arrangement.hyperplanes[int(np.argmax(small))].id
+        hid = conn.arrangement.hyperplanes[int(np.argmax(small.ravel())) % len(forms)].id
         raise PoleProximityError(f"path touches hyperplane {hid}")
-    c = (forms @ np.asarray(v, dtype=complex)) / hz
-    # the BLAS product np.tensordot(c, residues, axes=1) makes, without its
-    # Python-level reshapes; the results match it bit for bit
-    return np.dot(c.reshape(1, len(c)), residues).reshape(n, n)
+    c = (np.asarray(v, dtype=complex) @ forms.T) / hz
+    return (c @ residues).reshape(z.shape[:-1] + (n, n))
 
 
 # -- loop construction -----------------------------------------------------------
@@ -240,8 +246,11 @@ def holonomy(conn: StandardConnection, loop: LoopPath, tol: float = 1e-8):
     eff_tol = tol * min(1.0, loop.clearance)
     err = 0.0
     for piece in loop.pieces:
-        def rhs(t, piece=piece):
-            return connection_form(conn, piece.point(t), piece.velocity(t))
+        def rhs(ts, piece=piece):
+            e = np.exp(1j * piece.sweep * ts)[:, None]
+            return connection_form(
+                conn, piece.center + e * piece.offset, 1j * piece.sweep * e * piece.offset
+            )
 
         x, piece_err = ode_transport(rhs, x, tol=eff_tol)
         err += piece_err

@@ -180,7 +180,9 @@ class RecoveryResult:
     traces: dict  # (i, j) -> GaussianRational
 
 
-def recover_parameters(conn: StandardConnection, verify_input: bool = True) -> RecoveryResult:
+def recover_parameters(
+    conn: StandardConnection, verify_input: bool = True, cap: Optional[int] = None
+) -> RecoveryResult:
     """Recover the unique parameter vector from a flat torsion-free
     connection with nonzero weights on the braid arrangement.
 
@@ -188,7 +190,8 @@ def recover_parameters(conn: StandardConnection, verify_input: bool = True) -> R
     a_i = (b_{i,j} + b_{i,k} - b_{j,k}) / 2 with j, k the two smallest other
     indices; the remaining trace equations and then full matrix equality
     are verified exactly.  For n = 1 the split of the single trace is not
-    determined and the result is flagged ambiguous.
+    determined and the result is flagged ambiguous.  ``cap`` is the lattice
+    cap of the input checks.
     """
     arr = conn.arrangement
     n = _check_braid(arr)
@@ -202,9 +205,9 @@ def recover_parameters(conn: StandardConnection, verify_input: bool = True) -> R
     if verify_input:
         if not check_torsion_free(conn).ok:
             return RecoveryResult(False, None, "input is not torsion free", False, traces)
-        if not check_flat(conn).ok:
+        if not check_flat(conn, cap=cap).ok:
             return RecoveryResult(False, None, "input is not flat", False, traces)
-        if not weights(conn).ok:
+        if not weights(conn, cap=cap).ok:
             return RecoveryResult(False, None, "input has zero weights", False, traces)
 
     def b(i, j):

@@ -490,66 +490,77 @@ class PoleProximityError(RuntimeError):
     """Raised when the adaptive step size underflows near a singularity."""
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# Dormand-Prince 5(4) tableau.  Row s of _DP_A weights the slopes of the
+# stages before s; its last row is b5, so the last stage is evaluated at the
+# fifth-order solution and its slope is the next step's first (FSAL).
+# _DP_C holds the nodes of stages 1-6: stages 5 and 6 share the node 1.
+_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+_DP_E = _DP_A[6] - _DP_B4  # b5 - b4: x5 - x4 = h * _DP_E @ slopes
+_DP_NODE = (None, 0, 1, 2, 3, 4, 4)  # the node each stage is evaluated at
 
 MIN_STEP = 1e-13
 
 
 def ode_transport(rhs, x0: np.ndarray, tol: float = 1e-10):
-    """Integrate dX/dt = rhs(t) @ X over t in [0, 1].
+    """Integrate the linear system dX/dt = A(t) X over t in [0, 1] by
+    Dormand-Prince 5(4).
 
-    rhs(t) returns a finite complex matrix (the caller guarantees pole
-    avoidance).  Returns (X(1), err_est) where err_est accumulates the
-    local error estimates of the accepted steps.  Aborts with
-    PoleProximityError if the step size falls below MIN_STEP.
+    rhs(ts) takes a 1-D array of times and returns the stack of finite
+    complex matrices A(ts), shape (len(ts), n, n); the caller guarantees
+    pole avoidance.  It is called once at t = 0 and then once per step
+    attempt, at the five new nodes of the step.  Each stage is one product
+    of the tableau row with the stacked slopes, and the last slope of an
+    accepted step is the first of the next.  Returns (X(1), err_est)
+    where err_est accumulates the local error estimates of the accepted
+    steps.  Aborts with PoleProximityError if the step size falls below
+    MIN_STEP.
     """
     x = np.array(x0, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("initial value must be a square matrix")
+    n = x.shape[0]
     t = 0.0
     h = 0.05
     err_total = 0.0
-    k = [None] * 7
+    k = np.empty((7, n * n), dtype=complex)
+    k[0] = (rhs(np.zeros(1))[0] @ x).ravel()
     while t < 1.0:
         h = min(h, 1.0 - t)
         if h < MIN_STEP:
             raise PoleProximityError("path too close to singular locus")
-        k[0] = rhs(t) @ x
-        for stage in range(1, 6):
-            y = x.copy()
-            for j, a in enumerate(_DP_A[stage]):
-                if a:
-                    y = y + (h * a) * k[j]
-            k[stage] = rhs(t + _DP_C[stage] * h) @ y
-        x5 = x.copy()
-        for j, b in enumerate(_DP_B5):
-            if b:
-                x5 = x5 + (h * b) * k[j]
-        k[6] = rhs(t + h) @ x5
-        x4 = x.copy()
-        for j, b in enumerate(_DP_B4):
-            if b:
-                x4 = x4 + (h * b) * k[j]
-        err = np.linalg.norm(x5 - x4)
-        if not np.isfinite(err):
+        a = rhs(t + h * _DP_C)
+        xf = x.ravel()
+        for stage in range(1, 7):
+            y = xf + (h * _DP_A[stage, :stage]) @ k[:stage]
+            k[stage] = (a[_DP_NODE[stage]] @ y.reshape(n, n)).ravel()
+        x5 = y.reshape(n, n)  # the input of the last stage
+        # near a blow-up these norms overflow; an overflowing norm shrinks
+        # the step like any non-finite value, so the warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.linalg.norm((h * _DP_E) @ k)
+            scale = max(np.linalg.norm(x), np.linalg.norm(x5), 1.0)
+        if not (np.isfinite(err) and np.isfinite(scale)):
             h *= 0.1
             continue
-        scale = max(np.linalg.norm(x), np.linalg.norm(x5), 1.0)
         rel = err / scale
         if rel <= tol:
             t += h
             x = x5
+            k[0] = k[6]
             err_total += err
             factor = 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
             h *= factor

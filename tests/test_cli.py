@@ -76,6 +76,18 @@ class TestLattice:
             assert code == 2
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"dimension": "abc", "hyperplanes": []}, {"dimension": 2, "hyperplanes": 5}],
+        ids=["dimension-not-integer", "hyperplanes-not-list"],
+    )
+    def test_bad_field_exits_2(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "lattice", str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -139,6 +151,16 @@ class TestRoundTrips:
         obj = json.loads(out)
         assert obj["ok"] is True
         assert obj["parameters"] == [["1/10", "0"], ["1/5", "0"], ["3/10", "0"]]
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_recover_honours_cap(self, capsys, tmp_path, monkeypatch, via):
+        path = str(tmp_path / "a3.json")  # 6 hyperplanes
+        assert main(["lauricella", "--n", "3", "--a", "1/10,2/10,3/10,1/5", "--out", path]) == 0
+        if via == "env":
+            monkeypatch.setenv("ARRCONN_CAP", "5")
+        code, _, err = run(capsys, "recover", path, *(["--cap", "5"] if via == "flag" else []))
+        assert code == 3
+        assert "cap 5" in err
 
     def test_emitted_json_reparses_exactly(self, capsys, lauricella_file):
         from arrconn.connection import connection_to_json, load_connection
