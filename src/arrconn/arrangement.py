@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,7 +73,6 @@ class Arrangement:
             seen[key] = h.id
         self._index = {h.id: i for i, h in enumerate(self.hyperplanes)}
         self._lattice: Optional[Lattice] = None
-        self._irreducible_keys = None
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -89,11 +90,14 @@ class Arrangement:
         return [h.id for h in self.hyperplanes]
 
     def lattice(self, cap: Optional[int] = None) -> "Lattice":
-        """The intersection lattice, built once; the cap is checked on
-        every call, so a cached lattice is never returned past it."""
-        _check_cap(self, cap)
+        """The intersection lattice, built once; the cap (a hyperplane
+        count) is checked on every call, so a cached lattice is never
+        returned past it."""
+        cap = DEFAULT_LATTICE_CAP if cap is None else cap
+        if len(self) > cap:
+            raise LatticeCapError(len(self), cap)
         if self._lattice is None:
-            self._lattice = build_lattice(self, cap=cap)
+            self._lattice = build_lattice(self)
         return self._lattice
 
 
@@ -178,44 +182,41 @@ class Lattice:
         """Reverse-inclusion order: L <= M iff L contains M as a subspace."""
         return set(l.containing) <= set(m.containing)
 
+    @cached_property
+    def irreducible(self) -> tuple:
+        """The irreducible flats in lattice order, tested once per lattice."""
+        return tuple(f for f in self.flats if is_irreducible_flat(self.arrangement, f))
 
-def _check_cap(arr: Arrangement, cap: Optional[int]):
-    cap = DEFAULT_LATTICE_CAP if cap is None else cap
-    if len(arr) > cap:
-        raise LatticeCapError(len(arr), cap)
 
+def build_lattice(arr: Arrangement) -> Lattice:
+    """Breadth-first search from the ambient flat over covering flats.
 
-def build_lattice(arr: Arrangement, cap: Optional[int] = None) -> Lattice:
-    """BFS over intersections; every flat appears once, keyed by closure."""
-    _check_cap(arr, cap)
-    flats = {}
+    The flats covering F are the classes of proportional traces on F of
+    the hyperplanes not containing it (``_traces_on``); a class's flat
+    contains F's hyperplanes and the class's sources.  Only a flat not
+    seen before gets a kernel basis: the kernel of the trace of the
+    class's first member, in F's kernel_basis frame, mapped back to C^n.
+    """
     start = ambient_flat(arr)
-    flats[start.containing] = start
+    flats = {start.containing: start}
     frontier = [start]
     while frontier:
         new = []
         for flat in frontier:
-            if flat.dim == 0:
-                continue
-            for i, h in enumerate(arr.hyperplanes):
-                if i in flat.containing:
+            for trace in _traces_on(arr, flat):
+                key = tuple(sorted(flat.containing + trace.sources))
+                if key in flats:
                     continue
-                row = tuple(vec_dot(h.form, b) for b in flat.kernel_basis)
-                _, coeffs = rank_kernel([row])
+                _, coeffs = rank_kernel([trace.form])
                 basis = tuple(
                     tuple(
-                        sum(
-                            (c * b[k] for c, b in zip(coeff, flat.kernel_basis)),
-                            GR_ZERO,
-                        )
+                        sum((c * b[k] for c, b in zip(coeff, flat.kernel_basis)), GR_ZERO)
                         for k in range(arr.dimension)
                     )
                     for coeff in coeffs
                 )
-                cand = flat_from_basis(arr, basis)
-                if cand.containing not in flats:
-                    flats[cand.containing] = cand
-                    new.append(cand)
+                flats[key] = Flat(key, basis, arr.dimension - len(basis))
+                new.append(flats[key])
         frontier = new
     return Lattice(arr, flats.values())
 
@@ -228,32 +229,32 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
 
 @dataclass(frozen=True)
 class Trace:
-    """A hyperplane of a restricted arrangement with its source fibre."""
+    """A hyperplane of a restricted arrangement with its source fibre
+    (the indices of the hyperplanes it is the trace of)."""
 
     id: str
     form: ExactVector
     sources: tuple
 
 
-def _traces_on(arr: Arrangement, flat: Flat, members=None):
-    """Distinct traces of the given hyperplanes on the flat, merged when
-    proportional; coordinates are taken in the flat's kernel_basis frame."""
-    members = range(len(arr)) if members is None else members
+def _traces_on(arr: Arrangement, flat: Flat):
+    """Traces on the flat of the hyperplanes not containing it, merged
+    into one class when proportional, in order of their first member;
+    coordinates are taken in the flat's kernel_basis frame.  Each class
+    is a hyperplane of the restriction and, as a flat of the arrangement,
+    one of the flats covering this one."""
     merged = {}
-    order = []
-    for i in members:
+    for i, h in enumerate(arr.hyperplanes):
         if i in flat.containing:
             continue
-        h = arr.hyperplanes[i]
         trace_form = tuple(vec_dot(h.form, b) for b in flat.kernel_basis)
         key = _normalized_form(trace_form)
-        if key not in merged:
-            merged[key] = Trace(id=h.id, form=trace_form, sources=(h.id,))
-            order.append(key)
+        old = merged.get(key)
+        if old is None:
+            merged[key] = Trace(id=h.id, form=trace_form, sources=(i,))
         else:
-            old = merged[key]
-            merged[key] = Trace(id=old.id, form=old.form, sources=old.sources + (h.id,))
-    return [merged[k] for k in order]
+            merged[key] = Trace(id=old.id, form=old.form, sources=old.sources + (i,))
+    return list(merged.values())
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
@@ -364,14 +365,8 @@ def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
     return len(_matroid_components(forms)) == 1
 
 
-def irreducible_flats(arr: Arrangement, cap: Optional[int] = None):
-    if arr._irreducible_keys is None:
-        lattice = arr.lattice(cap=cap)
-        arr._irreducible_keys = {
-            f.containing for f in lattice.flats if is_irreducible_flat(arr, f)
-        }
-    lattice = arr.lattice(cap=cap)
-    return [f for f in lattice.flats if f.containing in arr._irreducible_keys]
+def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:
+    return arr.lattice(cap=cap).irreducible
 
 
 @dataclass(frozen=True)
@@ -394,13 +389,9 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
     deleted = Arrangement(arr.dimension, keep)
     h0_flat = flat_from_indices(arr, [i0])
-    traces = _traces_on(arr, h0_flat, members=[i for i in range(len(arr)) if i != i0])
-    restricted = Arrangement(h0_flat.dim, [Hyperplane(t.id, t.form) for t in traces]) \
-        if traces else Arrangement(h0_flat.dim, [])
-    projection = {}
-    for t in traces:
-        for src in t.sources:
-            projection[src] = t.id
+    traces = _traces_on(arr, h0_flat)
+    restricted = Arrangement(h0_flat.dim, [Hyperplane(t.id, t.form) for t in traces])
+    projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
     if keep:
         _, basis = rank_kernel([h.form for h in keep])
         separator = any(vec_dot(h0_plane.form, b) for b in basis)
@@ -466,26 +457,33 @@ def _entry_to_json(value: GaussianRational):
     return [str(value.re), str(value.im)]
 
 
+def _integer_field(obj: dict, name: str) -> int:
+    """A field holding an integer, or a number or string without a
+    fractional part; a bool, a fraction or anything else is refused."""
+    if name not in obj:
+        raise InputError(f"missing field {name!r}")
+    value = obj[name]
+    try:
+        number = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        number = None
+    if isinstance(value, bool) or number is None or number.denominator != 1:
+        raise InputError(f"field {name!r} must be an integer, got {value!r}")
+    return int(number)
+
+
 def arrangement_from_json(obj) -> Arrangement:
     if not isinstance(obj, dict):
         raise InputError("arrangement JSON must be an object")
     if "builtin" in obj:
         if obj["builtin"] != "A_n":
             raise InputError(f"unknown builtin {obj['builtin']!r}")
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError):
-            raise InputError("builtin A_n needs an integer field 'n'") from None
+        n = _integer_field(obj, "n")
         return Arrangement(n, braid_hyperplanes(n))
-    try:
-        dimension = obj["dimension"]
-        raw = obj["hyperplanes"]
-    except KeyError as exc:
-        raise InputError(f"missing field {exc}") from None
-    try:
-        dimension = int(dimension)
-    except (TypeError, ValueError):
-        raise InputError(f"field 'dimension' must be an integer, got {dimension!r}") from None
+    dimension = _integer_field(obj, "dimension")
+    if "hyperplanes" not in obj:
+        raise InputError("missing field 'hyperplanes'")
+    raw = obj["hyperplanes"]
     if not isinstance(raw, list):
         raise InputError(f"field 'hyperplanes' must be a list, got {raw!r}")
     planes = []

@@ -77,8 +77,8 @@ def cmd_lattice(args) -> int:
     flats = []
     for flat in lattice.flats:
         entry = _flat_json(arr, flat)
-        entry["irreducible"] = arrmod.is_irreducible_flat(arr, flat)
         comps = arrmod.irreducible_components(arr, flat)
+        entry["irreducible"] = len(comps) == 1
         entry["components"] = [
             [arr.hyperplanes[i].id for i in c.containing] for c in comps
         ]
@@ -253,6 +253,8 @@ def cmd_volume(args) -> int:
             raise InputError("need either --alpha or both --alpha0 and --n")
         alpha0 = Fraction(args.alpha0)
         n = args.n
+        if n < 1:
+            raise InputError(f"--n must be >= 1, got {n}")
     vol_fs, vol_sphere = pkmod.fs_volumes(alpha0, n)
     obj = {
         "alpha0": float(alpha0),

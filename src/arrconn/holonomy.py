@@ -211,11 +211,11 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
     deterministic generic rational basepoint.
 
     Seeds whose loops come out with degenerate clearance are skipped
-    deterministically.
+    deterministically; if every one of 50 basepoints gives degenerate
+    loops, PreconditionError names the worst clearance of the last.
     """
     if not len(arr):
         raise PreconditionError("generator loops need a nonempty arrangement")
-    last = None
     for attempt in range(50):
         exact, p = _draw_basepoint(arr, seed + 7919 * attempt)
         meridians = tuple(meridian(arr, p, h.id) for h in arr.hyperplanes)
@@ -228,8 +228,10 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
         )
         if worst > 1e-6 * np.linalg.norm(p):
             return candidate
-        last = candidate
-    return last
+    raise PreconditionError(
+        f"no basepoint with non-degenerate generator loops in 50 draws "
+        f"(worst loop clearance {worst:.3g}, need > 1e-6 |p|)"
+    )
 
 
 # -- transport -------------------------------------------------------------------

@@ -47,10 +47,9 @@ class AngleVector:
         return len(self.entries)
 
 
-def _entries(values):
-    if isinstance(values, AngleVector):
-        return values.entries
-    return tuple(values)
+def _entries(values) -> tuple:
+    """The entries of an angle or parameter vector, checked by AngleVector."""
+    return AngleVector(values).entries
 
 
 def frac(x):
@@ -100,8 +99,6 @@ def pk_exists(alpha, tol: float = DEFAULT_TOL) -> ExistenceReport:
     below 1 or above n."""
     a = _entries(alpha)
     n = len(a) - 1
-    if n < 1:
-        raise PreconditionError("need at least two angles")
     cone_angles = {
         (i + 1, j + 1): a[i] + a[j] - 1 for i, j in combinations(range(n + 1), 2)
     }

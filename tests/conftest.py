@@ -5,6 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline (shared CPUs vary in speed).
+settings.register_profile("arrconn", derandomize=True, deadline=None, database=None)
+settings.load_profile("arrconn")
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9) -> Fraction:

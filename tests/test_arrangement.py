@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrconn.arrangement import (
     Arrangement,
@@ -11,15 +14,17 @@ from arrconn.arrangement import (
     braid_hyperplanes,
     center_rank_essential,
     deletion_restriction,
+    flat_from_basis,
     flat_from_indices,
     irreducible_components,
     irreducible_decomposition,
+    irreducible_flats,
     is_irreducible_flat,
     localization,
     restriction,
 )
 from arrconn.errors import InputError, LatticeCapError, PreconditionError
-from arrconn.numkernel import vec
+from arrconn.numkernel import GaussianRational, span_rank, vec, vec_dot
 
 
 def boolean(n):
@@ -94,6 +99,44 @@ class TestLattice:
         with pytest.raises(LatticeCapError):
             arr.lattice(cap=3)
         assert len(arr.lattice(cap=15)) == 203
+
+    def test_irreducible_flats_cached_on_lattice(self):
+        arr = braid(3)
+        flats = irreducible_flats(arr)
+        assert flats is arr.lattice().irreducible
+        assert flats == tuple(f for f in arr.lattice().flats if is_irreducible_flat(arr, f))
+
+
+_PARTS = (-2, -1, 0, 0, 0, 1, 2, Fraction(1, 2))
+
+
+@st.composite
+def small_arrangements(draw):
+    """Non-generic arrangements over Q(i): dimension 2-4, at most 7
+    hyperplanes with small complex coefficients, proportional forms dropped."""
+    n = draw(st.integers(2, 4))
+    entry = st.builds(GaussianRational, st.sampled_from(_PARTS), st.sampled_from((0, 0, 1, -1)))
+    forms = []
+    for form in draw(st.lists(st.tuples(*[entry] * n), max_size=7)):
+        if any(form) and all(span_rank([f, form]) == 2 for f in forms):
+            forms.append(form)
+    return Arrangement(n, [Hyperplane(f"h{k}", f) for k, f in enumerate(forms)])
+
+
+class TestLatticeOracle:
+    @given(small_arrangements())
+    def test_flats_are_closures_of_subsets(self, arr):
+        lat = arr.lattice()
+        closures = {
+            flat_from_indices(arr, subset).containing
+            for size in range(len(arr) + 1)
+            for subset in combinations(range(len(arr)), size)
+        }
+        assert set(lat.by_key) == closures
+        for f in lat.flats:
+            assert all(not vec_dot(arr.form(i), b) for i in f.containing for b in f.kernel_basis)
+            assert flat_from_basis(arr, f.kernel_basis).containing == f.containing
+            assert f.codim == arr.dimension - len(f.kernel_basis)
 
 
 class TestLocalizationRestriction:

@@ -78,8 +78,24 @@ class TestLattice:
 
     @pytest.mark.parametrize(
         "obj",
-        [{"dimension": "abc", "hyperplanes": []}, {"dimension": 2, "hyperplanes": 5}],
-        ids=["dimension-not-integer", "hyperplanes-not-list"],
+        [
+            {"dimension": "abc", "hyperplanes": []},
+            {"dimension": 2, "hyperplanes": 5},
+            {"dimension": 2.7, "hyperplanes": []},
+            {"dimension": "5/2", "hyperplanes": []},
+            {"dimension": True, "hyperplanes": []},
+            {"builtin": "A_n", "n": 2.5},
+            {"builtin": "A_n", "n": True},
+        ],
+        ids=[
+            "dimension-not-integer",
+            "hyperplanes-not-list",
+            "dimension-float",
+            "dimension-fraction-string",
+            "dimension-bool",
+            "n-float",
+            "n-bool",
+        ],
     )
     def test_bad_field_exits_2(self, capsys, tmp_path, obj):
         path = tmp_path / "bad.json"
@@ -193,6 +209,21 @@ class TestNumericCommands:
         assert code == 0
         obj = json.loads(out)
         assert abs(obj["vol_fs"] - 0.7 * math.pi) < 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pk-exists", "--alpha", "1/2"),
+            ("signature", "--a", "1/2"),
+            ("volume", "--alpha", "1/2"),
+            ("volume", "--alpha0", "1/2", "--n", "0"),
+        ],
+        ids=["pk-exists", "signature", "volume-alpha", "volume-n-0"],
+    )
+    def test_short_angle_vector_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_volume_needs_arguments(self, capsys):
         code, _, err = run(capsys, "volume")

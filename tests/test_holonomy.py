@@ -101,6 +101,15 @@ class TestGeneratorLoops:
         g2 = generator_loops(arr, seed=5)
         assert np.array_equal(g1.basepoint, g2.basepoint)
 
+    def test_degenerate_basepoint_refused(self, monkeypatch):
+        import arrconn.holonomy as hol
+
+        # 1e-9 off H_1_2 (z_1 = z_2) on every draw
+        point = np.array([0.3 + 1e-9, 0.3], dtype=complex)
+        monkeypatch.setattr(hol, "_draw_basepoint", lambda arr, seed: ((F(3, 10), F(3, 10)), point))
+        with pytest.raises(PreconditionError, match="clearance"):
+            generator_loops(reduced_residues([F(1), F(2), F(3)]).arrangement)
+
     def test_loops_are_closed(self):
         arr = reduced_residues([F(1), F(2), F(3)]).arrangement
         gen = generator_loops(arr, seed=1)
