@@ -100,6 +100,43 @@ class Arrangement:
             self._lattice = build_lattice(self)
         return self._lattice
 
+    @cached_property
+    def essential_irreducible_restrictions(self) -> frozenset:
+        """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
+        irreducible, decided once per arrangement (no cap enters)."""
+        found = set()
+        for i0, h0 in enumerate(self.hyperplanes):
+            restricted = deletion_restriction(self, h0.id).restricted
+            if (
+                len(restricted)
+                and center_rank_essential(restricted)[2]
+                and len(irreducible_decomposition(restricted)) == 1
+            ):
+                found.add(i0)
+        return frozenset(found)
+
+    @cached_property
+    def _decomposition(self) -> tuple:
+        """The certified finest decomposition as index blocks, computed
+        once; ``irreducible_decomposition`` hands out copies.
+
+        Rank additivity across the blocks is checked exactly and every
+        block is re-tested for connectivity; a failed check is an
+        internal error, not a report.
+        """
+        if not len(self):
+            raise PreconditionError("irreducible decomposition of an empty arrangement")
+        forms = [h.form for h in self.hyperplanes]
+        blocks = _matroid_components(forms)
+        total = span_rank(forms)
+        block_ranks = sum(span_rank([forms[i] for i in block]) for block in blocks)
+        if block_ranks != total:
+            raise AssertionError("matroid decomposition failed rank additivity")
+        for block in blocks:
+            if len(_matroid_components([forms[i] for i in block])) != 1:
+                raise AssertionError("matroid decomposition produced a reducible block")
+        return tuple(tuple(block) for block in blocks)
+
 
 def complex_forms(arr: Arrangement) -> np.ndarray:
     """The hyperplane forms as the rows of a complex (m, n) matrix."""
@@ -320,24 +357,9 @@ def _matroid_components(forms):
 
 
 def irreducible_decomposition(arr: Arrangement):
-    """The unique finest u-plus decomposition, as hyperplane-index blocks.
-
-    The output is certified: rank additivity across the blocks is checked
-    exactly and every block is re-tested for connectivity; a failed check
-    is an internal error, not a report.
-    """
-    if not len(arr):
-        raise PreconditionError("irreducible decomposition of an empty arrangement")
-    forms = [h.form for h in arr.hyperplanes]
-    blocks = _matroid_components(forms)
-    total = span_rank(forms)
-    block_ranks = sum(span_rank([forms[i] for i in block]) for block in blocks)
-    if block_ranks != total:
-        raise AssertionError("matroid decomposition failed rank additivity")
-    for block in blocks:
-        if len(_matroid_components([forms[i] for i in block])) != 1:
-            raise AssertionError("matroid decomposition produced a reducible block")
-    return blocks
+    """The unique finest u-plus decomposition, as hyperplane-index blocks:
+    a fresh list of lists copied from the arrangement's certified cache."""
+    return [list(block) for block in arr._decomposition]
 
 
 def irreducible_components(arr: Arrangement, flat: Flat):

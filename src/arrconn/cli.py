@@ -26,7 +26,7 @@ from .errors import ArrConnError, InputError, LatticeCapError
 def _parse_fraction_list(text: str):
     try:
         return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational list {text!r}: {exc}") from None
 
 
@@ -251,7 +251,10 @@ def cmd_volume(args) -> int:
     else:
         if args.alpha0 is None or args.n is None:
             raise InputError("need either --alpha or both --alpha0 and --n")
-        alpha0 = Fraction(args.alpha0)
+        parsed = _parse_fraction_list(args.alpha0)
+        if len(parsed) != 1:
+            raise InputError(f"--alpha0 must be one rational, got {args.alpha0!r}")
+        (alpha0,) = parsed
         n = args.n
         if n < 1:
             raise InputError(f"--n must be >= 1, got {n}")

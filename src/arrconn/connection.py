@@ -135,6 +135,16 @@ def residue_at_flat(conn: StandardConnection, flat: Flat) -> ExactMatrix:
     return total
 
 
+def weight_at_flat(conn: StandardConnection, flat: Flat) -> GaussianRational:
+    """The weight of a flat, (sum of tr A_H over the hyperplanes containing
+    it) / codim: the trace of ``residue_at_flat`` over the codimension,
+    read from the residue traces without building the matrix sum."""
+    total = GR_ZERO
+    for i in flat.containing:
+        total = total + conn.residue(conn.arrangement.hyperplanes[i].id).trace()
+    return total / GaussianRational(flat.codim)
+
+
 def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessReport:
     """[A_L, A_H] = 0 for every codimension-two flat L and every H above it."""
     arr = conn.arrangement
@@ -163,7 +173,7 @@ def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport
     table = {}
     zero = []
     for flat in irreducible_flats(conn.arrangement, cap=cap):
-        w = residue_at_flat(conn, flat).trace() / GaussianRational(flat.codim)
+        w = weight_at_flat(conn, flat)
         table[flat] = w
         if not w:
             zero.append(flat)
@@ -252,7 +262,7 @@ def decomposition_at_flat(conn: StandardConnection, flat: Flat) -> Decomposition
     items["perp_splits"] = span_rank(perp_all) == len(perp_all) if perp_all else True
     scalar_ok = True
     for comp, part in zip(components, perp_parts):
-        a_comp = residue_at_flat(conn, comp).trace() / GaussianRational(comp.codim)
+        a_comp = weight_at_flat(conn, comp)
         for v in part:
             if a_l.apply(v) != tuple(a_comp * x for x in v):
                 scalar_ok = False
@@ -300,7 +310,7 @@ def euler_field(conn: StandardConnection) -> EulerField:
     diag = [GR_ONE] * len(columns)
     for block in blocks:
         t_i = flat_from_indices(arr, block)
-        a_i = residue_at_flat(conn, t_i).trace() / GaussianRational(t_i.codim)
+        a_i = weight_at_flat(conn, t_i)
         alpha_i = GR_ONE - a_i
         if not alpha_i:
             raise WeightZeroError(
@@ -466,7 +476,11 @@ class WeightConstraintReport:
 def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None) -> WeightConstraintReport:
     """Evaluate the deletion-restriction trace identity for every H0 whose
     induced arrangement is essential and irreducible; the residual must be
-    exactly zero for flat torsion-free input."""
+    exactly zero for flat torsion-free input.
+
+    Which H0 qualify depends on the arrangement alone and is read from
+    ``Arrangement.essential_irreducible_restrictions``, decided once per
+    arrangement; each call does only the residue-trace work."""
     arr = conn.arrangement
     n = arr.dimension
     if n < 2:
@@ -483,14 +497,7 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     lhs = lhs / GaussianRational(n)
     rows = []
     for i0, h0 in enumerate(arr.hyperplanes):
-        dr = deletion_restriction(arr, h0.id)
-        _, r_rank, r_ess = center_rank_essential(dr.restricted)
-        valid = (
-            len(dr.restricted) > 0
-            and r_ess
-            and len(irreducible_decomposition(dr.restricted)) == 1
-        )
-        if not valid:
+        if i0 not in arr.essential_irreducible_restrictions:
             rows.append(WeightConstraintRow(h0.id, lhs, GR_ZERO, GR_ZERO, False))
             continue
         transversal = GR_ZERO
@@ -502,7 +509,7 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
                 other = next(i for i in flat.containing if i != i0)
                 transversal = transversal + conn.residue(arr.hyperplanes[other].id).trace()
             else:
-                deep = deep + residue_at_flat(conn, flat).trace() / GaussianRational(2)
+                deep = deep + weight_at_flat(conn, flat)
         rhs = (transversal + deep) / GaussianRational(n - 1)
         rows.append(WeightConstraintRow(h0.id, lhs, rhs, lhs - rhs, True))
     valid_rows = [r for r in rows if r.restriction_essential_irreducible]

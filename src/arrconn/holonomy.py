@@ -20,7 +20,7 @@ from .connection import (
     StandardConnection,
     localization_connection,
     flat_perp_basis,
-    residue_at_flat,
+    weight_at_flat,
 )
 from .errors import ArrConnError, InputError, PreconditionError
 from .numkernel import (
@@ -327,7 +327,7 @@ def central_loop_spectrum_check(
 
     predicted = [1.0 + 0.0j] * d
     for comp in irreducible_components(arr, flat_loc):
-        a_i = residue_at_flat(loc, comp).trace() / comp.codim
+        a_i = weight_at_flat(loc, comp)
         mult = comp.codim
         predicted.extend([np.exp(2j * np.pi * complex(a_i))] * mult)
     predicted = sorted(predicted, key=lambda z: (z.real, z.imag))

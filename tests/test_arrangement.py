@@ -139,6 +139,24 @@ class TestLatticeOracle:
             assert f.codim == arr.dimension - len(f.kernel_basis)
 
 
+class TestRestrictionCache:
+    @given(small_arrangements())
+    def test_cache_returns_fresh_verdicts(self, arr):
+        fresh = set()
+        for i0, h0 in enumerate(arr.hyperplanes):
+            restricted = deletion_restriction(arr, h0.id).restricted
+            _, _, essential = center_rank_essential(restricted)
+            if len(restricted) and essential and len(irreducible_decomposition(restricted)) == 1:
+                fresh.add(i0)
+        assert arr.essential_irreducible_restrictions == fresh
+        if len(arr):
+            blocks = irreducible_decomposition(arr)
+            blocks[0].append(len(arr))
+            blocks.append([len(arr) + 1])
+            copy = Arrangement(arr.dimension, arr.hyperplanes)
+            assert irreducible_decomposition(arr) == irreducible_decomposition(copy)
+
+
 class TestLocalizationRestriction:
     def test_localize_ambient_is_empty(self):
         arr = braid(2)

@@ -225,6 +225,22 @@ class TestNumericCommands:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pk-exists", "--alpha", "1/0,1/2"),
+            ("signature", "--a", "1/0,1/2"),
+            ("lauricella", "--n", "2", "--a", "1/0,1/2,1/3"),
+            ("volume", "--alpha0", "1/0", "--n", "2"),
+            ("volume", "--alpha0", "abc", "--n", "2"),
+        ],
+        ids=["pk-exists-1/0", "signature-1/0", "lauricella-1/0", "volume-alpha0-1/0", "volume-alpha0-abc"],
+    )
+    def test_bad_rational_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_volume_needs_arguments(self, capsys):
         code, _, err = run(capsys, "volume")
         assert code == 2

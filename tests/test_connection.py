@@ -8,6 +8,7 @@ from arrconn.arrangement import (
     Hyperplane,
     ambient_flat,
     flat_from_indices,
+    irreducible_decomposition,
 )
 from arrconn.connection import (
     StandardConnection,
@@ -26,12 +27,13 @@ from arrconn.connection import (
     normal_data,
     quotient_connection,
     residue_at_flat,
+    weight_at_flat,
     weights,
 )
 from arrconn.errors import InputError, NormalDataError, PreconditionError, WeightZeroError
 from arrconn.lauricella import build_An, reduced_residues
 from arrconn.numkernel import ExactMatrix, GaussianRational, vec
-from conftest import random_params_nonzero_subsets
+from conftest import random_params_nonzero_subsets, random_rational
 
 F = Fraction
 
@@ -152,6 +154,29 @@ class TestResiduesAndWeights:
             blocks = [b for b in flat_to_partition(conn.arrangement, flat) if len(b) >= 2]
             assert len(blocks) == 1
             assert w == GaussianRational(sum(a[i - 1] for i in blocks[0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_weight_at_flat_is_trace_of_residue_sum(self, rng, n):
+        arr = build_An(n)
+        lauricella = reduced_residues(random_params_nonzero_subsets(rng, n + 1), arr)
+
+        def entry():
+            return GaussianRational(random_rational(rng), random_rational(rng))
+
+        generic = StandardConnection(
+            arr,
+            {h.id: ExactMatrix([[entry() for _ in range(n)] for _ in range(n)]) for h in arr.hyperplanes},
+        )
+        for conn in (lauricella, generic):
+            for flat in arr.lattice().flats:
+                if not flat.codim:
+                    with pytest.raises(ZeroDivisionError):
+                        residue_at_flat(conn, flat).trace() / GaussianRational(flat.codim)
+                    with pytest.raises(ZeroDivisionError):
+                        weight_at_flat(conn, flat)
+                    continue
+                expected = residue_at_flat(conn, flat).trace() / GaussianRational(flat.codim)
+                assert weight_at_flat(conn, flat) == expected
 
 
 class TestNormalData:
@@ -338,6 +363,50 @@ class TestWeightConstraints:
         bad = StandardConnection(conn.arrangement, residues)
         report = check_weight_constraints(bad)
         assert any(r.residual for r in report.rows if r.restriction_essential_irreducible)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            Arrangement(2, [Hyperplane("z1", vec([1, 0])), Hyperplane("z2", vec([0, 1]))]),
+            Arrangement(
+                3,
+                [
+                    Hyperplane("z1-z2", vec([1, -1, 0])),
+                    Hyperplane("z2-z3", vec([0, 1, -1])),
+                    Hyperplane("z1-z3", vec([1, 0, -1])),
+                ],
+            ),
+        ],
+        ids=["reducible", "non-essential"],
+    )
+    def test_precondition_holds_with_cache(self, arr):
+        n = arr.dimension
+        conn = StandardConnection(arr, {h.id: ExactMatrix.identity(n) for h in arr.hyperplanes})
+        with pytest.raises(PreconditionError):
+            check_weight_constraints(conn)
+        irreducible_decomposition(arr)
+        arr.essential_irreducible_restrictions
+        with pytest.raises(PreconditionError):
+            check_weight_constraints(conn)
+
+    def test_restriction_verdicts_built_once(self, monkeypatch):
+        import arrconn.arrangement as arrmod
+        import arrconn.connection as connmod
+
+        calls = []
+        original = arrmod.deletion_restriction
+
+        def counting(arr, h0):
+            calls.append(h0)
+            return original(arr, h0)
+
+        monkeypatch.setattr(arrmod, "deletion_restriction", counting)
+        monkeypatch.setattr(connmod, "deletion_restriction", counting)
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10), F(5, 10)])
+        check_weight_constraints(conn)
+        assert len(calls) == len(conn.arrangement) == 10
+        check_weight_constraints(conn)
+        assert len(calls) == 10
 
 
 class TestNonResonance:
