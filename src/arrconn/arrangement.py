@@ -22,6 +22,7 @@ from .numkernel import (
     GR_ONE,
     GR_ZERO,
     coordinates_in_basis,
+    kernel_of_form,
     rank_kernel,
     span_rank,
     vec,
@@ -99,6 +100,12 @@ class Arrangement:
         if self._lattice is None:
             self._lattice = build_lattice(self)
         return self._lattice
+
+    @cached_property
+    def hyperplane_kernels(self) -> tuple:
+        """Kernel basis of each hyperplane's form, in hyperplane order,
+        solved once per arrangement."""
+        return tuple(tuple(kernel_of_form(h.form)) for h in self.hyperplanes)
 
     @cached_property
     def essential_irreducible_restrictions(self) -> frozenset:

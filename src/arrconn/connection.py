@@ -3,13 +3,18 @@
 Residues are exact; every criterion (torsion freeness, flatness, weights,
 normal frames, direct-sum decompositions, Euler fields) is decided over
 Q(i), as are the derived constructions: localization, quotient and induced
-connections, and the linear weight constraints they impose.  Numerical
-code reads the one complex view of a connection, ``numeric``.
+connections, and the linear weight constraints they impose.  A connection
+has two lazy read-only views of its residues: ``integer``, Gaussian-integer
+numerators over one common denominator, on which flatness, weights and
+the weight constraints are decided exactly; and ``numeric``, the complex
+view that numerical code reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
@@ -44,16 +49,37 @@ from .numkernel import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
-    commutator,
     coordinates_in_basis,
     independent_subset,
-    kernel_of_form,
     rank_kernel,
     same_span,
     solve_exact,
     span_rank,
     vec_dot,
 )
+
+
+@dataclass(frozen=True)
+class IntegerView:
+    """The residues over one common denominator d, the least common multiple
+    of every entry's denominators: A_k = (re[k] + i im[k]) / d, rows in
+    hyperplane order.  The (m, n, n) arrays hold Python ints (dtype object),
+    so no product can overflow; they are read-only.  ``trace_re[k]`` and
+    ``trace_im[k]`` are the numerators of tr A_k."""
+
+    denominator: int
+    re: np.ndarray
+    im: np.ndarray
+    trace_re: tuple
+    trace_im: tuple
+
+    def trace_sum(self, indices, divisor: int = 1) -> GaussianRational:
+        """(sum of tr A_k over ``indices``, with repeats) / divisor, exactly."""
+        d = self.denominator * divisor
+        return GaussianRational(
+            Fraction(sum(self.trace_re[k] for k in indices), d),
+            Fraction(sum(self.trace_im[k] for k in indices), d),
+        )
 
 
 class StandardConnection:
@@ -71,7 +97,7 @@ class StandardConnection:
         for hid, m in residues.items():
             if not isinstance(m, ExactMatrix) or m.rows != n or m.cols != n:
                 raise InputError(f"residue at {hid} must be an exact {n}x{n} matrix")
-        # read-only, so the numeric view below can never go stale
+        # read-only, so the views below can never go stale
         self.residues = MappingProxyType(dict(residues))
 
     @property
@@ -94,6 +120,33 @@ class StandardConnection:
         forms.flags.writeable = residues.flags.writeable = False
         return forms, residues
 
+    @cached_property
+    def integer(self) -> IntegerView:
+        """Gaussian-integer numerators over one common denominator; built on
+        first use, read-only."""
+        arr = self.arrangement
+        n = arr.dimension
+        parts = [
+            x
+            for h in arr.hyperplanes
+            for row in self.residues[h.id].entries
+            for e in row
+            for x in (e.re, e.im)
+        ]
+        d = math.lcm(*(x.denominator for x in parts))
+        nums = np.array(
+            [x.numerator * (d // x.denominator) for x in parts], dtype=object
+        ).reshape(len(arr), n, n, 2)
+        re, im = nums[..., 0].copy(), nums[..., 1].copy()
+        re.flags.writeable = im.flags.writeable = False
+        return IntegerView(
+            d,
+            re,
+            im,
+            tuple(np.trace(re, axis1=1, axis2=2)),
+            tuple(np.trace(im, axis1=1, axis2=2)),
+        )
+
     def numeric_residue(self, hyperplane_id: str) -> np.ndarray:
         """One residue as an n x n view into ``numeric``."""
         n = self.dimension
@@ -109,15 +162,15 @@ class TorsionFreeReport:
 
 
 def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
-    """H inside ker A_H for every hyperplane, decided exactly."""
-    violators = []
-    for h in conn.arrangement.hyperplanes:
-        a = conn.residue(h.id)
-        for b in kernel_of_form(h.form):
-            if any(a.apply(b)):
-                violators.append(h.id)
-                break
-    return TorsionFreeReport(not violators, tuple(violators))
+    """H inside ker A_H for every hyperplane, decided exactly on the kernel
+    bases the arrangement caches."""
+    arr = conn.arrangement
+    violators = tuple(
+        h.id
+        for h, kernel in zip(arr.hyperplanes, arr.hyperplane_kernels)
+        if any(any(conn.residue(h.id).apply(b)) for b in kernel)
+    )
+    return TorsionFreeReport(not violators, violators)
 
 
 @dataclass(frozen=True)
@@ -137,26 +190,42 @@ def residue_at_flat(conn: StandardConnection, flat: Flat) -> ExactMatrix:
 
 def weight_at_flat(conn: StandardConnection, flat: Flat) -> GaussianRational:
     """The weight of a flat, (sum of tr A_H over the hyperplanes containing
-    it) / codim: the trace of ``residue_at_flat`` over the codimension,
-    read from the residue traces without building the matrix sum."""
-    total = GR_ZERO
-    for i in flat.containing:
-        total = total + conn.residue(conn.arrangement.hyperplanes[i].id).trace()
-    return total / GaussianRational(flat.codim)
+    it) / codim: the trace of ``residue_at_flat`` over the codimension, read
+    as Fraction(sum of the integer-view trace numerators, d * codim)."""
+    return conn.integer.trace_sum(flat.containing, flat.codim)
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessReport:
-    """[A_L, A_H] = 0 for every codimension-two flat L and every H above it."""
+    """[A_L, A_H] = 0 for every codimension-two flat L and every H above it.
+
+    Decided on the integer view: with N = d A, [N_L, N_H] = d^2 [A_L, A_H],
+    so every (L, H) pair is stacked and tested with one batched set of
+    Gaussian-integer products.  Violations are listed flat by flat in
+    lattice order, hyperplanes in ``containing`` order."""
     arr = conn.arrangement
-    lattice = arr.lattice(cap=cap)
-    violations = []
-    for flat in lattice.of_codim(2):
-        a_l = residue_at_flat(conn, flat)
-        for i in flat.containing:
-            hid = arr.hyperplanes[i].id
-            if not commutator(a_l, conn.residue(hid)).is_zero():
-                violations.append((flat, hid))
-    return FlatnessReport(not violations, tuple(violations))
+    flats = arr.lattice(cap=cap).of_codim(2)
+    if not flats:
+        return FlatnessReport(True, ())
+    view = conn.integer
+    rows = [list(flat.containing) for flat in flats]
+    which = [k for k, row in enumerate(rows) for _ in row]  # flat of each pair
+    above = [i for row in rows for i in row]  # hyperplane of each pair
+
+    def pair_stacks(part):
+        flat_sums = np.stack([part[row].sum(axis=0) for row in rows])
+        return flat_sums[which], part[above]
+
+    l_re, h_re = pair_stacks(view.re)
+    l_im, h_im = pair_stacks(view.im)
+    re = _commutators(l_re, h_re) - _commutators(l_im, h_im)
+    im = _commutators(l_re, h_im) + _commutators(l_im, h_re)
+    bad = np.flatnonzero((re != 0).any(axis=(1, 2)) | (im != 0).any(axis=(1, 2)))
+    violations = tuple((flats[which[p]], arr.hyperplanes[above[p]].id) for p in bad)
+    return FlatnessReport(not violations, violations)
 
 
 # -- weights ------------------------------------------------------------------
@@ -480,7 +549,8 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
 
     Which H0 qualify depends on the arrangement alone and is read from
     ``Arrangement.essential_irreducible_restrictions``, decided once per
-    arrangement; each call does only the residue-trace work."""
+    arrangement; each call does only the residue-trace work, on the trace
+    numerators of the integer view."""
     arr = conn.arrangement
     n = arr.dimension
     if n < 2:
@@ -490,27 +560,26 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     _, rank, essential = center_rank_essential(arr)
     if not essential or len(irreducible_decomposition(arr)) != 1:
         raise PreconditionError("weight constraints assume an essential irreducible arrangement")
-    lattice = arr.lattice(cap=cap)
-    lhs = GR_ZERO
-    for h in arr.hyperplanes:
-        lhs = lhs + conn.residue(h.id).trace()
-    lhs = lhs / GaussianRational(n)
+    codim2 = arr.lattice(cap=cap).of_codim(2)
+    view = conn.integer
+    lhs = view.trace_sum(range(len(arr)), n)
     rows = []
     for i0, h0 in enumerate(arr.hyperplanes):
         if i0 not in arr.essential_irreducible_restrictions:
             rows.append(WeightConstraintRow(h0.id, lhs, GR_ZERO, GR_ZERO, False))
             continue
-        transversal = GR_ZERO
-        deep = GR_ZERO
-        for flat in lattice.of_codim(2):
+        # rhs = (sum of tr A_H over the H meeting H0 transversally + sum of
+        # the weights of the deeper codim-2 flats on H0) / (n - 1); such a
+        # weight is its trace sum / 2, so count transversal traces twice
+        terms = []
+        for flat in codim2:
             if i0 not in flat.containing:
                 continue
             if len(flat.containing) == 2:
-                other = next(i for i in flat.containing if i != i0)
-                transversal = transversal + conn.residue(arr.hyperplanes[other].id).trace()
+                terms += [i for i in flat.containing if i != i0] * 2
             else:
-                deep = deep + weight_at_flat(conn, flat)
-        rhs = (transversal + deep) / GaussianRational(n - 1)
+                terms += flat.containing
+        rhs = view.trace_sum(terms, 2 * (n - 1))
         rows.append(WeightConstraintRow(h0.id, lhs, rhs, lhs - rhs, True))
     valid_rows = [r for r in rows if r.restriction_essential_irreducible]
     return WeightConstraintReport(

@@ -195,9 +195,7 @@ def recover_parameters(
     """
     arr = conn.arrangement
     n = _check_braid(arr)
-    traces = {}
-    for h in arr.hyperplanes:
-        traces[pair_of_id(h.id)] = conn.residue(h.id).trace()
+    traces = {pair_of_id(h.id): conn.integer.trace_sum([k]) for k, h in enumerate(arr.hyperplanes)}
 
     if n == 1:
         return RecoveryResult(False, None, "n = 1: only a_1 + a_2 is determined", True, traces)
