@@ -21,9 +21,8 @@ from .numkernel import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
-    coordinates_in_basis,
-    kernel_of_form,
     rank_kernel,
+    row_echelon,
     span_rank,
     vec,
     vec_complex,
@@ -105,22 +104,22 @@ class Arrangement:
     def hyperplane_kernels(self) -> tuple:
         """Kernel basis of each hyperplane's form, in hyperplane order,
         solved once per arrangement."""
-        return tuple(tuple(kernel_of_form(h.form)) for h in self.hyperplanes)
+        return tuple(tuple(rank_kernel([h.form])[1]) for h in self.hyperplanes)
+
+    @cached_property
+    def essential_irreducible(self) -> bool:
+        """Nonempty, essential and irreducible, decided once per arrangement."""
+        return bool(len(self)) and center_rank_essential(self)[2] and len(self._decomposition) == 1
 
     @cached_property
     def essential_irreducible_restrictions(self) -> frozenset:
         """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
         irreducible, decided once per arrangement (no cap enters)."""
-        found = set()
-        for i0, h0 in enumerate(self.hyperplanes):
-            restricted = deletion_restriction(self, h0.id).restricted
-            if (
-                len(restricted)
-                and center_rank_essential(restricted)[2]
-                and len(irreducible_decomposition(restricted)) == 1
-            ):
-                found.add(i0)
-        return frozenset(found)
+        return frozenset(
+            i0
+            for i0, h0 in enumerate(self.hyperplanes)
+            if deletion_restriction(self, h0.id).restricted.essential_irreducible
+        )
 
     @cached_property
     def _decomposition(self) -> tuple:
@@ -312,13 +311,8 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
 
 def center_rank_essential(arr: Arrangement):
     """Center flat, rank (codim of the center) and essentiality."""
-    if not len(arr):
-        center = ambient_flat(arr)
-        return center, 0, arr.dimension == 0
-    _, basis = rank_kernel([h.form for h in arr.hyperplanes])
-    center = flat_from_basis(arr, basis)
-    rank = center.codim
-    return center, rank, rank == arr.dimension
+    center = flat_from_indices(arr, range(len(arr)))
+    return center, center.codim, center.codim == arr.dimension
 
 
 class _UnionFind:
@@ -340,23 +334,19 @@ class _UnionFind:
 def _matroid_components(forms):
     """Connected components of the linear matroid of the given forms.
 
-    Greedy basis plus fundamental circuits: every non-basis form is written
-    in the basis; its circuit joins one connectivity class.
+    Greedy basis plus fundamental circuits, read from one reduced echelon
+    form of the forms taken as columns: the pivot columns are the greedy
+    basis, and a non-pivot column holds the coordinates of its form in
+    that basis, so the forms nonzero in one row share a circuit with that
+    row's pivot and join its connectivity class.
     """
     m = len(forms)
     uf = _UnionFind(m)
-    basis_idx = []
-    for i, f in enumerate(forms):
-        if not basis_idx:
-            basis_idx.append(i)
-            continue
-        coords = coordinates_in_basis([forms[j] for j in basis_idx], f)
-        if coords is None:
-            basis_idx.append(i)
-        else:
-            for j, c in zip(basis_idx, coords):
-                if c:
-                    uf.union(i, j)
+    rref, pivots = row_echelon(list(zip(*forms)))
+    for row, p in zip(rref, pivots):
+        for i, c in enumerate(row):
+            if c:
+                uf.union(p, i)
     groups = {}
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
@@ -417,7 +407,7 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     h0_plane = arr.hyperplanes[i0]
     keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
     deleted = Arrangement(arr.dimension, keep)
-    h0_flat = flat_from_indices(arr, [i0])
+    h0_flat = flat_from_basis(arr, arr.hyperplane_kernels[i0])
     traces = _traces_on(arr, h0_flat)
     restricted = Arrangement(h0_flat.dim, [Hyperplane(t.id, t.form) for t in traces])
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}

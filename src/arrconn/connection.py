@@ -32,6 +32,7 @@ from .arrangement import (
     _parse_entry,
     _read_json,
     deletion_restriction,
+    flat_from_basis,
     flat_from_indices,
     irreducible_decomposition,
     irreducible_flats,
@@ -52,8 +53,8 @@ from .numkernel import (
     coordinates_in_basis,
     independent_subset,
     rank_kernel,
+    row_echelon,
     same_span,
-    solve_exact,
     span_rank,
     vec_dot,
 )
@@ -403,14 +404,13 @@ def euler_field(conn: StandardConnection) -> EulerField:
         )
         columns.extend(perp)
         diag.extend([GR_ONE / alpha_i] * len(perp))
-    if len(columns) != n or span_rank(columns) != n:
+    # [basis | I] reduces to [I | basis^-1] exactly when the basis is invertible
+    rref, pivots = row_echelon(
+        [row + e for row, e in zip(zip(*columns), ExactMatrix.identity(n).entries)]
+    )
+    if len(columns) != n or pivots != list(range(n)):
         raise WeightZeroError("adapted basis is degenerate; nonzero weights fail")
-    basis = ExactMatrix.from_columns(columns)
-    inv_cols = []
-    for j in range(n):
-        e_j = tuple(GR_ONE if k == j else GR_ZERO for k in range(n))
-        inv_cols.append(solve_exact(basis, e_j))
-    inverse = ExactMatrix.from_columns(inv_cols)
+    inverse = ExactMatrix._raw([row[n:] for row in rref])
     scaled = ExactMatrix.from_columns(
         [tuple(diag[j] * x for x in col) for j, col in enumerate(columns)]
     )
@@ -502,7 +502,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
         raise PreconditionError(
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
-    h0_flat = flat_from_indices(arr, [i0])
+    h0_flat = flat_from_basis(arr, arr.hyperplane_kernels[i0])
     dr = deletion_restriction(arr, h0)
     residues = {}
     for trace in dr.restricted.hyperplanes:
@@ -555,10 +555,7 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     n = arr.dimension
     if n < 2:
         raise PreconditionError("weight constraints need dimension >= 2")
-    from .arrangement import center_rank_essential
-
-    _, rank, essential = center_rank_essential(arr)
-    if not essential or len(irreducible_decomposition(arr)) != 1:
+    if not arr.essential_irreducible:
         raise PreconditionError("weight constraints assume an essential irreducible arrangement")
     codim2 = arr.lattice(cap=cap).of_codim(2)
     view = conn.integer

@@ -24,11 +24,13 @@ from .connection import (
 )
 from .errors import ArrConnError, InputError, PreconditionError
 from .numkernel import (
+    ExactMatrix,
     HermForm,
     PoleProximityError,
     Signature,
     coordinates_in_basis,
     hermitian_signature,
+    independent_subset,
     matrix_exp,
     ode_transport,
     vec_complex,
@@ -282,18 +284,12 @@ def _match_multisets(predicted, computed):
 
 
 def _standard_complement(flat: Flat, n: int):
-    """Standard basis vectors completing the flat to the whole space; used
-    only when every localized residue vanishes and no normal frame exists."""
-    from .numkernel import GR_ONE, GR_ZERO, span_rank
-
-    chosen = []
-    base = list(flat.kernel_basis)
-    for i in range(n):
-        e = tuple(GR_ONE if j == i else GR_ZERO for j in range(n))
-        trial = base + chosen + [e]
-        if span_rank(trial) == len(trial):
-            chosen.append(e)
-    return tuple(chosen)
+    """Standard basis vectors completing the flat to the whole space, the
+    greedy choice: the pivots past the flat's basis in one echelon form of
+    that basis followed by e_1..e_n.  Used only when every localized
+    residue vanishes and no normal frame exists."""
+    vectors = list(flat.kernel_basis) + list(ExactMatrix.identity(n).entries)
+    return tuple(vectors[k] for k in independent_subset(vectors)[flat.dim:])
 
 
 def central_loop_spectrum_check(

@@ -127,10 +127,7 @@ def _canonical_partition(blocks) -> Partition:
 
 
 def _check_braid(arr: Arrangement) -> int:
-    expected = build_An(arr.dimension)
-    if [h.id for h in arr.hyperplanes] != [h.id for h in expected.hyperplanes] or [
-        h.form for h in arr.hyperplanes
-    ] != [h.form for h in expected.hyperplanes]:
+    if list(arr.hyperplanes) != braid_hyperplanes(arr.dimension):
         raise PreconditionError("arrangement is not the braid arrangement builder output")
     return arr.dimension
 

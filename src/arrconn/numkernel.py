@@ -365,12 +365,6 @@ def rank_kernel(matrix):
     return rank, basis
 
 
-def kernel_of_form(form: ExactVector):
-    """Kernel basis of a single nonzero linear form."""
-    _, basis = rank_kernel([form])
-    return basis
-
-
 def span_rank(vectors) -> int:
     vectors = list(vectors)
     if not vectors:
@@ -380,18 +374,9 @@ def span_rank(vectors) -> int:
 
 
 def independent_subset(vectors):
-    """Indices of a greedy maximal independent subset."""
-    chosen = []
-    rows = []
-    rank = 0
-    for idx, v in enumerate(vectors):
-        trial = rows + [v]
-        _, pivots = row_echelon(trial)
-        if len(pivots) > rank:
-            rank = len(pivots)
-            rows = trial
-            chosen.append(idx)
-    return chosen
+    """Indices of the greedy maximal independent subset: the pivot columns
+    of one reduced echelon form of the vectors taken as columns."""
+    return row_echelon(list(zip(*vectors)))[1]
 
 
 def solve_exact(matrix: ExactMatrix, rhs: ExactVector):
