@@ -8,6 +8,7 @@ file format (including the built-in braid arrangement generator).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,9 +22,11 @@ from .numkernel import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
+    _echelon_core,
+    cleared,
+    common_denominator,
+    gaussian_ratio,
     rank_kernel,
-    row_echelon,
-    span_rank,
     vec,
     vec_complex,
     vec_dot,
@@ -43,13 +46,29 @@ class Hyperplane:
             raise InputError(f"hyperplane {self.id} has a zero form")
 
 
-def _normalized_form(form: ExactVector) -> ExactVector:
-    """Scale so the first nonzero coefficient is 1 (proportionality key)."""
-    for c in form:
-        if c:
-            inv = GR_ONE / c
-            return tuple(inv * e for e in form)
-    raise InputError("zero form")
+def _primitive_key(re, im) -> tuple:
+    """Proportionality key of a nonzero Gaussian-integer vector (re + i im):
+    the vector times the conjugate of its first nonzero entry, divided by
+    the integer gcd of all real and imaginary parts, as one tuple (real
+    parts, then imaginary parts).  It is the unique vector of the line
+    with coprime integer parts and a positive real first entry, so two
+    vectors are proportional over Q(i) iff their keys are equal."""
+    for ur, ui in zip(re, im):
+        if ur or ui:
+            break
+    else:
+        raise InputError("zero form")
+    if ui:
+        re, im = (
+            [ur * a + ui * b for a, b in zip(re, im)],
+            [ur * b - ui * a for a, b in zip(re, im)],
+        )
+        g = math.gcd(*re, *im)
+    else:  # a real multiplier only fixes the sign
+        g = math.gcd(*re, *im) if ur > 0 else -math.gcd(*re, *im)
+    if g == 1:
+        return (*re, *im)
+    return tuple([a // g for a in re] + [b // g for b in im])
 
 
 class Arrangement:
@@ -63,11 +82,13 @@ class Arrangement:
         ids = [h.id for h in self.hyperplanes]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate hyperplane ids")
+        # each form h_i times its common denominator d_i, and the d_i
+        self._columns, self._denominators = _cleared_basis([h.form for h in self.hyperplanes])
         seen = {}
-        for h in self.hyperplanes:
+        for h, column in zip(self.hyperplanes, self._columns):
             if len(h.form) != dimension:
                 raise InputError(f"form of {h.id} has wrong length")
-            key = _normalized_form(h.form)
+            key = _primitive_key(*column)
             if key in seen:
                 raise InputError(f"hyperplanes {seen[key]} and {h.id} are proportional")
             seen[key] = h.id
@@ -107,18 +128,41 @@ class Arrangement:
         return tuple(tuple(rank_kernel([h.form])[1]) for h in self.hyperplanes)
 
     @cached_property
+    def _integer_kernels(self) -> tuple:
+        """``hyperplane_kernels`` as Gaussian-integer columns, each basis
+        vector cleared of denominators: (re, im) object arrays of shape
+        (m, n, n - 1)."""
+        m, n = len(self), self.dimension
+        parts = [[cleared(b) for b in kernel] for kernel in self.hyperplane_kernels]
+        re = np.array([[p[0] for p in kernel] for kernel in parts], dtype=object)
+        im = np.array([[p[1] for p in kernel] for kernel in parts], dtype=object)
+        shape = (m, max(n - 1, 0), n)
+        return re.reshape(shape).transpose(0, 2, 1), im.reshape(shape).transpose(0, 2, 1)
+
+    @cached_property
+    def _integer_forms(self) -> tuple:
+        """The cleared forms as Gaussian-integer rows: (re, im) object
+        arrays of shape (m, n), im None when every form is real."""
+        m, n = len(self), self.dimension
+        re = np.array([c[0] for c in self._columns], dtype=object).reshape(m, n)
+        im = np.array([c[1] for c in self._columns], dtype=object).reshape(m, n)
+        return re, (im if im.any() else None)
+
+    @cached_property
     def essential_irreducible(self) -> bool:
         """Nonempty, essential and irreducible, decided once per arrangement."""
-        return bool(len(self)) and center_rank_essential(self)[2] and len(self._decomposition) == 1
+        return (
+            bool(len(self))
+            and _matroid_components(self._columns)[1] == self.dimension
+            and len(self._decomposition) == 1
+        )
 
     @cached_property
     def essential_irreducible_restrictions(self) -> frozenset:
         """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
         irreducible, decided once per arrangement (no cap enters)."""
         return frozenset(
-            i0
-            for i0, h0 in enumerate(self.hyperplanes)
-            if deletion_restriction(self, h0.id).restricted.essential_irreducible
+            i0 for i0 in range(len(self)) if _hyperplane_restriction(self, i0)[1].essential_irreducible
         )
 
     @cached_property
@@ -132,15 +176,15 @@ class Arrangement:
         """
         if not len(self):
             raise PreconditionError("irreducible decomposition of an empty arrangement")
-        forms = [h.form for h in self.hyperplanes]
-        blocks = _matroid_components(forms)
-        total = span_rank(forms)
-        block_ranks = sum(span_rank([forms[i] for i in block]) for block in blocks)
+        blocks, total = _matroid_components(self._columns)
+        block_ranks = 0
+        for block in blocks:
+            sub_blocks, rank = _matroid_components([self._columns[i] for i in block])
+            if len(sub_blocks) != 1:
+                raise AssertionError("matroid decomposition produced a reducible block")
+            block_ranks += rank
         if block_ranks != total:
             raise AssertionError("matroid decomposition failed rank additivity")
-        for block in blocks:
-            if len(_matroid_components([forms[i] for i in block])) != 1:
-                raise AssertionError("matroid decomposition produced a reducible block")
         return tuple(tuple(block) for block in blocks)
 
 
@@ -183,14 +227,32 @@ def ambient_flat(arr: Arrangement) -> Flat:
     return Flat(containing=(), kernel_basis=basis, codim=0)
 
 
+def _integer_traces(arr: Arrangement, parts):
+    """The trace of every hyperplane on the span of Gaussian-integer
+    vectors ((re, im) pairs, such as the cleared vectors of a flat's
+    kernel_basis), in hyperplane order, as one (re, im) pair of int lists:
+    the rows of the product F B^T of the integer forms and the vectors.
+    A trace is zero iff the hyperplane contains the span; rescaling the
+    vectors leaves alone which traces are proportional."""
+    fr, fi = arr._integer_forms
+    m, n, k = len(arr), arr.dimension, len(parts)
+    br = np.array([p[0] for p in parts], dtype=object).reshape(k, n).T
+    bi = np.array([p[1] for p in parts], dtype=object).reshape(k, n).T
+    if not bi.any():
+        tr = fr @ br
+        ti = [[0] * k] * m if fi is None else (fi @ br).tolist()
+    elif fi is None:
+        tr, ti = fr @ br, (fr @ bi).tolist()
+    else:
+        tr, ti = fr @ br - fi @ bi, (fr @ bi + fi @ br).tolist()
+    return list(zip(tr.tolist(), ti))
+
+
 def flat_from_basis(arr: Arrangement, basis) -> Flat:
     """Canonical flat with the given (possibly empty) kernel basis."""
-    basis = tuple(tuple(b) for b in basis)
-    containing = tuple(
-        i
-        for i, h in enumerate(arr.hyperplanes)
-        if all(not vec_dot(h.form, b) for b in basis)
-    )
+    basis = tuple(vec(b) for b in basis)
+    traces = _integer_traces(arr, [cleared(b) for b in basis])
+    containing = tuple(i for i, (re, im) in enumerate(traces) if not (any(re) or any(im)))
     return Flat(containing=containing, kernel_basis=basis, codim=arr.dimension - len(basis))
 
 
@@ -235,33 +297,73 @@ def build_lattice(arr: Arrangement) -> Lattice:
     """Breadth-first search from the ambient flat over covering flats.
 
     The flats covering F are the classes of proportional traces on F of
-    the hyperplanes not containing it (``_traces_on``); a class's flat
+    the hyperplanes not containing it (``_trace_classes``); a class's flat
     contains F's hyperplanes and the class's sources.  Only a flat not
     seen before gets a kernel basis: the kernel of the trace of the
-    class's first member, in F's kernel_basis frame, mapped back to C^n.
+    class's first member, in F's kernel_basis frame, mapped back to C^n
+    (``_trace_kernel``).
     """
     start = ambient_flat(arr)
     flats = {start.containing: start}
     frontier = [start]
     while frontier:
         new = []
-        for flat in frontier:
-            for trace in _traces_on(arr, flat):
-                key = tuple(sorted(flat.containing + trace.sources))
+        bases = [_cleared_basis(flat.kernel_basis) for flat in frontier]
+        # one product for the whole level, sliced flat by flat
+        rows = _integer_traces(arr, [p for parts, _ in bases for p in parts])
+        hi = 0
+        for flat, (parts, mus) in zip(frontier, bases):
+            lo, hi = hi, hi + len(parts)
+            traces = [(re[lo:hi], im[lo:hi]) for re, im in rows]
+            for sources in _trace_classes(traces, flat.containing):
+                key = tuple(sorted(flat.containing + sources))
                 if key in flats:
                     continue
-                _, coeffs = rank_kernel([trace.form])
-                basis = tuple(
-                    tuple(
-                        sum((c * b[k] for c, b in zip(coeff, flat.kernel_basis)), GR_ZERO)
-                        for k in range(arr.dimension)
-                    )
-                    for coeff in coeffs
-                )
+                basis = _trace_kernel(traces[sources[0]], flat.kernel_basis, parts, mus)
                 flats[key] = Flat(key, basis, arr.dimension - len(basis))
                 new.append(flats[key])
         frontier = new
     return Lattice(arr, flats.values())
+
+
+def _cleared_basis(basis):
+    """The vectors b_j of a basis over Q(i) as Gaussian-integer vectors
+    B_j = mu_j b_j, (re, im) pairs, and the common denominators mu_j."""
+    mus = [common_denominator(b) for b in basis]
+    return [cleared(b, mu) for b, mu in zip(basis, mus)], mus
+
+
+def _trace_kernel(trace, basis, parts, mus) -> tuple:
+    """Exact kernel, inside span(basis), of the trace t of a hyperplane,
+    given its integer trace T on the cleared vectors B_j = mu_j b_j.
+
+    With p the first index where t is nonzero, the kernel is spanned by
+    b_j - (t_j / t_p) b_p for j != p, in order of j.  T_j = d mu_j t_j (d
+    the form's common denominator), so that vector is
+    (N B_j - T_j conj(T_p) B_p) / (N mu_j) with N = |T_p|^2; a b_j on
+    which t vanishes is kept as it is.
+    """
+    tr, ti = trace
+    p = next(j for j, (a, b) in enumerate(zip(tr, ti)) if a or b)
+    pr, pi = tr[p], ti[p]
+    norm = pr * pr + pi * pi
+    yr, yi = parts[p]
+    out = []
+    for j, (vector, (xr, xi), mu) in enumerate(zip(basis, parts, mus)):
+        if j == p:
+            continue
+        if not (tr[j] or ti[j]):
+            out.append(vector)
+            continue
+        cr, ci = tr[j] * pr + ti[j] * pi, ti[j] * pr - tr[j] * pi
+        d = norm * mu
+        out.append(
+            tuple(
+                gaussian_ratio(norm * a - cr * u + ci * v, norm * b - cr * v - ci * u, d)
+                for a, b, u, v in zip(xr, xi, yr, yi)
+            )
+        )
+    return tuple(out)
 
 
 def localization(arr: Arrangement, flat: Flat) -> Arrangement:
@@ -280,24 +382,35 @@ class Trace:
     sources: tuple
 
 
+def _trace_classes(traces, containing):
+    """Source tuples of the classes of proportional integer traces of the
+    hyperplanes outside ``containing``, in order of their first member;
+    traces are compared by their primitive keys."""
+    inside = set(containing)
+    merged = {}
+    for i, trace in enumerate(traces):
+        if i not in inside:
+            merged.setdefault(_primitive_key(*trace), []).append(i)
+    return [tuple(sources) for sources in merged.values()]
+
+
 def _traces_on(arr: Arrangement, flat: Flat):
     """Traces on the flat of the hyperplanes not containing it, merged
     into one class when proportional, in order of their first member;
-    coordinates are taken in the flat's kernel_basis frame.  Each class
-    is a hyperplane of the restriction and, as a flat of the arrangement,
-    one of the flats covering this one."""
-    merged = {}
-    for i, h in enumerate(arr.hyperplanes):
-        if i in flat.containing:
-            continue
-        trace_form = tuple(vec_dot(h.form, b) for b in flat.kernel_basis)
-        key = _normalized_form(trace_form)
-        old = merged.get(key)
-        if old is None:
-            merged[key] = Trace(id=h.id, form=trace_form, sources=(i,))
-        else:
-            merged[key] = Trace(id=old.id, form=old.form, sources=old.sources + (i,))
-    return list(merged.values())
+    coordinates are taken in the flat's kernel_basis frame, and only a
+    class's first member gets its exact form, t_j = T_j / (d mu_j) from
+    its integer trace T (see ``_trace_kernel``).  Each class is a
+    hyperplane of the restriction and, as a flat of the arrangement, one
+    of the flats covering this one."""
+    parts, mus = _cleared_basis(flat.kernel_basis)
+    traces = _integer_traces(arr, parts)
+    out = []
+    for sources in _trace_classes(traces, flat.containing):
+        i = sources[0]
+        d = arr._denominators[i]
+        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, mu in zip(*traces[i], mus))
+        out.append(Trace(arr.hyperplanes[i].id, form, sources))
+    return out
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
@@ -331,26 +444,31 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _matroid_components(forms):
-    """Connected components of the linear matroid of the given forms.
+def _matroid_components(columns):
+    """Connected components and rank of the linear matroid of
+    Gaussian-integer vectors, (re, im) pairs of int sequences (``cleared``
+    makes them from vectors over Q(i)).
 
-    Greedy basis plus fundamental circuits, read from one reduced echelon
-    form of the forms taken as columns: the pivot columns are the greedy
-    basis, and a non-pivot column holds the coordinates of its form in
-    that basis, so the forms nonzero in one row share a circuit with that
-    row's pivot and join its connectivity class.
+    Greedy basis plus fundamental circuits, read from one echelon form of
+    the vectors taken as columns: the pivot columns are the greedy basis,
+    and a non-pivot column holds the coordinates of its vector in that
+    basis, so the vectors nonzero in one row share a circuit with that
+    row's pivot and join its connectivity class.  Scaling a vector leaves
+    its matroid alone, so each form may be replaced by its key.
     """
-    m = len(forms)
+    m = len(columns)
     uf = _UnionFind(m)
-    rref, pivots = row_echelon(list(zip(*forms)))
-    for row, p in zip(rref, pivots):
-        for i, c in enumerate(row):
-            if c:
+    re_rows = zip(*(c[0] for c in columns))
+    im_rows = zip(*(c[1] for c in columns))
+    rows, pivots = _echelon_core(list(zip(re_rows, im_rows)))
+    for (re, im), p in zip(rows, pivots):
+        for i in range(m):
+            if re[i] or im[i]:
                 uf.union(p, i)
     groups = {}
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
+    return sorted(groups.values(), key=lambda g: g[0]), len(pivots)
 
 
 def irreducible_decomposition(arr: Arrangement):
@@ -367,8 +485,7 @@ def irreducible_components(arr: Arrangement, flat: Flat):
     _require_flat(arr, flat)
     if not flat.containing:
         return []
-    forms = [arr.form(i) for i in flat.containing]
-    blocks = _matroid_components(forms)
+    blocks = _matroid_components([arr._columns[i] for i in flat.containing])[0]
     components = []
     for block in blocks:
         components.append(flat_from_indices(arr, [flat.containing[i] for i in block]))
@@ -380,8 +497,7 @@ def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
     (empty localization) is excluded by convention."""
     if not flat.containing:
         return False
-    forms = [arr.form(i) for i in flat.containing]
-    return len(_matroid_components(forms)) == 1
+    return len(_matroid_components([arr._columns[i] for i in flat.containing])[0]) == 1
 
 
 def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:
@@ -407,9 +523,7 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     h0_plane = arr.hyperplanes[i0]
     keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
     deleted = Arrangement(arr.dimension, keep)
-    h0_flat = flat_from_basis(arr, arr.hyperplane_kernels[i0])
-    traces = _traces_on(arr, h0_flat)
-    restricted = Arrangement(h0_flat.dim, [Hyperplane(t.id, t.form) for t in traces])
+    traces, restricted = _hyperplane_restriction(arr, i0)
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
     if keep:
         _, basis = rank_kernel([h.form for h in keep])
@@ -417,6 +531,16 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     else:
         separator = True
     return DeletionRestriction(deleted, restricted, projection, separator)
+
+
+def _hyperplane_restriction(arr: Arrangement, i0: int):
+    """The restriction half of ``deletion_restriction``: the traces on
+    H_i0, in the frame of its cached kernel basis, and the restriction
+    A^{H_i0}.  No other hyperplane is proportional to H_i0, so as a flat
+    it contains H_i0 alone."""
+    flat = Flat((i0,), arr.hyperplane_kernels[i0], arr.dimension - 1)
+    traces = _traces_on(arr, flat)
+    return traces, Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
 
 
 def _require_flat(arr: Arrangement, flat: Flat):

@@ -5,9 +5,9 @@ normal frames, direct-sum decompositions, Euler fields) is decided over
 Q(i), as are the derived constructions: localization, quotient and induced
 connections, and the linear weight constraints they impose.  A connection
 has two lazy read-only views of its residues: ``integer``, Gaussian-integer
-numerators over one common denominator, on which flatness, weights and
-the weight constraints are decided exactly; and ``numeric``, the complex
-view that numerical code reads.
+numerators over one common denominator, on which torsion freeness,
+flatness, weights and the weight constraints are decided exactly; and
+``numeric``, the complex view that numerical code reads.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .arrangement import (
     complex_forms,
     _entry_to_json,
     _parse_entry,
+    _hyperplane_restriction,
     _read_json,
-    deletion_restriction,
-    flat_from_basis,
     flat_from_indices,
     irreducible_decomposition,
     irreducible_flats,
@@ -163,14 +162,17 @@ class TorsionFreeReport:
 
 
 def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
-    """H inside ker A_H for every hyperplane, decided exactly on the kernel
-    bases the arrangement caches."""
+    """H inside ker A_H for every hyperplane, decided exactly on the integer
+    view: with N = d A and K_H the kernel basis of H that the arrangement
+    caches, cleared of denominators, A_H kills H iff N_H K_H = 0, and every
+    product is taken in one batched Gaussian-integer matmul."""
     arr = conn.arrangement
-    violators = tuple(
-        h.id
-        for h, kernel in zip(arr.hyperplanes, arr.hyperplane_kernels)
-        if any(any(conn.residue(h.id).apply(b)) for b in kernel)
-    )
+    view = conn.integer
+    k_re, k_im = arr._integer_kernels
+    re = view.re @ k_re - view.im @ k_im
+    im = view.re @ k_im + view.im @ k_re
+    bad = (re != 0).any(axis=(1, 2)) | (im != 0).any(axis=(1, 2))
+    violators = tuple(h.id for h, b in zip(arr.hyperplanes, bad) if b)
     return TorsionFreeReport(not violators, violators)
 
 
@@ -502,17 +504,19 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
         raise PreconditionError(
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
-    h0_flat = flat_from_basis(arr, arr.hyperplane_kernels[i0])
-    dr = deletion_restriction(arr, h0)
+    basis = arr.hyperplane_kernels[i0]
+    traces, restricted = _hyperplane_restriction(arr, i0)
     residues = {}
-    for trace in dr.restricted.hyperplanes:
-        source = trace.id  # ids of traces are their first source hyperplane
-        flat2 = flat_from_indices(arr, [i0, arr.index_of(source)])
-        a_full = residue_at_flat(conn, flat2)
+    for trace in traces:
+        # the codimension-two flat H0 ∩ H_s contains exactly H0 and the
+        # sources of the trace of H_s
+        a_full = conn.residue(h0)
+        for i in trace.sources:
+            a_full = a_full + conn.residue(arr.hyperplanes[i].id)
         cols = []
-        for b in h0_flat.kernel_basis:
+        for b in basis:
             image = a_full.apply(b)
-            coords = coordinates_in_basis(h0_flat.kernel_basis, image)
+            coords = coordinates_in_basis(basis, image)
             if coords is None:
                 raise PreconditionError(
                     f"residue of the flat {trace.id} does not preserve {h0}; "
@@ -520,8 +524,9 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
                 )
             cols.append(coords)
         residues[trace.id] = ExactMatrix.from_columns(cols)
-    induced = StandardConnection(dr.restricted, residues)
-    return InducedConnection(induced, h0, h0_flat.kernel_basis, dict(dr.projection))
+    induced = StandardConnection(restricted, residues)
+    projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
+    return InducedConnection(induced, h0, basis, projection)
 
 
 # -- linear weight constraints -------------------------------------------------

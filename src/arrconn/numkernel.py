@@ -1,9 +1,9 @@
 """Shared linear-algebra kernels.
 
-Exact side: Gaussian rationals (the field Q(i)), exact vectors and matrices
-with Gaussian elimination, rank and kernel computations.  Every algebraic
-criterion in the package is decided over Q(i), so equality tests never
-involve tolerances.
+Exact side: Gaussian rationals (the field Q(i)), exact vectors and matrices,
+and rank and kernel computations on one fraction-free elimination over the
+Gaussian integers.  Every algebraic criterion in the package is decided over
+Q(i), so equality tests never involve tolerances.
 
 Floating side: complex double matrices, Hermitian signature, matrix
 exponential and the adaptive Runge-Kutta transport used for holonomy.
@@ -11,6 +11,7 @@ exponential and the adaptive Runge-Kutta transport used for holonomy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -303,42 +304,99 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return (a @ b) - (b @ a)
-
-
 # -- exact elimination -------------------------------------------------------
 
-def row_echelon(rows):
-    """Reduced row echelon form over Q(i).
+def common_denominator(vector) -> int:
+    """The lcm of the denominators of a vector of GaussianRationals."""
+    return math.lcm(*(x.denominator for e in vector for x in (e.re, e.im)))
 
-    Returns (rref_rows, pivot_columns); input is not modified.
+
+def cleared(vector, d=None):
+    """A vector over Q(i) times d, by default its common denominator, as a
+    pair of int lists (real parts, imaginary parts).  Entries may also be
+    ints or Fractions."""
+    vector = [GaussianRational.coerce(e) for e in vector]
+    if d is None:
+        d = common_denominator(vector)
+    if d == 1:
+        return [e.re.numerator for e in vector], [e.im.numerator for e in vector]
+    return (
+        [e.re.numerator * (d // e.re.denominator) for e in vector],
+        [e.im.numerator * (d // e.im.denominator) for e in vector],
+    )
+
+
+def gaussian_ratio(re: int, im: int, d: int) -> GaussianRational:
+    """(re + i im) / d for ints re, im and a positive int d."""
+    return GaussianRational._make(Fraction(re, d), Fraction(im, d)) if re or im else GR_ZERO
+
+
+def _echelon_core(rows):
+    """Fraction-free Gauss-Jordan elimination over Z[i].
+
+    Rows are Gaussian-integer vectors, (re, im) pairs of int sequences
+    (``cleared`` makes them from rows over Q(i)); the input is not
+    modified.  Eliminating column c from a row x with pivot row y replaces
+    x by p*x - x[c]*y (p the pivot entry), and every new row is divided by
+    its content, the integer gcd of its real and imaginary parts.  Returns
+    (rows, pivot_columns): one (re, im) pair per pivot, a nonzero multiple
+    of that row of the reduced echelon form.  A real matrix stays on real
+    products throughout.
     """
-    work = [list(row) for row in rows]
+    work = list(rows)
     n_rows = len(work)
-    n_cols = len(work[0]) if work else 0
+    n_cols = len(work[0][0]) if work else 0
+    real = not any(any(im) for _, im in work)
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n_rows) if work[i][0][c] or work[i][1][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = GR_ONE / work[r][c]
-        work[r] = [inv * e for e in work[r]]
+        yr, yi = work[r]
+        pr, pi = yr[c], yi[c]
         for i in range(n_rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            xr, xi = work[i]
+            fr, fi = xr[c], xi[c]
+            if i == r or not (fr or fi):
+                continue
+            if real:
+                xr = [pr * a - fr * b for a, b in zip(xr, yr)]
+                g = math.gcd(*xr)
+            else:
+                xr, xi = (
+                    [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, yr, yi)],
+                    [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)],
+                )
+                g = math.gcd(*xr, *xi)
+            if g > 1:
+                xr = [a // g for a in xr]
+                xi = xi if real else [b // g for b in xi]
+            work[i] = (xr, xi)
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return [tuple(row) for row in work], pivots
+    return work[:r], pivots
+
+
+def row_echelon(rows):
+    """Reduced row echelon form over Q(i): the rows of ``_echelon_core``
+    divided by their pivot entries, then the zero rows.
+
+    Returns (rref_rows, pivot_columns); input is not modified.
+    """
+    rows = list(rows)
+    n_cols = len(rows[0]) if rows else 0
+    core, pivots = _echelon_core([cleared(row) for row in rows])
+    out = []
+    for (xr, xi), c in zip(core, pivots):
+        pr, pi = xr[c], xi[c]
+        norm = pr * pr + pi * pi
+        out.append(tuple(gaussian_ratio(a * pr + b * pi, b * pr - a * pi, norm) for a, b in zip(xr, xi)))
+    out += [(GR_ZERO,) * n_cols] * (len(rows) - len(out))
+    return out, pivots
 
 
 def rank_kernel(matrix):
@@ -366,17 +424,13 @@ def rank_kernel(matrix):
 
 
 def span_rank(vectors) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    _, pivots = row_echelon(vectors)
-    return len(pivots)
+    return len(_echelon_core([cleared(v) for v in vectors])[1])
 
 
 def independent_subset(vectors):
     """Indices of the greedy maximal independent subset: the pivot columns
     of one reduced echelon form of the vectors taken as columns."""
-    return row_echelon(list(zip(*vectors)))[1]
+    return _echelon_core([cleared(row) for row in zip(*vectors)])[1]
 
 
 def solve_exact(matrix: ExactMatrix, rhs: ExactVector):

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded rational sampling."""
+"""Shared helpers for the test suite: seeded rational sampling and the
+exact commutator of two matrices over Q(i)."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,11 @@ from hypothesis import settings
 # database, and have no per-example deadline (shared CPUs vary in speed).
 settings.register_profile("arrconn", derandomize=True, deadline=None, database=None)
 settings.load_profile("arrconn")
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba of two ExactMatrix values."""
+    return (a @ b) - (b @ a)
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9) -> Fraction:

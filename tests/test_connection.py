@@ -394,14 +394,14 @@ class TestWeightConstraints:
         import arrconn.connection as connmod
 
         calls = []
-        original = arrmod.deletion_restriction
+        original = arrmod._hyperplane_restriction
 
-        def counting(arr, h0):
-            calls.append(h0)
-            return original(arr, h0)
+        def counting(arr, i0):
+            calls.append(i0)
+            return original(arr, i0)
 
-        monkeypatch.setattr(arrmod, "deletion_restriction", counting)
-        monkeypatch.setattr(connmod, "deletion_restriction", counting)
+        monkeypatch.setattr(arrmod, "_hyperplane_restriction", counting)
+        monkeypatch.setattr(connmod, "_hyperplane_restriction", counting, raising=False)
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10), F(5, 10)])
         check_weight_constraints(conn)
         assert len(calls) == len(conn.arrangement) == 10

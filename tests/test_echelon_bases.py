@@ -23,6 +23,7 @@ from arrconn.numkernel import (
     GR_ZERO,
     ExactMatrix,
     GaussianRational,
+    cleared,
     coordinates_in_basis,
     independent_subset,
     row_echelon,
@@ -31,6 +32,10 @@ from arrconn.numkernel import (
 )
 from conftest import random_params_nonzero_subsets
 from test_arrangement import _PARTS, boolean, small_arrangements
+
+
+def matroid_components(forms):
+    return _matroid_components([cleared(f) for f in forms])[0]
 
 
 # -- oracles: one elimination per vector -----------------------------------------
@@ -116,15 +121,15 @@ class TestAgainstGreedyLoops:
     @given(small_arrangements())
     def test_components_on_arrangements(self, arr):
         forms = [h.form for h in arr.hyperplanes]
-        assert _matroid_components(forms) == greedy_components(forms)
+        assert matroid_components(forms) == greedy_components(forms)
         for flat in arr.lattice().flats:
             sub = [forms[i] for i in flat.containing]
-            assert _matroid_components(sub) == greedy_components(sub)
+            assert matroid_components(sub) == greedy_components(sub)
 
     @given(vector_lists())
     def test_components_on_vector_lists(self, drawn):
         _, vectors = drawn
-        assert _matroid_components(vectors) == greedy_components(vectors)
+        assert matroid_components(vectors) == greedy_components(vectors)
 
     @given(vector_lists())
     def test_independent_subset(self, drawn):
@@ -169,15 +174,16 @@ class TestAgainstGreedyLoops:
 
 def test_one_echelon_form_per_component_call(monkeypatch):
     calls = []
+    core = numkernel_module._echelon_core
 
     def counting(rows):
         calls.append(len(rows))
-        return row_echelon(rows)
+        return core(rows)
 
-    monkeypatch.setattr(numkernel_module, "row_echelon", counting)
-    monkeypatch.setattr(arrangement_module, "row_echelon", counting, raising=False)
+    monkeypatch.setattr(numkernel_module, "_echelon_core", counting)
+    monkeypatch.setattr(arrangement_module, "_echelon_core", counting)
     forms = [h.form for h in build_An(4).hyperplanes]
-    blocks = _matroid_components(forms)
+    blocks = matroid_components(forms)
     assert blocks == [list(range(len(forms)))]
     assert len(calls) == 1
 

@@ -23,8 +23,8 @@ from arrconn.connection import (
     weights,
 )
 from arrconn.lauricella import build_An, recover_parameters, reduced_residues
-from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational, commutator
-from conftest import random_params_nonzero_subsets, random_rational
+from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
+from conftest import commutator, random_params_nonzero_subsets, random_rational
 from test_arrangement import small_arrangements
 
 F = Fraction

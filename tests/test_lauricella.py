@@ -20,10 +20,9 @@ from arrconn.numkernel import (
     ExactMatrix,
     GaussianRational,
     coordinates_in_basis,
-    commutator,
     vec,
 )
-from conftest import random_params_nonzero_subsets, random_rational_vector
+from conftest import commutator, random_params_nonzero_subsets, random_rational_vector
 
 F = Fraction
 G = GaussianRational

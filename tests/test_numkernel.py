@@ -9,7 +9,6 @@ from arrconn.numkernel import (
     GaussianRational,
     HermForm,
     PoleProximityError,
-    commutator,
     hermitian_signature,
     matrix_exp,
     ode_transport,
@@ -19,7 +18,7 @@ from arrconn.numkernel import (
     vec,
 )
 
-from conftest import random_rational
+from conftest import commutator, random_rational
 
 
 G = GaussianRational
