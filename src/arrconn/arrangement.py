@@ -83,15 +83,21 @@ class Arrangement:
         if len(set(ids)) != len(ids):
             raise InputError("duplicate hyperplane ids")
         # each form h_i times its common denominator d_i, and the d_i
-        self._columns, self._denominators = _cleared_basis([h.form for h in self.hyperplanes])
+        parts, self._denominators = _cleared_basis([h.form for h in self.hyperplanes])
         seen = {}
-        for h, column in zip(self.hyperplanes, self._columns):
+        for h, part in zip(self.hyperplanes, parts):
             if len(h.form) != dimension:
                 raise InputError(f"form of {h.id} has wrong length")
-            key = _primitive_key(*column)
+            key = _primitive_key(*part)
             if key in seen:
                 raise InputError(f"hyperplanes {seen[key]} and {h.id} are proportional")
             seen[key] = h.id
+        # the cleared forms as Gaussian-integer rows: (re, im) object
+        # arrays of shape (m, n)
+        self._integer_forms = tuple(
+            np.array([p[k] for p in parts], dtype=object).reshape(len(parts), dimension)
+            for k in (0, 1)
+        )
         self._index = {h.id: i for i, h in enumerate(self.hyperplanes)}
         self._lattice: Optional[Lattice] = None
 
@@ -140,22 +146,12 @@ class Arrangement:
         return re.reshape(shape).transpose(0, 2, 1), im.reshape(shape).transpose(0, 2, 1)
 
     @cached_property
-    def _integer_forms(self) -> tuple:
-        """The cleared forms as Gaussian-integer rows: (re, im) object
-        arrays of shape (m, n), im None when every form is real."""
-        m, n = len(self), self.dimension
-        re = np.array([c[0] for c in self._columns], dtype=object).reshape(m, n)
-        im = np.array([c[1] for c in self._columns], dtype=object).reshape(m, n)
-        return re, (im if im.any() else None)
-
-    @cached_property
     def essential_irreducible(self) -> bool:
         """Nonempty, essential and irreducible, decided once per arrangement."""
-        return (
-            bool(len(self))
-            and _matroid_components(self._columns)[1] == self.dimension
-            and len(self._decomposition) == 1
-        )
+        if not len(self):
+            return False
+        blocks, rank = self._decomposition
+        return rank == self.dimension and len(blocks) == 1
 
     @cached_property
     def essential_irreducible_restrictions(self) -> frozenset:
@@ -167,8 +163,9 @@ class Arrangement:
 
     @cached_property
     def _decomposition(self) -> tuple:
-        """The certified finest decomposition as index blocks, computed
-        once; ``irreducible_decomposition`` hands out copies.
+        """The certified finest decomposition as index blocks, and the
+        rank, computed once; ``irreducible_decomposition`` hands out
+        copies of the blocks.
 
         Rank additivity across the blocks is checked exactly and every
         block is re-tested for connectivity; a failed check is an
@@ -176,16 +173,17 @@ class Arrangement:
         """
         if not len(self):
             raise PreconditionError("irreducible decomposition of an empty arrangement")
-        blocks, total = _matroid_components(self._columns)
+        fr, fi = self._integer_forms
+        blocks, total = _matroid_components(fr, fi)
         block_ranks = 0
         for block in blocks:
-            sub_blocks, rank = _matroid_components([self._columns[i] for i in block])
+            sub_blocks, rank = _matroid_components(fr[block], fi[block])
             if len(sub_blocks) != 1:
                 raise AssertionError("matroid decomposition produced a reducible block")
             block_ranks += rank
         if block_ranks != total:
             raise AssertionError("matroid decomposition failed rank additivity")
-        return tuple(tuple(block) for block in blocks)
+        return tuple(tuple(block) for block in blocks), total
 
 
 def complex_forms(arr: Arrangement) -> np.ndarray:
@@ -235,17 +233,10 @@ def _integer_traces(arr: Arrangement, parts):
     A trace is zero iff the hyperplane contains the span; rescaling the
     vectors leaves alone which traces are proportional."""
     fr, fi = arr._integer_forms
-    m, n, k = len(arr), arr.dimension, len(parts)
+    n, k = arr.dimension, len(parts)
     br = np.array([p[0] for p in parts], dtype=object).reshape(k, n).T
     bi = np.array([p[1] for p in parts], dtype=object).reshape(k, n).T
-    if not bi.any():
-        tr = fr @ br
-        ti = [[0] * k] * m if fi is None else (fi @ br).tolist()
-    elif fi is None:
-        tr, ti = fr @ br, (fr @ bi).tolist()
-    else:
-        tr, ti = fr @ br - fi @ bi, (fr @ bi + fi @ br).tolist()
-    return list(zip(tr.tolist(), ti))
+    return list(zip((fr @ br - fi @ bi).tolist(), (fr @ bi + fi @ br).tolist()))
 
 
 def flat_from_basis(arr: Arrangement, basis) -> Flat:
@@ -444,23 +435,23 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _matroid_components(columns):
+def _matroid_components(re, im):
     """Connected components and rank of the linear matroid of
-    Gaussian-integer vectors, (re, im) pairs of int sequences (``cleared``
-    makes them from vectors over Q(i)).
+    Gaussian-integer vectors, the rows of re + i im for two object arrays
+    of shape (m, n) (``Arrangement._integer_forms`` holds the cleared
+    forms so).
 
     Greedy basis plus fundamental circuits, read from one echelon form of
     the vectors taken as columns: the pivot columns are the greedy basis,
     and a non-pivot column holds the coordinates of its vector in that
     basis, so the vectors nonzero in one row share a circuit with that
     row's pivot and join its connectivity class.  Scaling a vector leaves
-    its matroid alone, so each form may be replaced by its key.
+    its matroid alone, so each form may be replaced by its cleared
+    multiple.
     """
-    m = len(columns)
+    m = len(re)
     uf = _UnionFind(m)
-    re_rows = zip(*(c[0] for c in columns))
-    im_rows = zip(*(c[1] for c in columns))
-    rows, pivots = _echelon_core(list(zip(re_rows, im_rows)))
+    rows, pivots = _echelon_core(list(zip(re.T.tolist(), im.T.tolist())))
     for (re, im), p in zip(rows, pivots):
         for i in range(m):
             if re[i] or im[i]:
@@ -474,7 +465,7 @@ def _matroid_components(columns):
 def irreducible_decomposition(arr: Arrangement):
     """The unique finest u-plus decomposition, as hyperplane-index blocks:
     a fresh list of lists copied from the arrangement's certified cache."""
-    return [list(block) for block in arr._decomposition]
+    return [list(block) for block in arr._decomposition[0]]
 
 
 def irreducible_components(arr: Arrangement, flat: Flat):
@@ -485,7 +476,9 @@ def irreducible_components(arr: Arrangement, flat: Flat):
     _require_flat(arr, flat)
     if not flat.containing:
         return []
-    blocks = _matroid_components([arr._columns[i] for i in flat.containing])[0]
+    fr, fi = arr._integer_forms
+    containing = list(flat.containing)
+    blocks = _matroid_components(fr[containing], fi[containing])[0]
     components = []
     for block in blocks:
         components.append(flat_from_indices(arr, [flat.containing[i] for i in block]))
@@ -497,7 +490,9 @@ def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
     (empty localization) is excluded by convention."""
     if not flat.containing:
         return False
-    return len(_matroid_components([arr._columns[i] for i in flat.containing])[0]) == 1
+    fr, fi = arr._integer_forms
+    containing = list(flat.containing)
+    return len(_matroid_components(fr[containing], fi[containing])[0]) == 1
 
 
 def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:

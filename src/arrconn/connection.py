@@ -12,7 +12,6 @@ flatness, weights and the weight constraints are decided exactly; and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,6 +48,8 @@ from .numkernel import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
+    cleared,
+    common_denominator,
     coordinates_in_basis,
     independent_subset,
     rank_kernel,
@@ -126,18 +127,9 @@ class StandardConnection:
         first use, read-only."""
         arr = self.arrangement
         n = arr.dimension
-        parts = [
-            x
-            for h in arr.hyperplanes
-            for row in self.residues[h.id].entries
-            for e in row
-            for x in (e.re, e.im)
-        ]
-        d = math.lcm(*(x.denominator for x in parts))
-        nums = np.array(
-            [x.numerator * (d // x.denominator) for x in parts], dtype=object
-        ).reshape(len(arr), n, n, 2)
-        re, im = nums[..., 0].copy(), nums[..., 1].copy()
+        entries = [e for h in arr.hyperplanes for row in self.residues[h.id].entries for e in row]
+        d = common_denominator(entries)
+        re, im = (np.array(part, dtype=object).reshape(len(arr), n, n) for part in cleared(entries, d))
         re.flags.writeable = im.flags.writeable = False
         return IntegerView(
             d,

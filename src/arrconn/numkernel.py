@@ -331,22 +331,39 @@ def gaussian_ratio(re: int, im: int, d: int) -> GaussianRational:
     return GaussianRational._make(Fraction(re, d), Fraction(im, d)) if re or im else GR_ZERO
 
 
+def _over(re, im, d):
+    """The Gaussian-integer vector (re + i im) / d, for a nonzero Gaussian
+    integer d = (dr, di) that divides every entry."""
+    if d == (1, 0):
+        return re, im
+    dr, di = d
+    norm = dr * dr + di * di
+    return (
+        [(a * dr + b * di) // norm for a, b in zip(re, im)],
+        [(b * dr - a * di) // norm for a, b in zip(re, im)],
+    )
+
+
 def _echelon_core(rows):
-    """Fraction-free Gauss-Jordan elimination over Z[i].
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss).
 
     Rows are Gaussian-integer vectors, (re, im) pairs of int sequences
     (``cleared`` makes them from rows over Q(i)); the input is not
-    modified.  Eliminating column c from a row x with pivot row y replaces
-    x by p*x - x[c]*y (p the pivot entry), and every new row is divided by
-    its content, the integer gcd of its real and imaginary parts.  Returns
-    (rows, pivot_columns): one (re, im) pair per pivot, a nonzero multiple
-    of that row of the reduced echelon form.  A real matrix stays on real
-    products throughout.
+    modified.  Bareiss's step replaces each other row x by
+    (p*x - x[c]*y) / q, with p the pivot in column c of row y and q the
+    previous pivot (1 at the first); the division is exact, as every entry
+    is then a minor of the input, within Hadamard's bound.  A row with
+    x[c] = 0 would only be scaled by p / q, so it is left as it was and
+    remembers the pivot of its last step; its next step divides by that
+    pivot instead, and a row turning pivot is first brought up to date.
+    Returns (rows, pivot_columns): one (re, im) pair per pivot, a nonzero
+    multiple of that row of the reduced echelon form.
     """
     work = list(rows)
     n_rows = len(work)
     n_cols = len(work[0][0]) if work else 0
-    real = not any(any(im) for _, im in work)
+    last = [(1, 0)] * n_rows  # the pivot of each row's last step
+    q = (1, 0)
     pivots = []
     r = 0
     for c in range(n_cols):
@@ -354,26 +371,29 @@ def _echelon_core(rows):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
+        last[r], last[pivot_row] = last[pivot_row], last[r]
         yr, yi = work[r]
+        if last[r] != q:
+            qr, qi = q
+            yr, yi = _over(
+                [qr * a - qi * b for a, b in zip(yr, yi)],
+                [qr * b + qi * a for a, b in zip(yr, yi)],
+                last[r],
+            )
+            work[r] = (yr, yi)
         pr, pi = yr[c], yi[c]
         for i in range(n_rows):
             xr, xi = work[i]
             fr, fi = xr[c], xi[c]
             if i == r or not (fr or fi):
                 continue
-            if real:
-                xr = [pr * a - fr * b for a, b in zip(xr, yr)]
-                g = math.gcd(*xr)
-            else:
-                xr, xi = (
-                    [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, yr, yi)],
-                    [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)],
-                )
-                g = math.gcd(*xr, *xi)
-            if g > 1:
-                xr = [a // g for a in xr]
-                xi = xi if real else [b // g for b in xi]
-            work[i] = (xr, xi)
+            work[i] = _over(
+                [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, yr, yi)],
+                [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)],
+                last[i],
+            )
+            last[i] = (pr, pi)
+        q = last[r] = (pr, pi)
         pivots.append(c)
         r += 1
         if r == n_rows:

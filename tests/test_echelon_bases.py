@@ -7,6 +7,7 @@ essential-and-irreducible predicate and the braid-arrangement check.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,7 +36,11 @@ from test_arrangement import _PARTS, boolean, small_arrangements
 
 
 def matroid_components(forms):
-    return _matroid_components([cleared(f) for f in forms])[0]
+    parts = [cleared(f) for f in forms]
+    shape = (len(parts), len(forms[0]) if forms else 0)
+    return _matroid_components(
+        *(np.array([p[k] for p in parts], dtype=object).reshape(shape) for k in (0, 1))
+    )[0]
 
 
 # -- oracles: one elimination per vector -----------------------------------------

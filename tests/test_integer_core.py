@@ -8,6 +8,7 @@ written on top of them.  The integer versions in ``src/`` must agree with
 them value for value.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,27 @@ class TestEchelonCore:
         for (re, im), c, want in zip(core, pivots, expected):
             entries = [G(a, b) for a, b in zip(re, im)]
             assert tuple(e / entries[c] for e in entries) == want
+
+    def test_entries_stay_within_hadamard_bound(self):
+        # Every entry of the core is a minor of its input, so its norm is
+        # at most the product of the rows' squared lengths.  Row i is a
+        # multiple of (2+i)^(i+1): that Gaussian prime has no rational
+        # integer factor, so the content of a row cannot remove it.
+        rng = random.Random(11)
+        n = 8
+        rows = []
+        for i in range(n):
+            re = [rng.randint(-3, 3) for _ in range(n + 2)]
+            im = [rng.randint(-3, 3) for _ in range(n + 2)]
+            for _ in range(i + 1):
+                re, im = [2 * a - b for a, b in zip(re, im)], [a + 2 * b for a, b in zip(re, im)]
+            rows.append((re, im))
+        bound = 1
+        for re, im in rows:
+            bound *= max(1, sum(a * a + b * b for a, b in zip(re, im)))
+        core, pivots = _echelon_core(rows)
+        assert len(pivots) == n
+        assert all(a * a + b * b <= bound for re, im in core for a, b in zip(re, im))
 
     def test_rows_past_int64(self):
         big = 2**64 + 13
