@@ -583,9 +583,8 @@ def _parse_entry(entry) -> GaussianRational:
     if isinstance(entry, str):
         return GaussianRational.parse(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re = GaussianRational.parse(str(entry[0]))
-        im = GaussianRational.parse(str(entry[1]))
-        return GaussianRational(re.re, im.re)
+        re, im = (Fraction(str(part).strip()) for part in entry)
+        return GaussianRational(re, im)
     if isinstance(entry, int):
         return GaussianRational(entry)
     raise InputError(f"cannot parse coefficient {entry!r}")

@@ -238,27 +238,38 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
 
 # -- transport -------------------------------------------------------------------
 
-def holonomy(conn: StandardConnection, loop: LoopPath, tol: float = 1e-8):
-    """Fundamental-solution transport around the loop; returns (T, err).
+def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
+    """Fundamental-solution transport around a loop; returns (T, err).
 
-    The stepper tolerance is tightened in proportion to the loop clearance
-    so that close approaches to the polar locus get smaller steps.
+    Given a list of loops, transports them all in one batched pass and
+    returns a list of (T, err): round j moves the j-th piece of every loop
+    that has one as one lane of ``ode_transport``.  Each loop takes the
+    steps it would take alone.  The stepper tolerance is tightened in
+    proportion to each loop's clearance so that close approaches to the
+    polar locus get smaller steps.
     """
-    x = np.eye(conn.dimension, dtype=complex)
-    if not len(conn.arrangement):
-        return x, 0.0
-    eff_tol = tol * min(1.0, loop.clearance)
-    err = 0.0
-    for piece in loop.pieces:
-        def rhs(ts, piece=piece):
-            e = np.exp(1j * piece.sweep * ts)[:, None]
-            return connection_form(
-                conn, piece.center + e * piece.offset, 1j * piece.sweep * e * piece.offset
-            )
+    single = isinstance(loops, LoopPath)
+    loops = [loops] if single else list(loops)
+    x = np.tile(np.eye(conn.dimension, dtype=complex), (len(loops), 1, 1))
+    err = [0.0] * len(loops)
+    tols = [tol * min(1.0, loop.clearance) for loop in loops]
+    rounds = max((len(loop.pieces) for loop in loops), default=0) if len(conn.arrangement) else 0
+    for j in range(rounds):
+        lanes = [i for i, loop in enumerate(loops) if j < len(loop.pieces)]
+        pieces = [loops[i].pieces[j] for i in lanes]
+        center = np.array([piece.center for piece in pieces])[:, None]
+        offset = np.array([piece.offset for piece in pieces])[:, None]
+        turn = 1j * np.array([piece.sweep for piece in pieces])[:, None]
 
-        x, piece_err = ode_transport(rhs, x, tol=eff_tol)
-        err += piece_err
-    return x, err
+        def rhs(ts):
+            e = np.exp(turn * ts)[..., None]
+            return connection_form(conn, center + e * offset, turn[..., None] * e * offset)
+
+        x[lanes], piece_err = ode_transport(rhs, x[lanes], [tols[i] for i in lanes])
+        for i, e in zip(lanes, piece_err.tolist()):
+            err[i] += e
+    out = list(zip(x, err))
+    return out[0] if single else out
 
 
 # -- spectrum checks ---------------------------------------------------------------
@@ -358,14 +369,13 @@ def residue_limit_check(
     t_star = data.t_star
     z_star = p + t_star * w
     limit = matrix_exp(2j * np.pi * conn.numeric_residue(hyperplane_id))
-    errors = []
+    if not all(0 < r < 1 for r in radii):
+        raise PreconditionError("radii must be fractions of the safe distance in (0, 1)")
+    loops = []
     for r in radii:
-        if not 0 < r < 1:
-            raise PreconditionError("radii must be fractions of the safe distance in (0, 1)")
         offset = (r * data.safe_distance) * w * (t_star / abs(t_star))
-        loop = make_loop(arr, z_star + offset, (Arc(z_star, offset, 2.0 * np.pi),))
-        t_mat, _ = holonomy(conn, loop, tol=tol)
-        errors.append(float(np.linalg.norm(t_mat - limit)))
+        loops.append(make_loop(arr, z_star + offset, (Arc(z_star, offset, 2.0 * np.pi),)))
+    errors = [float(np.linalg.norm(t_mat - limit)) for t_mat, _ in holonomy(conn, loops, tol=tol)]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     return ResidueLimitReport(hyperplane_id, tuple(radii), tuple(errors), decreasing)
 
@@ -402,7 +412,7 @@ def invariant_forms(generators, tol: float = 1e-8):
         raise PreconditionError("need at least one generator")
     n = gens[0].shape[0]
     basis = _hermitian_basis(n)
-    _, s, vt = np.linalg.svd(_constraint_matrix(gens, basis))
+    _, s, vt = np.linalg.svd(_constraint_matrix(gens, basis), full_matrices=False)
     smax = s[0] if s.size else 0.0
     null_dim = int(np.sum(s <= tol * max(smax, 1.0)))
     if s.size < len(basis):
@@ -576,19 +586,13 @@ def holonomy_report(
     if loops not in ("meridians", "central", "all"):
         raise PreconditionError(f"unknown loops selection {loops!r}")
     gen = generator_loops(conn.arrangement, seed=seed)
-    matrices = []
-    errors = []
-    ids = []
-    if loops in ("meridians", "all"):
-        for data in gen.meridians:
-            t, err = holonomy(conn, data.loop, tol=tol)
-            ids.append(data.hyperplane_id)
-            matrices.append(t)
-            errors.append(err)
-    central_matrix = None
-    central_error = None
-    if loops in ("central", "all"):
-        central_matrix, central_error = holonomy(conn, gen.central, tol=tol)
+    meridians = gen.meridians if loops in ("meridians", "all") else ()
+    central = [gen.central] if loops in ("central", "all") else []
+    transported = holonomy(conn, [data.loop for data in meridians] + central, tol=tol)
+    ids = [data.hyperplane_id for data in meridians]
+    matrices = [t for t, _ in transported[:len(ids)]]
+    errors = [err for _, err in transported[:len(ids)]]
+    central_matrix, central_error = transported[-1] if central else (None, None)
     analysis = matrices if matrices else [central_matrix]
     forms = invariant_forms(analysis, tol=tol * 10)
     signature = (

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 _FRAC_ZERO = Fraction(0)
 
@@ -538,7 +537,12 @@ def hermitian_signature(form, tol: float = 1e-8) -> Signature:
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling and squaring, via scipy)."""
+    """Matrix exponential (scaling and squaring, via scipy).
+
+    scipy is imported here, on first use, as the rest of the package never
+    needs it."""
+    import scipy.linalg
+
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
@@ -569,60 +573,99 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_E = _DP_A[6] - _DP_B4  # b5 - b4: x5 - x4 = h * _DP_E @ slopes
+_DP_AE = np.vstack([_DP_A, _DP_E])  # the stage rows, then the error row
 _DP_NODE = (None, 0, 1, 2, 3, 4, 4)  # the node each stage is evaluated at
 
 MIN_STEP = 1e-13
 
 
-def ode_transport(rhs, x0: np.ndarray, tol: float = 1e-10):
-    """Integrate the linear system dX/dt = A(t) X over t in [0, 1] by
-    Dormand-Prince 5(4).
+def ode_transport(rhs, x0: np.ndarray, tol=1e-10):
+    """Integrate linear systems dX/dt = A(t) X over t in [0, 1] by
+    Dormand-Prince 5(4), for a stack of L independent lanes at once.
 
-    rhs(ts) takes a 1-D array of times and returns the stack of finite
-    complex matrices A(ts), shape (len(ts), n, n); the caller guarantees
-    pole avoidance.  It is called once at t = 0 and then once per step
-    attempt, at the five new nodes of the step.  Each stage is one product
-    of the tableau row with the stacked slopes, and the last slope of an
-    accepted step is the first of the next.  Returns (X(1), err_est)
-    where err_est accumulates the local error estimates of the accepted
-    steps.  Aborts with PoleProximityError if the step size falls below
-    MIN_STEP.
+    x0 has shape (L, n, n) and tol is one value or one per lane.  rhs(ts)
+    takes times of shape (L, k) and returns the finite complex matrices
+    A(ts), shape (L, k, n, n); the caller guarantees pole avoidance.  It
+    is called once at t = 0 and then once per iteration, at the five new
+    nodes of every lane's step.  Each lane keeps its own t, step size,
+    accept/reject decision and error sum, so it takes exactly the steps
+    it would take alone; a finished lane stays in the stack with step 0
+    until the last one is done.  Each stage is one stacked product of the
+    tableau row with the slopes, and the last slope of an accepted step
+    is the first of the next.  Returns (X(1), err_est), where err_est,
+    shape (L,), accumulates the local error estimates of each lane's
+    accepted steps.  Aborts with PoleProximityError if the step size of
+    any lane falls below MIN_STEP.
+
+    An (n, n) x0 with an rhs over 1-D times is the one-lane case; it
+    returns an (n, n) X(1) and a float error.
     """
     x = np.array(x0, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("initial value must be a square matrix")
-    n = x.shape[0]
-    t = 0.0
-    h = 0.05
-    err_total = 0.0
-    k = np.empty((7, n * n), dtype=complex)
-    k[0] = (rhs(np.zeros(1))[0] @ x).ravel()
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        if h < MIN_STEP:
-            raise PoleProximityError("path too close to singular locus")
-        a = rhs(t + h * _DP_C)
-        xf = x.ravel()
+    if x.ndim == 2 and x.shape[0] == x.shape[1]:
+        x1, err = _dormand_prince(lambda ts: rhs(ts[0])[None], x[None], [float(tol)])
+        return x1[0], float(err[0])
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise ValueError("initial value must be a square matrix or a stack of them")
+    return _dormand_prince(rhs, x, np.broadcast_to(np.asarray(tol, dtype=float), x.shape[:1]).tolist())
+
+
+def _dormand_prince(rhs, x, tols):
+    lanes, n = x.shape[:2]
+    size = n * n
+    x = x.reshape(lanes, size)
+    t = [0.0] * lanes
+    h = [0.05] * lanes
+    err_total = [0.0] * lanes
+    k = np.empty((lanes, 7, size), dtype=complex)
+    k[:, 0] = (rhs(np.zeros((lanes, 1)))[:, 0] @ x.reshape(lanes, n, n)).reshape(lanes, size)
+    norm_x = [_norm(row) for row in x]
+    while True:
+        live = [i for i in range(lanes) if t[i] < 1.0]
+        if not live:
+            break
+        for i in range(lanes):
+            if t[i] < 1.0:
+                h[i] = min(h[i], 1.0 - t[i])
+                if h[i] < MIN_STEP:
+                    raise PoleProximityError("path too close to singular locus")
+            else:
+                h[i] = 0.0  # a finished lane idles in the stack
+        hs = np.array(h)
+        a = rhs(np.array(t)[:, None] + hs[:, None] * _DP_C)
+        ha = hs[:, None, None] * _DP_AE
         for stage in range(1, 7):
-            y = xf + (h * _DP_A[stage, :stage]) @ k[:stage]
-            k[stage] = (a[_DP_NODE[stage]] @ y.reshape(n, n)).ravel()
-        x5 = y.reshape(n, n)  # the input of the last stage
+            y = x[:, None] + ha[:, stage:stage + 1, :stage] @ k[:, :stage]
+            k[:, stage] = (a[:, _DP_NODE[stage]] @ y.reshape(lanes, n, n)).reshape(lanes, size)
+        y = y[:, 0]  # the input of the last stage: the fifth-order solution
+        d = (ha[:, 7:] @ k)[:, 0]  # each lane's x5 - x4
         # near a blow-up these norms overflow; an overflowing norm shrinks
         # the step like any non-finite value, so the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
-            err = np.linalg.norm((h * _DP_E) @ k)
-            scale = max(np.linalg.norm(x), np.linalg.norm(x5), 1.0)
-        if not (np.isfinite(err) and np.isfinite(scale)):
-            h *= 0.1
-            continue
-        rel = err / scale
-        if rel <= tol:
-            t += h
-            x = x5
-            k[0] = k[6]
-            err_total += err
-            factor = 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
-            h *= factor
-        else:
-            h *= max(0.1, 0.9 * (tol / rel) ** 0.2)
-    return x, err_total
+            for i in live:
+                err = _norm(d[i])
+                norm_y = _norm(y[i])
+                scale = max(norm_x[i], norm_y, 1.0)
+                if not (math.isfinite(err) and math.isfinite(scale)):
+                    h[i] *= 0.1
+                    continue
+                rel = err / scale
+                tol = tols[i]
+                if rel <= tol:
+                    t[i] += h[i]
+                    x[i] = y[i]
+                    norm_x[i] = norm_y
+                    k[i, 0] = k[i, 6]
+                    err_total[i] += err
+                    factor = 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
+                    h[i] *= factor
+                else:
+                    h[i] *= max(0.1, 0.9 * (tol / rel) ** 0.2)
+    return x.reshape(lanes, n, n), np.array(err_total)
+
+
+def _norm(v):
+    """The 2-norm of a complex vector, as ``np.linalg.norm`` computes it
+    (two BLAS dot products), so a lane's step decisions do not depend on
+    the other lanes in its stack."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))

@@ -185,6 +185,32 @@ class TestHolonomy:
             assert abs(np.linalg.det(t) - np.exp(2j * np.pi * float(w))) < 1e-6
 
 
+class TestBatchedTransport:
+    @pytest.mark.parametrize("a", [[F(1, 10), F(2, 10), F(3, 10)], [F(1, 10), F(2, 10), F(3, 10), F(1, 7)]])
+    def test_report_matches_per_loop_holonomy(self, a):
+        conn = reduced_residues(a)
+        report = holonomy_report(conn, tol=1e-8)
+        gen = generator_loops(conn.arrangement, seed=0)
+        singles = [holonomy(conn, m.loop, tol=1e-8) for m in gen.meridians]
+        singles.append(holonomy(conn, gen.central, tol=1e-8))
+        batched = list(zip(report.matrices, report.errors)) + [(report.central_matrix, report.central_error)]
+        assert len(batched) == len(singles) == len(conn.arrangement) + 1
+        for (t, err), (alone, alone_err) in zip(batched, singles):
+            assert np.linalg.norm(t - alone) <= 1e-12 * max(1.0, np.linalg.norm(alone))
+            assert abs(err - alone_err) <= 1e-9 * alone_err
+
+    def test_residue_limit_radii_in_one_call(self):
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        radii = [0.2, 0.1, 0.05]
+        batched = residue_limit_check(conn, "H_1_2", radii).errors
+        alone = [residue_limit_check(conn, "H_1_2", [r]).errors[0] for r in radii]
+        assert np.allclose(batched, alone, rtol=1e-12, atol=0.0)
+
+    def test_empty_list_of_loops(self):
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        assert holonomy(conn, [], tol=1e-8) == []
+
+
 class TestCentralLoops:
     def test_braid_origin_scalar(self):
         a = [F(1, 10), F(2, 10), F(3, 10)]

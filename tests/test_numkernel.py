@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -147,6 +150,15 @@ class TestMatrixExp:
         out = matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert np.allclose(out, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
+    def test_scipy_is_imported_on_first_use_only(self):
+        import arrconn
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arrconn.__file__)))
+        code = "import sys, arrconn.holonomy, arrconn.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_inverse_product(self, rng):
         np_rng = np.random.default_rng(11)
         for _ in range(10):
@@ -213,3 +225,90 @@ class TestOdeTransport:
         _, loose = ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-6)
         _, tight = ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-12)
         assert tight <= loose + 1e-12
+
+    def test_lanes_match_single_runs(self):
+        # three lanes with their own systems, starting values and tolerances
+        # take the steps each would take alone, and the steps of the
+        # one-matrix loop the lanes replaced
+        def make(c, d):
+            def rhs(ts):
+                z = 2.0 + np.exp(2j * np.pi * ts)
+                out = np.zeros((len(ts), 2, 2), dtype=complex)
+                out[:, 0, 0] = c * 2j * np.pi * np.exp(2j * np.pi * ts) / z
+                out[:, 0, 1] = d
+                out[:, 1, 0] = d * ts
+                out[:, 1, 1] = -c / z
+                return out
+
+            return rhs
+
+        systems = [make(0.3, 0.1), make(-1.7, 2.0), make(0.0, 0.0)]
+        starts = [np.eye(2, dtype=complex), np.array([[1, 2j], [0, 1]]), np.array([[0, 1], [1, 0]], dtype=complex)]
+        tols = [1e-10, 1e-6, 1e-8]
+        attempts = np.zeros(3, dtype=int)
+
+        def stacked(ts):
+            assert ((0.0 <= ts) & (ts <= 1.0)).all()  # a finished lane idles at t = 1
+            attempts[:] += ts[:, 0] < ts[:, -1]
+            return np.stack([rhs(row) for rhs, row in zip(systems, ts)])
+
+        x1, errs = ode_transport(stacked, np.stack(starts), tols)
+        assert x1.shape == (3, 2, 2) and errs.shape == (3,)
+        for lane, (rhs, x0, tol) in enumerate(zip(systems, starts, tols)):
+            alone, err = ode_transport(rhs, x0, tol)
+            assert np.linalg.norm(x1[lane] - alone) <= 1e-13 * np.linalg.norm(alone)
+            assert abs(errs[lane] - err) <= 1e-9 * err
+            ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
+            assert attempts[lane] == ref_attempts
+            assert np.linalg.norm(x1[lane] - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert abs(errs[lane] - ref_err) <= 1e-9 * ref_err
+
+    def test_one_lane_below_min_step_aborts_the_stack_silently(self):
+        def stacked(ts):
+            out = np.full(ts.shape + (1, 1), 0.5j * np.pi)
+            out[1, :, 0, 0] = 1.0 / (ts[1] - 0.5) ** 2
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleProximityError):
+                ode_transport(stacked, np.ones((2, 1, 1), dtype=complex), 1e-10)
+
+
+def serial_transport(rhs, x0, tol):
+    """The one-matrix Dormand-Prince loop that the lanes of ``ode_transport``
+    replaced, kept as its reference; returns (X(1), err_est, attempts)."""
+    from arrconn.numkernel import MIN_STEP, _DP_A, _DP_C, _DP_E, _DP_NODE
+
+    x = np.array(x0, dtype=complex)
+    n = x.shape[0]
+    t, h, err_total, attempts = 0.0, 0.05, 0.0, 0
+    k = np.empty((7, n * n), dtype=complex)
+    k[0] = (rhs(np.zeros(1))[0] @ x).ravel()
+    while t < 1.0:
+        h = min(h, 1.0 - t)
+        if h < MIN_STEP:
+            raise PoleProximityError("path too close to singular locus")
+        attempts += 1
+        a = rhs(t + h * _DP_C)
+        xf = x.ravel()
+        for stage in range(1, 7):
+            y = xf + (h * _DP_A[stage, :stage]) @ k[:stage]
+            k[stage] = (a[_DP_NODE[stage]] @ y.reshape(n, n)).ravel()
+        x5 = y.reshape(n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.linalg.norm((h * _DP_E) @ k)
+            scale = max(np.linalg.norm(x), np.linalg.norm(x5), 1.0)
+        if not (np.isfinite(err) and np.isfinite(scale)):
+            h *= 0.1
+            continue
+        rel = err / scale
+        if rel <= tol:
+            t += h
+            x = x5
+            k[0] = k[6]
+            err_total += err
+            h *= 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
+        else:
+            h *= max(0.1, 0.9 * (tol / rel) ** 0.2)
+    return x, err_total, attempts
