@@ -146,6 +146,15 @@ class Arrangement:
         return re.reshape(shape).transpose(0, 2, 1), im.reshape(shape).transpose(0, 2, 1)
 
     @cached_property
+    def complex_forms(self) -> np.ndarray:
+        """The hyperplane forms as the rows of a complex (m, n) matrix,
+        built once per arrangement; read-only."""
+        forms = np.array([vec_complex(h.form) for h in self.hyperplanes], dtype=complex)
+        forms = forms.reshape(len(self), self.dimension)
+        forms.flags.writeable = False
+        return forms
+
+    @cached_property
     def essential_irreducible(self) -> bool:
         """Nonempty, essential and irreducible, decided once per arrangement."""
         if not len(self):
@@ -184,13 +193,6 @@ class Arrangement:
         if block_ranks != total:
             raise AssertionError("matroid decomposition failed rank additivity")
         return tuple(tuple(block) for block in blocks), total
-
-
-def complex_forms(arr: Arrangement) -> np.ndarray:
-    """The hyperplane forms as the rows of a complex (m, n) matrix."""
-    return np.array(
-        [vec_complex(h.form) for h in arr.hyperplanes], dtype=complex
-    ).reshape(len(arr), arr.dimension)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ overrides the lattice cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -332,7 +333,10 @@ def cmd_holonomy(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not
+    change it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="arrconn",
         description="Flat logarithmic connections on hyperplane-arrangement complements",

@@ -26,7 +26,6 @@ from .arrangement import (
     ambient_flat,
     arrangement_from_json,
     arrangement_to_json,
-    complex_forms,
     _entry_to_json,
     _parse_entry,
     _hyperplane_restriction,
@@ -117,9 +116,8 @@ class StandardConnection:
         residues = np.array(
             [self.residues[h.id].to_complex().ravel() for h in arr.hyperplanes], dtype=complex
         ).reshape(len(arr), n * n)
-        forms = complex_forms(arr)
-        forms.flags.writeable = residues.flags.writeable = False
-        return forms, residues
+        residues.flags.writeable = False
+        return arr.complex_forms, residues
 
     @cached_property
     def integer(self) -> IntegerView:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arrangement import Arrangement, Flat, complex_forms, flat_from_basis
+from .arrangement import Arrangement, Flat, flat_from_basis
 from .connection import (
     StandardConnection,
     localization_connection,
@@ -84,19 +84,17 @@ def loop_clearance(arr: Arrangement, pieces, samples: int = 64) -> float:
     evenly spaced points of each piece.
 
     On a piece, h(z(s)) = h(center) + exp(i sweep s) h(offset), so one
-    product per piece gives every form at every sample.
+    product gives every form at both ends of every piece.
     """
-    forms = complex_forms(arr)
-    if forms.size == 0:
+    forms = arr.complex_forms
+    if forms.size == 0 or not pieces:
         return np.inf
     norms = np.linalg.norm(forms, axis=1)[:, None]
     s = np.arange(samples + 1) / samples
-    best = np.inf
-    for piece in pieces:
-        h = forms @ np.stack([piece.center, piece.offset], axis=1)
-        hz = h[:, :1] + h[:, 1:] * np.exp(1j * piece.sweep * s)
-        best = min(best, float(np.min(np.abs(hz) / norms)))
-    return best
+    h = forms @ np.array([[piece.center, piece.offset] for piece in pieces]).reshape(-1, arr.dimension).T
+    turn = np.exp(1j * np.array([piece.sweep for piece in pieces])[:, None] * s)
+    hz = h[:, 0::2, None] + h[:, 1::2, None] * turn  # (forms, pieces, samples)
+    return float(np.min(np.abs(hz) / norms[:, :, None]))
 
 
 def make_loop(arr: Arrangement, basepoint: np.ndarray, pieces) -> LoopPath:
@@ -117,13 +115,16 @@ def connection_form(conn: StandardConnection, z, v) -> np.ndarray:
     forms, residues = conn.numeric
     n = conn.dimension
     z = np.asarray(z, dtype=complex)
-    hz = z @ forms.T
+    points = z.shape[:-1]
+    # one 2-D product over all points; a stacked product would be one
+    # small product per leading index
+    hz = z.reshape(-1, n) @ forms.T
     small = np.abs(hz) < POLE_TOL
     if small.any():
         hid = conn.arrangement.hyperplanes[int(np.argmax(small.ravel())) % len(forms)].id
         raise PoleProximityError(f"path touches hyperplane {hid}")
-    c = (np.asarray(v, dtype=complex) @ forms.T) / hz
-    return (c @ residues).reshape(z.shape[:-1] + (n, n))
+    c = (np.asarray(v, dtype=complex).reshape(-1, n) @ forms.T) / hz
+    return (c @ residues).reshape(points + (n, n))
 
 
 # -- loop construction -----------------------------------------------------------
@@ -147,7 +148,7 @@ class GeneratorSet:
 
 def _draw_basepoint(arr: Arrangement, seed: int):
     rng = random.Random(seed)
-    forms = complex_forms(arr)
+    forms = arr.complex_forms
     norms = np.linalg.norm(forms, axis=1) if forms.size else np.array([])
     for _ in range(1000):
         exact = tuple(Fraction(rng.randint(-999, 999), 1000) for _ in range(arr.dimension))
@@ -160,18 +161,13 @@ def _draw_basepoint(arr: Arrangement, seed: int):
     raise ArrConnError("no generic basepoint found in 1000 draws")
 
 
-def _line_singularities(arr: Arrangement, p: np.ndarray, w: np.ndarray, skip: int):
+def _line_singularities(arr: Arrangement, p: np.ndarray, w: np.ndarray, skip: int) -> np.ndarray:
     """Crossing parameters of the line p + t w with the other hyperplanes."""
-    out = []
-    for k, h in enumerate(arr.hyperplanes):
-        if k == skip:
-            continue
-        hc = vec_complex(h.form)
-        hw = hc @ w
-        if abs(hw) < POLE_TOL * np.linalg.norm(hc):
-            continue  # line parallel to this hyperplane
-        out.append(-(hc @ p) / hw)
-    return out
+    forms = arr.complex_forms
+    hw = forms @ w
+    crossing = np.abs(hw) >= POLE_TOL * np.linalg.norm(forms, axis=1)  # else parallel
+    crossing[skip] = False
+    return -(forms[crossing] @ p) / hw[crossing]
 
 
 def meridian(arr: Arrangement, basepoint: np.ndarray, hyperplane_id: str) -> MeridianData:
@@ -185,14 +181,14 @@ def meridian(arr: Arrangement, basepoint: np.ndarray, hyperplane_id: str) -> Mer
     crossing.
     """
     k = arr.index_of(hyperplane_id)
-    h = vec_complex(arr.hyperplanes[k].form)
+    h = arr.complex_forms[k]
     w = h.conjugate() / (np.abs(h) ** 2).sum()  # h(w) = 1
     p = np.asarray(basepoint, dtype=complex)
     t_star = -(h @ p)
     if abs(t_star) < POLE_TOL:
         raise PreconditionError("basepoint lies on the hyperplane")
     others = _line_singularities(arr, p, w, k)
-    d_min = min((abs(t - t_star) for t in others), default=np.inf)
+    d_min = np.min(np.abs(others - t_star), initial=np.inf)
     safe = min(abs(t_star), d_min)
     radius = safe / 3.0
     t_approach = t_star * (1.0 - radius / abs(t_star))
@@ -241,22 +237,20 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
 def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
     """Fundamental-solution transport around a loop; returns (T, err).
 
-    Given a list of loops, transports them all in one batched pass and
-    returns a list of (T, err): round j moves the j-th piece of every loop
-    that has one as one lane of ``ode_transport``.  Each loop takes the
-    steps it would take alone.  The stepper tolerance is tightened in
-    proportion to each loop's clearance so that close approaches to the
-    polar locus get smaller steps.
+    Given a list of loops, returns a list of (T, err).  Every piece of
+    every loop is one lane of a single ``ode_transport`` call, started from
+    the identity; a loop's T is the product of its piece matrices, the
+    last piece on the left.  The stepper tolerance of each piece is
+    tightened in proportion to its loop's clearance, so that close
+    approaches to the polar locus get smaller steps.  err bounds the
+    error of T through the product: with T' the product so far and e its
+    bound, a piece (P, e_P) gives e <- |P|_2 e + e_P (|T'|_2 + e).
     """
     single = isinstance(loops, LoopPath)
     loops = [loops] if single else list(loops)
-    x = np.tile(np.eye(conn.dimension, dtype=complex), (len(loops), 1, 1))
-    err = [0.0] * len(loops)
-    tols = [tol * min(1.0, loop.clearance) for loop in loops]
-    rounds = max((len(loop.pieces) for loop in loops), default=0) if len(conn.arrangement) else 0
-    for j in range(rounds):
-        lanes = [i for i, loop in enumerate(loops) if j < len(loop.pieces)]
-        pieces = [loops[i].pieces[j] for i in lanes]
+    n = conn.dimension
+    pieces = [piece for loop in loops for piece in loop.pieces]
+    if pieces:
         center = np.array([piece.center for piece in pieces])[:, None]
         offset = np.array([piece.offset for piece in pieces])[:, None]
         turn = 1j * np.array([piece.sweep for piece in pieces])[:, None]
@@ -265,10 +259,18 @@ def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
             e = np.exp(turn * ts)[..., None]
             return connection_form(conn, center + e * offset, turn[..., None] * e * offset)
 
-        x[lanes], piece_err = ode_transport(rhs, x[lanes], [tols[i] for i in lanes])
-        for i, e in zip(lanes, piece_err.tolist()):
-            err[i] += e
-    out = list(zip(x, err))
+        tols = [tol * min(1.0, loop.clearance) for loop in loops for _ in loop.pieces]
+        mats, errs = ode_transport(rhs, np.tile(np.eye(n, dtype=complex), (len(pieces), 1, 1)), tols)
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+    out, first = [], 0
+    for loop in loops:
+        t, err = np.eye(n, dtype=complex), 0.0
+        for j in range(first, first + len(loop.pieces)):
+            t_norm = np.linalg.norm(t, 2) if j > first else 1.0
+            err = norms[j] * err + errs[j] * (t_norm + err)
+            t = mats[j] @ t
+        first += len(loop.pieces)
+        out.append((t, float(err)))
     return out[0] if single else out
 
 

@@ -587,85 +587,91 @@ def ode_transport(rhs, x0: np.ndarray, tol=1e-10):
     takes times of shape (L, k) and returns the finite complex matrices
     A(ts), shape (L, k, n, n); the caller guarantees pole avoidance.  It
     is called once at t = 0 and then once per iteration, at the five new
-    nodes of every lane's step.  Each lane keeps its own t, step size,
-    accept/reject decision and error sum, so it takes exactly the steps
-    it would take alone; a finished lane stays in the stack with step 0
-    until the last one is done.  Each stage is one stacked product of the
-    tableau row with the slopes, and the last slope of an accepted step
-    is the first of the next.  Returns (X(1), err_est), where err_est,
-    shape (L,), accumulates the local error estimates of each lane's
-    accepted steps.  Aborts with PoleProximityError if the step size of
-    any lane falls below MIN_STEP.
+    nodes of every live lane's step; a finished lane's row holds its end
+    time, 1.  Each lane keeps its own t, step size, accept/reject decision
+    and error sum, and the step controller decides them for all lanes in
+    one set of array operations, so a lane takes exactly the steps it
+    would take alone.  A lane that reaches t = 1 is written out and leaves
+    the stage arrays.  Each stage is one stacked product of the tableau
+    row with the slopes, and the last slope of an accepted step is the
+    first of the next.  Returns (X(1), err_est), where err_est, shape
+    (L,), accumulates the local error estimates of each lane's accepted
+    steps.  Aborts with PoleProximityError if the step size of any lane
+    falls below MIN_STEP.
 
     An (n, n) x0 with an rhs over 1-D times is the one-lane case; it
     returns an (n, n) X(1) and a float error.
     """
     x = np.array(x0, dtype=complex)
     if x.ndim == 2 and x.shape[0] == x.shape[1]:
-        x1, err = _dormand_prince(lambda ts: rhs(ts[0])[None], x[None], [float(tol)])
+        x1, err = _dormand_prince(lambda ts: rhs(ts[0])[None], x[None], np.array([float(tol)]))
         return x1[0], float(err[0])
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ValueError("initial value must be a square matrix or a stack of them")
-    return _dormand_prince(rhs, x, np.broadcast_to(np.asarray(tol, dtype=float), x.shape[:1]).tolist())
+    return _dormand_prince(rhs, x, np.broadcast_to(np.asarray(tol, dtype=float), x.shape[:1]))
 
 
-def _dormand_prince(rhs, x, tols):
-    lanes, n = x.shape[:2]
+def _dormand_prince(rhs, x0, tol):
+    lanes, n = x0.shape[:2]
     size = n * n
-    x = x.reshape(lanes, size)
-    t = [0.0] * lanes
-    h = [0.05] * lanes
-    err_total = [0.0] * lanes
+    x1 = np.empty_like(x0)
+    err_out = np.zeros(lanes)
+    nodes = np.zeros((lanes, 5))  # every lane's stage nodes; a finished lane's end time
+    # the state of the live lanes, rows in the order of ``live``
+    live = np.arange(lanes)
+    x = x0.reshape(lanes, size)
+    t = np.zeros(lanes)
+    h = np.full(lanes, 0.05)
+    err_sum = np.zeros(lanes)
     k = np.empty((lanes, 7, size), dtype=complex)
-    k[:, 0] = (rhs(np.zeros((lanes, 1)))[:, 0] @ x.reshape(lanes, n, n)).reshape(lanes, size)
-    norm_x = [_norm(row) for row in x]
-    while True:
-        live = [i for i in range(lanes) if t[i] < 1.0]
-        if not live:
-            break
-        for i in range(lanes):
-            if t[i] < 1.0:
-                h[i] = min(h[i], 1.0 - t[i])
-                if h[i] < MIN_STEP:
-                    raise PoleProximityError("path too close to singular locus")
-            else:
-                h[i] = 0.0  # a finished lane idles in the stack
-        hs = np.array(h)
-        a = rhs(np.array(t)[:, None] + hs[:, None] * _DP_C)
-        ha = hs[:, None, None] * _DP_AE
+    k[:, 0] = (rhs(np.zeros((lanes, 1)))[:, 0] @ x0).reshape(lanes, size)
+    norm_x = _norms(x)
+    while live.size:
+        h = np.minimum(h, 1.0 - t)
+        if (h < MIN_STEP).any():
+            raise PoleProximityError("path too close to singular locus")
+        nodes[live] = t[:, None] + h[:, None] * _DP_C
+        a = rhs(nodes)
+        if live.size < lanes:
+            a = a[live]
+        ha = h[:, None, None] * _DP_AE
         for stage in range(1, 7):
             y = x[:, None] + ha[:, stage:stage + 1, :stage] @ k[:, :stage]
-            k[:, stage] = (a[:, _DP_NODE[stage]] @ y.reshape(lanes, n, n)).reshape(lanes, size)
+            k[:, stage] = (a[:, _DP_NODE[stage]] @ y.reshape(-1, n, n)).reshape(-1, size)
         y = y[:, 0]  # the input of the last stage: the fifth-order solution
-        d = (ha[:, 7:] @ k)[:, 0]  # each lane's x5 - x4
         # near a blow-up these norms overflow; an overflowing norm shrinks
         # the step like any non-finite value, so the warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in live:
-                err = _norm(d[i])
-                norm_y = _norm(y[i])
-                scale = max(norm_x[i], norm_y, 1.0)
-                if not (math.isfinite(err) and math.isfinite(scale)):
-                    h[i] *= 0.1
-                    continue
-                rel = err / scale
-                tol = tols[i]
-                if rel <= tol:
-                    t[i] += h[i]
-                    x[i] = y[i]
-                    norm_x[i] = norm_y
-                    k[i, 0] = k[i, 6]
-                    err_total[i] += err
-                    factor = 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
-                    h[i] *= factor
-                else:
-                    h[i] *= max(0.1, 0.9 * (tol / rel) ** 0.2)
-    return x.reshape(lanes, n, n), np.array(err_total)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            err = _norms((ha[:, 7:] @ k)[:, 0])  # each lane's |x5 - x4|
+            norm_y = _norms(y)
+            scale = np.maximum(np.maximum(norm_x, norm_y), 1.0)
+            rel = err / scale
+            factor = 0.9 * (tol / rel) ** 0.2  # inf for a zero error
+        finite = np.isfinite(err) & np.isfinite(scale)
+        accept = finite & (rel <= tol)
+        t = np.where(accept, t + h, t)
+        grow = np.minimum(np.maximum(factor, 0.2), 5.0)
+        h = h * np.where(accept, grow, np.where(finite, np.maximum(factor, 0.1), 0.1))
+        np.copyto(x, y, where=accept[:, None])
+        np.copyto(k[:, 0], k[:, 6], where=accept[:, None])
+        norm_x = np.where(accept, norm_y, norm_x)
+        err_sum = np.where(accept, err_sum + err, err_sum)
+        done = t >= 1.0
+        if done.any():
+            out = live[done]
+            x1[out] = x[done].reshape(-1, n, n)
+            err_out[out] = err_sum[done]
+            nodes[out] = t[done][:, None]
+            keep = ~done
+            live, x, k, t, h, err_sum, norm_x, tol = (
+                v[keep] for v in (live, x, k, t, h, err_sum, norm_x, tol)
+            )
+    return x1, err_out
 
 
-def _norm(v):
-    """The 2-norm of a complex vector, as ``np.linalg.norm`` computes it
-    (two BLAS dot products), so a lane's step decisions do not depend on
-    the other lanes in its stack."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _norms(v):
+    """The 2-norm of each row of a complex (m, size) array, one row at a
+    time, so a lane's step decisions do not depend on the other lanes in
+    its stack."""
+    w = v.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", w, w))

@@ -266,3 +266,36 @@ class TestNumericCommands:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestRepeatedCalls:
+    def test_one_parser_same_output(self, capsys, lauricella_file):
+        # main() reuses one parser per process: repeated calls, argparse
+        # errors among them, print the same bytes and exit the same way
+        import arrconn.cli
+
+        calls = [
+            ("check", lauricella_file, "--json"),
+            ("signature", "--a", "1/10,1/5,3/10"),
+            ("check", lauricella_file, "--bogus"),
+            ("lauricella", "--n", "2"),
+            ("volume",),
+        ]
+
+        def outcomes():
+            got = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        first = outcomes()
+        assert [code for code, _, _ in first] == [0, 0, 2, 2, 2]
+        assert first[2][2].endswith("arrconn: error: unrecognized arguments: --bogus\n")
+        assert first[3][2].startswith("usage: arrconn lauricella")
+        assert outcomes() == first
+        assert arrconn.cli.build_parser() is arrconn.cli.build_parser()

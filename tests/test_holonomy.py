@@ -18,7 +18,7 @@ from arrconn.holonomy import (
     residue_limit_check,
 )
 from arrconn.lauricella import reduced_residues
-from arrconn.numkernel import ExactMatrix, PoleProximityError, hermitian_signature, vec, vec_complex
+from arrconn.numkernel import ExactMatrix, PoleProximityError, hermitian_signature, ode_transport, vec, vec_complex
 
 F = Fraction
 
@@ -198,6 +198,41 @@ class TestBatchedTransport:
         for (t, err), (alone, alone_err) in zip(batched, singles):
             assert np.linalg.norm(t - alone) <= 1e-12 * max(1.0, np.linalg.norm(alone))
             assert abs(err - alone_err) <= 1e-9 * alone_err
+
+    @pytest.mark.parametrize("a", [[F(1, 10), F(2, 10), F(3, 10)], [F(1, 10), F(2, 10), F(3, 10), F(1, 7)]])
+    def test_report_is_one_call_over_pieces(self, a, monkeypatch):
+        # every piece of every loop is one lane of a single transport call;
+        # a loop's matrix is the product of its one-lane piece matrices, and
+        # its error bound is carried through that product
+        import arrconn.holonomy as hol
+
+        conn = reduced_residues(a)
+        n = conn.dimension
+        calls = []
+
+        def counting(rhs, x0, tol):
+            calls.append(len(x0))
+            return ode_transport(rhs, x0, tol)
+
+        monkeypatch.setattr(hol, "ode_transport", counting)
+        report = holonomy_report(conn, tol=1e-8)
+        gen = generator_loops(conn.arrangement, seed=0)
+        loops = [m.loop for m in gen.meridians] + [gen.central]
+        assert calls == [sum(len(loop.pieces) for loop in loops)]
+        matrices = list(report.matrices) + [report.central_matrix]
+        errors = list(report.errors) + [report.central_error]
+        for loop, t, err in zip(loops, matrices, errors):
+            product, bound = np.eye(n, dtype=complex), 0.0
+            for piece in loop.pieces:
+                def rhs(ts, piece=piece):
+                    e = np.exp(1j * piece.sweep * ts)[:, None]
+                    return connection_form(conn, piece.center + e * piece.offset, 1j * piece.sweep * e * piece.offset)
+
+                x, e = ode_transport(rhs, np.eye(n, dtype=complex), 1e-8 * min(1.0, loop.clearance))
+                bound = np.linalg.norm(x, 2) * bound + e * (np.linalg.norm(product, 2) + bound)
+                product = x @ product
+            assert np.linalg.norm(t - product) <= 1e-12 * max(1.0, np.linalg.norm(product))
+            assert abs(err - bound) <= 1e-9 * bound
 
     def test_residue_limit_radii_in_one_call(self):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
@@ -383,8 +418,13 @@ def reference_holonomy(conn, loop):
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "a",
-        [(F(1, 10), F(1, 5), F(3, 10)), (F(1, 7), F(2, 9), F(-3, 11), F(4, 13))],
-        ids=["A_2", "A_3"],
+        [
+            (F(1, 10), F(1, 5), F(3, 10)),
+            (F(1, 7), F(2, 9), F(-3, 11), F(4, 13)),
+            (F(1, 10), F(1, 5), F(3, 10), F(1, 7), F(2, 9)),
+            (F(12, 13), F(0), F(12, 13)),
+        ],
+        ids=["A_2", "A_3", "A_4", "A_2-defect"],
     )
     def test_reported_error_bounds_true_error(self, a):
         conn = reduced_residues(list(a))
@@ -393,13 +433,13 @@ class TestAgainstReference:
             t, err = holonomy(conn, loop, tol=1e-8)
             assert np.linalg.norm(t - reference_holonomy(conn, loop)) <= err
 
-    # Known defect: on this reducible A_2 the summed local estimates
-    # understate the true H_1_3 error (1.14e-7 against 1.04e-7), which is
-    # also above the nullspace threshold 10 * tol, so no invariant form is
-    # found where the closed form has one of signature (1, 0, 1).
+    # On this reducible A_2, chaining the pieces of a loop through one
+    # integration and summing its local estimates understated the true
+    # H_1_3 error (1.14e-7 against 1.04e-7), which was also above the
+    # nullspace threshold 10 * tol, so no invariant form was found where
+    # the closed form has one of signature (1, 0, 1).
     DEFECT = (F(12, 13), F(0), F(12, 13))
 
-    @pytest.mark.xfail(strict=True, reason="summed local error estimates understate the true error")
     def test_defect_meridian_error_bounded(self):
         conn = reduced_residues(list(self.DEFECT))
         gen = generator_loops(conn.arrangement, seed=0)
@@ -407,7 +447,6 @@ class TestAgainstReference:
         t, err = holonomy(conn, data.loop, tol=1e-8)
         assert np.linalg.norm(t - reference_holonomy(conn, data.loop)) <= err
 
-    @pytest.mark.xfail(strict=True, reason="transport error above the nullspace threshold")
     def test_defect_single_invariant_form(self):
         report = holonomy_report(reduced_residues(list(self.DEFECT)), tol=1e-8)
         assert len(report.invariant_form_basis) == 1

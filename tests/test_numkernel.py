@@ -263,6 +263,56 @@ class TestOdeTransport:
             assert np.linalg.norm(x1[lane] - ref) <= 1e-13 * np.linalg.norm(ref)
             assert abs(errs[lane] - ref_err) <= 1e-9 * ref_err
 
+    def test_finished_lanes_leave_without_moving_the_others(self):
+        # two lanes done after the same few steps, a short one and a long
+        # one: each takes the steps of its one-lane run and of the
+        # one-matrix loop, before and after the others finish
+        def zero(ts):
+            return np.zeros((len(ts), 2, 2), dtype=complex)
+
+        def rotation(ts):
+            out = np.zeros((len(ts), 2, 2), dtype=complex)
+            out[:, 0, 1] = 0.5j * np.pi
+            out[:, 1, 0] = 0.5j * np.pi
+            return out
+
+        def oscillator(ts):
+            out = np.zeros((len(ts), 2, 2), dtype=complex)
+            out[:, 0, 1] = 1.0
+            out[:, 1, 0] = -(30.0 * np.pi) ** 2 * (1.0 + 0.5 * np.sin(7.0 * ts))
+            return out
+
+        systems = [oscillator, zero, rotation, zero]
+        starts = [np.eye(2, dtype=complex), np.array([[1, 2j], [0, 1]]), np.eye(2, dtype=complex), 3 * np.eye(2, dtype=complex)]
+        tols = [1e-10, 1e-8, 1e-9, 1e-6]
+
+        attempts = np.zeros(4, dtype=int)
+
+        def stacked(ts):
+            attempts[:] += ts[:, 0] < ts[:, -1]
+            return np.stack([rhs(row) for rhs, row in zip(systems, ts)])
+
+        x1, errs = ode_transport(stacked, np.stack(starts), tols)
+        assert attempts[1] == attempts[3] < 5 < attempts[2] and 10 * attempts[2] < attempts[0]
+        for lane, (rhs, x0, tol) in enumerate(zip(systems, starts, tols)):
+            alone_attempts = []
+
+            def alone_rhs(ts, rhs=rhs):
+                alone_attempts.append(ts[0] < ts[-1])
+                return rhs(ts)
+
+            alone, err = ode_transport(alone_rhs, x0, tol)
+            assert attempts[lane] == sum(alone_attempts)
+            assert np.array_equal(x1[lane], alone) and errs[lane] == err
+            ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
+            assert attempts[lane] == ref_attempts
+            # the lanes take norms and step factors in another order than
+            # the one-matrix loop: a few units of rounding of the solution
+            # per step, in the solution and in the error sum alike
+            rounding = 4 * np.finfo(float).eps * ref_attempts * np.linalg.norm(ref)
+            assert np.linalg.norm(x1[lane] - ref) <= rounding
+            assert abs(errs[lane] - ref_err) <= rounding
+
     def test_one_lane_below_min_step_aborts_the_stack_silently(self):
         def stacked(ts):
             out = np.full(ts.shape + (1, 1), 0.5j * np.pi)
