@@ -56,15 +56,18 @@ def _emit(obj, as_json: bool, human_lines):
 
 
 def _default_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("ARRCONN_CAP")
-    if env:
+    cap, source = getattr(args, "cap", None), "--cap"
+    if cap is None:
+        env = os.environ.get("ARRCONN_CAP")
+        if not env:
+            return arrmod.DEFAULT_LATTICE_CAP
         try:
-            return int(env)
+            cap, source = int(env), "ARRCONN_CAP"
         except ValueError:
             raise InputError(f"ARRCONN_CAP must be an integer, got {env!r}") from None
-    return arrmod.DEFAULT_LATTICE_CAP
+    if cap < 0:
+        raise InputError(f"{source} must be a non-negative integer, got {cap}")
+    return cap
 
 
 def cmd_lattice(args) -> int:

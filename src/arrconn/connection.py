@@ -427,6 +427,18 @@ class QuotientConnection:
     basis: tuple  # basis of L-perp used, as ambient vectors
 
 
+def _residue_in_basis(a: ExactMatrix, basis):
+    """Matrix of a restricted to the span of basis, in its coordinates;
+    None when a does not preserve that span."""
+    cols = []
+    for b in basis:
+        coords = coordinates_in_basis(basis, a.apply(b))
+        if coords is None:
+            return None
+        cols.append(coords)
+    return ExactMatrix.from_columns(cols)
+
+
 def quotient_connection(
     conn: StandardConnection, flat: Flat, basis=None
 ) -> QuotientConnection:
@@ -458,17 +470,11 @@ def quotient_connection(
         h = arr.hyperplanes[i]
         qform = tuple(vec_dot(h.form, b) for b in basis)
         planes.append(Hyperplane(h.id, qform))
-        cols = []
-        a = conn.residue(h.id)
-        for b in basis:
-            image = a.apply(b)
-            coords = coordinates_in_basis(basis, image)
-            if coords is None:
-                raise PreconditionError(
-                    f"residue at {h.id} does not preserve L-perp; check flatness first"
-                )
-            cols.append(coords)
-        residues[h.id] = ExactMatrix.from_columns(cols)
+        residues[h.id] = _residue_in_basis(conn.residue(h.id), basis)
+        if residues[h.id] is None:
+            raise PreconditionError(
+                f"residue at {h.id} does not preserve L-perp; check flatness first"
+            )
     quotient = StandardConnection(Arrangement(flat.codim, planes), residues)
     return QuotientConnection(quotient, flat, tuple(basis))
 
@@ -503,17 +509,12 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
         a_full = conn.residue(h0)
         for i in trace.sources:
             a_full = a_full + conn.residue(arr.hyperplanes[i].id)
-        cols = []
-        for b in basis:
-            image = a_full.apply(b)
-            coords = coordinates_in_basis(basis, image)
-            if coords is None:
-                raise PreconditionError(
-                    f"residue of the flat {trace.id} does not preserve {h0}; "
-                    "the input connection is not flat"
-                )
-            cols.append(coords)
-        residues[trace.id] = ExactMatrix.from_columns(cols)
+        residues[trace.id] = _residue_in_basis(a_full, basis)
+        if residues[trace.id] is None:
+            raise PreconditionError(
+                f"residue of the flat {trace.id} does not preserve {h0}; "
+                "the input connection is not flat"
+            )
     induced = StandardConnection(restricted, residues)
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
     return InducedConnection(induced, h0, basis, projection)

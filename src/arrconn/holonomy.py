@@ -141,7 +141,6 @@ class MeridianData:
 @dataclass(frozen=True)
 class GeneratorSet:
     basepoint: np.ndarray
-    basepoint_exact: tuple
     meridians: tuple  # MeridianData, one per hyperplane in order
     central: LoopPath  # scaling loop around the origin
 
@@ -215,12 +214,12 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
     if not len(arr):
         raise PreconditionError("generator loops need a nonempty arrangement")
     for attempt in range(50):
-        exact, p = _draw_basepoint(arr, seed + 7919 * attempt)
+        _, p = _draw_basepoint(arr, seed + 7919 * attempt)
         meridians = tuple(meridian(arr, p, h.id) for h in arr.hyperplanes)
         central = make_loop(
             arr, p, (Arc(np.zeros(arr.dimension, dtype=complex), p, 2.0 * np.pi),)
         )
-        candidate = GeneratorSet(p, exact, meridians, central)
+        candidate = GeneratorSet(p, meridians, central)
         worst = min(
             [m.loop.clearance for m in meridians] + [central.clearance]
         )
@@ -384,22 +383,18 @@ def residue_limit_check(
 
 # -- invariant forms ---------------------------------------------------------------
 
-def _hermitian_basis(n: int):
-    basis = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0j
-            m[j, i] = -1.0j
-            basis.append(m)
+def _hermitian_basis(n: int) -> np.ndarray:
+    """(n^2, n^2) matrix whose columns are the row-major vecs of a real
+    basis of the Hermitian n x n matrices: E_ii, then E_ij + E_ji and
+    i(E_ij - E_ji) for i < j."""
+    basis = np.zeros((n * n, n * n), dtype=complex)
+    diag = np.arange(n)
+    basis[diag * (n + 1), diag] = 1.0
+    i, j = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(i.size)
+    basis[i * n + j, k] = basis[j * n + i, k] = 1.0
+    basis[i * n + j, k + 1] = 1.0j
+    basis[j * n + i, k + 1] = -1.0j
     return basis
 
 
@@ -407,8 +402,11 @@ def invariant_forms(generators, tol: float = 1e-8):
     """Real basis of the space of Hermitian X with T* X T = X for all
     generators, via the nullspace of the stacked real linear system.
 
-    Each generator's constraint block is scaled by 1/max(1, |T|^2) so that
-    large transport matrices do not drown the tolerance."""
+    On row-major vecs, X -> T* X T is kron(T*, T^T), so each generator's
+    constraint block is scale (kron(T*, T^T) B - B) over the Hermitian
+    basis B, split into real and imaginary rows; scale = 1/max(1, |T|^2)
+    keeps large transport matrices from drowning the tolerance.  A form
+    is B times a null vector, reshaped to n x n."""
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
         raise PreconditionError("need at least one generator")
@@ -416,13 +414,10 @@ def invariant_forms(generators, tol: float = 1e-8):
     basis = _hermitian_basis(n)
     _, s, vt = np.linalg.svd(_constraint_matrix(gens, basis), full_matrices=False)
     smax = s[0] if s.size else 0.0
-    null_dim = int(np.sum(s <= tol * max(smax, 1.0)))
-    if s.size < len(basis):
-        null_dim += len(basis) - s.size
+    null_dim = int(np.sum(s <= tol * max(smax, 1.0))) + basis.shape[1] - s.size
     forms = []
     for k in range(null_dim):
-        coeffs = vt[-(k + 1)]
-        mat = sum(c * b for c, b in zip(coeffs, basis))
+        mat = (basis @ vt[-(k + 1)]).reshape(n, n)
         mat = (mat + mat.conj().T) / 2.0
         mat /= np.linalg.norm(mat)
         diag = np.real(np.diag(mat))
@@ -434,16 +429,12 @@ def invariant_forms(generators, tol: float = 1e-8):
 
 
 def _constraint_matrix(gens, basis):
-    rows = []
+    blocks = []
     for t in gens:
-        th = t.conj().T
         scale = 1.0 / max(1.0, np.linalg.norm(t, 2) ** 2)
-        block = []
-        for b in basis:
-            image = scale * (th @ b @ t - b)
-            block.append(np.concatenate([image.real.ravel(), image.imag.ravel()]))
-        rows.append(np.array(block).T)
-    return np.vstack(rows)
+        image = scale * (np.kron(t.conj().T, t.T) @ basis - basis)
+        blocks += [image.real, image.imag]
+    return np.vstack(blocks)
 
 
 # -- irreducibility -----------------------------------------------------------------
@@ -457,35 +448,54 @@ class IrreducibilityVerdict:
     words_used: int
 
 
-def _orbit_span(vector, gens_and_inverses, tol):
-    n = vector.shape[0]
-    basis = [vector / np.linalg.norm(vector)]
-    frontier = [basis[0]]
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens_and_inverses:
-                w = g @ v
-                for b in basis:
-                    w = w - (b.conj() @ w) * b
-                norm = np.linalg.norm(w)
-                if norm > tol:
-                    w = w / norm
-                    basis.append(w)
-                    new.append(w)
-                    if len(basis) == n:
-                        return np.array(basis).T
-        frontier = new
-    return np.array(basis).T
+def _span_closure(start, gens, tol, max_len):
+    """Breadth-first walk over the words g_k ... g_1 start with k <= max_len
+    that keeps each word whose normalized vector leaves the span of the kept
+    ones by more than tol, and extends only the kept words: a word in that
+    span has every extension in the span of the kept words' extensions.
+
+    The residual is two classical Gram-Schmidt passes against the kept
+    orthonormal rows.  The walk stops once the span is the whole space.
+    Returns (kept, ortho, words): the kept normalized vectors and their
+    orthonormalization, as rows, and the number of words tried.
+    """
+    size = start.size
+    ortho = np.empty((size, size), dtype=complex)
+    kept, level, words = [], [start], 0
+    for length in range(max_len + 1):
+        grown = []
+        for word in level:
+            words += 1
+            v = word.ravel() / max(np.linalg.norm(word), 1e-300)
+            q = ortho[:len(kept)]
+            w = v - (q @ v.conj()).conj() @ q
+            w = w - (q @ w.conj()).conj() @ q
+            res = np.linalg.norm(w)
+            if res > tol:
+                ortho[len(kept)] = w / res
+                kept.append(v)
+                if len(kept) == size:
+                    return np.array(kept), ortho, words
+                grown.append(v.reshape(start.shape))
+        if length == max_len or not grown:
+            break
+        level = [g @ x for x in grown for g in gens]
+    return np.array(kept), ortho[:len(kept)], words
 
 
-def irreducibility(generators, word_cap: Optional[int] = None, tol: float = 1e-8) -> IrreducibilityVerdict:
+def irreducibility(generators, tol: float = 1e-8) -> IrreducibilityVerdict:
     """Burnside test: the words of bounded length span the full matrix
     algebra exactly when the representation is irreducible.
 
-    The span is grown breadth-first, keeping only words that enlarge it.
-    On a reducible verdict, eigenvector orbits provide an invariant
-    subspace as a witness.
+    One breadth-first closure from the identity over the generators and
+    their inverses, to word length 4n, keeps the words that enlarge the
+    span and stops at full span; words_used counts the words it tried.
+    The verdict comes from the singular values of the kept, normalized
+    words; a rank decision inside the factor-10 band around tol is
+    ambiguous.  On a reducible verdict the same closure, run from each
+    eigenvector of each generator to length n, spans an invariant
+    subspace; the smallest one found is the witness, as orthonormal
+    columns.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -495,48 +505,9 @@ def irreducibility(generators, word_cap: Optional[int] = None, tol: float = 1e-8
         if abs(np.linalg.det(g)) < 1e-12:
             raise PreconditionError("generators must be invertible")
     gens_inv = gens + [np.linalg.inv(g) for g in gens]
-    cap = word_cap if word_cap is not None else 2 * n
     full = n * n
-
-    def grow(max_len):
-        ortho = []
-        kept = []
-
-        def try_add(mat):
-            v = mat.ravel() / max(np.linalg.norm(mat), 1e-300)
-            w = v.copy()
-            for b in ortho:
-                w = w - (b.conj() @ w) * b
-            res = np.linalg.norm(w)
-            if res > tol:
-                ortho.append(w / res)
-                kept.append(v)
-                return True
-            return False
-
-        try_add(np.eye(n, dtype=complex))
-        frontier = [np.eye(n, dtype=complex)]
-        words = 1
-        length = 0
-        while frontier and length < max_len and len(ortho) < full:
-            new_frontier = []
-            for mat in frontier:
-                for g in gens_inv:
-                    words += 1
-                    prod = g @ mat
-                    if try_add(prod):
-                        new_frontier.append(prod / np.linalg.norm(prod))
-            frontier = new_frontier
-            length += 1
-        return kept, words
-
-    kept, words = grow(cap)
-    if len(kept) < full:
-        kept, words2 = grow(2 * cap)
-        words += words2
-    # the verdict comes from the singular values of the kept, normalized
-    # words; a rank decision inside the factor-10 band is ambiguous
-    sv = np.linalg.svd(np.array(kept), compute_uv=False)
+    kept, _, words = _span_closure(np.eye(n, dtype=complex), gens_inv, tol, 4 * n)
+    sv = np.linalg.svd(kept, compute_uv=False)
     smax = sv[0]
     strict = int(np.sum(sv > 10.0 * tol * smax))
     loose = int(np.sum(sv > 0.1 * tol * smax))
@@ -545,15 +516,13 @@ def irreducibility(generators, word_cap: Optional[int] = None, tol: float = 1e-8
         return IrreducibilityVerdict(True, dim, full, None, words)
     if loose >= full > strict:
         return IrreducibilityVerdict(None, dim, full, None, words)
-    witness = None
-    best = n
+    witness, best = None, n
     for g in gens:
         _, vectors = np.linalg.eig(g)
-        for k in range(vectors.shape[1]):
-            span = _orbit_span(vectors[:, k], gens_inv, tol)
-            if span.shape[1] < best:
-                best = span.shape[1]
-                witness = span
+        for k in range(n):
+            _, span, _ = _span_closure(vectors[:, k], gens_inv, tol, n)
+            if len(span) < best:
+                best, witness = len(span), span.T
     return IrreducibilityVerdict(False, dim, full, witness, words)
 
 

@@ -299,3 +299,25 @@ class TestRepeatedCalls:
         assert first[3][2].startswith("usage: arrconn lauricella")
         assert outcomes() == first
         assert arrconn.cli.build_parser() is arrconn.cli.build_parser()
+
+
+class TestCapValues:
+    # a negative cap is a malformed value (exit 2), not a resource limit
+    # (exit 3); a cap of 0 is a valid, exceeded limit
+    @pytest.mark.parametrize("command", ["lattice", "check", "recover"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_negative_cap_exits_2(self, capsys, lauricella_file, monkeypatch, command, via):
+        if via == "env":
+            monkeypatch.setenv("ARRCONN_CAP", "-4")
+        code, out, err = run(capsys, command, lauricella_file, *(["--cap", "-1"] if via == "flag" else []))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        name, value = ("--cap", "-1") if via == "flag" else ("ARRCONN_CAP", "-4")
+        assert f"{name} must be a non-negative integer, got {value}" in err
+
+    @pytest.mark.parametrize("command", ["lattice", "check", "recover"])
+    def test_zero_cap_exits_3(self, capsys, lauricella_file, command):
+        code, _, err = run(capsys, command, lauricella_file, "--cap", "0")
+        assert code == 3
+        assert "cap 0" in err

@@ -353,6 +353,38 @@ class TestIrreducibility:
         with pytest.raises(PreconditionError):
             irreducibility([np.zeros((2, 2))])
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            (F(1, 10), F(2, 10), F(0)),
+            (F(1, 10), F(2, 10), F(3, 10), F(0)),
+            (F(5, 13), F(0), F(3, 13), F(7, 13)),
+        ],
+        ids=["A_2-degenerate", "A_3-last-zero", "A_3-second-zero"],
+    )
+    def test_witness_is_proper_invariant_subspace(self, a):
+        rep = holonomy_report(reduced_residues(list(a)), tol=1e-8)
+        assert rep.irreducibility.irreducible is False
+        self.assert_invariant_witness(
+            rep.irreducibility.invariant_subspace, list(rep.matrices) + [rep.central_matrix]
+        )
+
+    def test_scalar_witness_is_proper_invariant_subspace(self):
+        gens = [np.eye(3) * 2.0, np.eye(3) * 1j]
+        verdict = irreducibility(gens)
+        assert verdict.irreducible is False
+        self.assert_invariant_witness(verdict.invariant_subspace, gens)
+
+    @staticmethod
+    def assert_invariant_witness(w, gens):
+        n = w.shape[0]
+        assert 0 < w.shape[1] < n
+        assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-12
+        q, _ = np.linalg.qr(w)
+        outside = np.eye(n) - q @ q.conj().T
+        for t in gens:
+            assert np.linalg.norm(outside @ t @ q, 2) <= 1e-8
+
 
 class TestReportAssembly:
     def test_loops_selection(self):
