@@ -30,7 +30,6 @@ from .numkernel import (
     vec,
     vec_complex,
     vec_dot,
-    vec_is_zero,
 )
 
 DEFAULT_LATTICE_CAP = 20
@@ -42,7 +41,7 @@ class Hyperplane:
     form: ExactVector
 
     def __post_init__(self):
-        if vec_is_zero(self.form):
+        if not any(self.form):
             raise InputError(f"hyperplane {self.id} has a zero form")
 
 
@@ -541,12 +540,12 @@ def _hyperplane_restriction(arr: Arrangement, i0: int):
 
 
 def _require_flat(arr: Arrangement, flat: Flat):
-    for i in flat.containing:
-        for b in flat.kernel_basis:
-            if vec_dot(arr.form(i), b):
-                raise PreconditionError("flat does not belong to this arrangement")
-    check = flat_from_basis(arr, flat.kernel_basis)
-    if check.containing != flat.containing:
+    """Refuse a flat unless its containing set is exactly the hyperplanes
+    its kernel basis lies in: one closure decides both failures."""
+    closed = flat_from_basis(arr, flat.kernel_basis).containing
+    if not set(flat.containing) <= set(closed):
+        raise PreconditionError("flat does not belong to this arrangement")
+    if closed != flat.containing:
         raise PreconditionError("flat containing set is not closed for this arrangement")
 
 

@@ -182,8 +182,11 @@ def cmd_lauricella(args) -> int:
     obj = connmod.connection_to_json(conn)
     text = json.dumps(obj, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(str(exc)) from None
         if not args.json:
             print(f"wrote connection for n={args.n} to {args.out}")
         else:
@@ -213,7 +216,7 @@ def cmd_recover(args) -> int:
 
 def cmd_pk_exists(args) -> int:
     alpha = _parse_fraction_list(args.alpha)
-    report = pkmod.pk_exists(alpha, tol=args.tol)
+    report = pkmod.pk_exists(alpha)
     obj = {
         "verdict": "yes" if report.verdict else "no",
         "failed_condition": report.failed_condition,
@@ -236,7 +239,7 @@ def cmd_pk_exists(args) -> int:
 
 def cmd_signature(args) -> int:
     a = _parse_fraction_list(args.a)
-    result = pkmod.signature_formula(a, tol=args.tol)
+    result = pkmod.signature_formula(a)
     obj = {
         "p": result.p,
         "q": result.q,
@@ -373,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pk-exists", help="cone-metric existence criteria")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--tol", type=float, default=pkmod.DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pk_exists)
 
     p = sub.add_parser("signature", help="signature of the invariant form")
     p.add_argument("--a", required=True)
-    p.add_argument("--tol", type=float, default=pkmod.DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_signature)
 

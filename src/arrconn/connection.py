@@ -402,7 +402,7 @@ def euler_field(conn: StandardConnection) -> EulerField:
     )
     if len(columns) != n or pivots != list(range(n)):
         raise WeightZeroError("adapted basis is degenerate; nonzero weights fail")
-    inverse = ExactMatrix._raw([row[n:] for row in rref])
+    inverse = ExactMatrix([row[n:] for row in rref])
     scaled = ExactMatrix.from_columns(
         [tuple(diag[j] * x for x in col) for j, col in enumerate(columns)]
     )

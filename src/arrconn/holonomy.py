@@ -38,6 +38,7 @@ from .numkernel import (
 
 CLOSURE_TOL = 1e-12
 POLE_TOL = 1e-14
+CLEARANCE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def _point_clearance(forms: np.ndarray, norms: np.ndarray, z: np.ndarray) -> flo
     return float(np.min(np.abs(forms @ z) / norms))
 
 
-def loop_clearance(arr: Arrangement, pieces, samples: int = 64) -> float:
-    """Minimum distance from the loop to any hyperplane over samples + 1
-    evenly spaced points of each piece.
+def loop_clearance(arr: Arrangement, pieces) -> float:
+    """Minimum distance from the loop to any hyperplane over
+    CLEARANCE_SAMPLES + 1 evenly spaced points of each piece.
 
     On a piece, h(z(s)) = h(center) + exp(i sweep s) h(offset), so one
     product gives every form at both ends of every piece.
@@ -90,7 +91,7 @@ def loop_clearance(arr: Arrangement, pieces, samples: int = 64) -> float:
     if forms.size == 0 or not pieces:
         return np.inf
     norms = np.linalg.norm(forms, axis=1)[:, None]
-    s = np.arange(samples + 1) / samples
+    s = np.arange(CLEARANCE_SAMPLES + 1) / CLEARANCE_SAMPLES
     h = forms @ np.array([[piece.center, piece.offset] for piece in pieces]).reshape(-1, arr.dimension).T
     turn = np.exp(1j * np.array([piece.sweep for piece in pieces])[:, None] * s)
     hz = h[:, 0::2, None] + h[:, 1::2, None] * turn  # (forms, pieces, samples)
@@ -554,6 +555,9 @@ def holonomy_report(
     irreducibility analysis in the basepoint frame."""
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
+    if tol >= 0.1:
+        # the analysis runs at 10 tol, and no unit residual exceeds 1
+        raise InputError(f"tolerance must be below 0.1, got {tol!r}")
     if loops not in ("meridians", "central", "all"):
         raise PreconditionError(f"unknown loops selection {loops!r}")
     gen = generator_loops(conn.arrangement, seed=seed)

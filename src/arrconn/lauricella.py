@@ -185,10 +185,15 @@ def recover_parameters(
 
     Traces b_{i,j} determine candidate parameters via
     a_i = (b_{i,j} + b_{i,k} - b_{j,k}) / 2 with j, k the two smallest other
-    indices; the remaining trace equations and then full matrix equality
-    are verified exactly.  For n = 1 the split of the single trace is not
-    determined and the result is flagged ambiguous.  ``cap`` is the lattice
-    cap of the input checks.
+    indices.  For n >= 3 every 4-subset must satisfy
+    b_ij + b_kl = b_ik + b_jl = b_il + b_jk; these equalities cut out the
+    pair sums a_i + a_j exactly (both spaces have dimension n + 1), and for
+    n = 2 every trace table is a pair sum, so the candidates reproduce
+    every b_{i,j} and the pair equations need no separate check.  Full
+    residue equality with the candidates' connection is then verified
+    exactly.  For n = 1 the split of the single trace is not determined
+    and the result is flagged ambiguous.  ``cap`` is the lattice cap of
+    the input checks.
     """
     arr = conn.arrangement
     n = _check_braid(arr)
@@ -228,11 +233,6 @@ def recover_parameters(
         j, k = [x for x in range(1, n + 2) if x != i][:2]
         params.append(half * (b(i, j) + b(i, k) - b(j, k)))
     vector = ParameterVector(tuple(params))
-    for (i, j), t in traces.items():
-        if vector[i - 1] + vector[j - 1] != t:
-            return RecoveryResult(
-                False, None, f"traces not of Lauricella form (pair ({i},{j}))", False, traces
-            )
     expected = reduced_residues(vector, arrangement=arr)
     for h in arr.hyperplanes:
         if conn.residue(h.id) != expected.residue(h.id):

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ArrConnError
+
 _FRAC_ZERO = Fraction(0)
 
 
@@ -174,17 +176,14 @@ def vec(values) -> ExactVector:
 
 
 def vec_dot(u: ExactVector, v: ExactVector) -> GaussianRational:
-    """Bilinear pairing (no conjugation); used to apply linear forms."""
-    total = None
+    """Bilinear pairing (no conjugation); applies a linear form to a
+    vector.  The lattice and the exact checks use the integer views, so
+    only small inputs come here, such as normal vectors and quotient
+    forms, and no zero entries are skipped."""
+    total = GR_ZERO
     for a, b in zip(u, v):
-        if (a.re or a.im) and (b.re or b.im):
-            prod = a * b
-            total = prod if total is None else total + prod
-    return GR_ZERO if total is None else total
-
-
-def vec_is_zero(u: ExactVector) -> bool:
-    return not any(u)
+        total = total + a * b
+    return total
 
 
 def vec_complex(u: ExactVector) -> np.ndarray:
@@ -203,15 +202,6 @@ class ExactMatrix:
         self.cols = len(grid[0]) if grid else 0
         if any(len(row) != self.cols for row in grid):
             raise ValueError("ragged matrix")
-
-    @staticmethod
-    def _raw(grid) -> "ExactMatrix":
-        # internal constructor; caller guarantees GaussianRational entries
-        obj = ExactMatrix.__new__(ExactMatrix)
-        obj.entries = tuple(tuple(row) for row in grid)
-        obj.rows = len(obj.entries)
-        obj.cols = len(obj.entries[0]) if obj.entries else 0
-        return obj
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
@@ -236,7 +226,7 @@ class ExactMatrix:
         return tuple(vec_dot(row, v) for row in self.entries)
 
     def __add__(self, other):
-        return ExactMatrix._raw(
+        return ExactMatrix(
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
@@ -244,7 +234,7 @@ class ExactMatrix:
         )
 
     def __sub__(self, other):
-        return ExactMatrix._raw(
+        return ExactMatrix(
             [
                 [a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
@@ -253,25 +243,13 @@ class ExactMatrix:
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.coerce(c)
-        return ExactMatrix._raw([[c * a for a in row] for row in self.entries])
+        return ExactMatrix([[c * a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        grid = []
-        for row in self.entries:
-            support = [(k, a) for k, a in enumerate(row) if a.re or a.im]
-            out_row = []
-            for j in range(other.cols):
-                total = None
-                for k, a in support:
-                    b = other.entries[k][j]
-                    if b.re or b.im:
-                        prod = a * b
-                        total = prod if total is None else total + prod
-                out_row.append(GR_ZERO if total is None else total)
-            grid.append(out_row)
-        return ExactMatrix._raw(grid)
+        columns = list(zip(*other.entries))
+        return ExactMatrix([[vec_dot(row, col) for col in columns] for row in self.entries])
 
     def trace(self) -> GaussianRational:
         total = GR_ZERO
@@ -549,8 +527,10 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-class PoleProximityError(RuntimeError):
-    """Raised when the adaptive step size underflows near a singularity."""
+class PoleProximityError(ArrConnError):
+    """Raised when the adaptive step size underflows near a singularity,
+    or a path point lies on a hyperplane; the CLI reports it as a failed
+    computation (exit 1)."""
 
 
 # Dormand-Prince 5(4) tableau.  Row s of _DP_A weights the slopes of the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arrconn.arrangement import (
     Arrangement,
+    Flat,
     Hyperplane,
     ambient_flat,
     arrangement_from_json,
@@ -208,6 +209,22 @@ class TestLocalizationRestriction:
         origin = flat_from_indices(arr, [0, 1])
         with pytest.raises(PreconditionError):
             restriction(arr, origin)
+
+    def test_flat_leaving_a_listed_hyperplane_refused(self):
+        # the line z1 = z2 lies in H_1_2 but not in H_1_3 (z1 = 0)
+        arr = braid(2)
+        flat = Flat((0, 1), (vec([1, 1]),), 1)
+        for op in (localization, restriction):
+            with pytest.raises(PreconditionError, match="does not belong"):
+                op(arr, flat)
+
+    def test_flat_missing_a_hyperplane_refused(self):
+        # the line z1 = z2 lies in H_1_2, which the containing set leaves out
+        arr = braid(2)
+        flat = Flat((), (vec([1, 1]),), 1)
+        for op in (localization, restriction):
+            with pytest.raises(PreconditionError, match="not closed"):
+                op(arr, flat)
 
     def test_restriction_tower(self):
         # restricting twice agrees with restricting to the deeper flat

@@ -178,6 +178,14 @@ class TestRoundTrips:
         assert code == 3
         assert "cap 5" in err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "c.json"
+        code, stdout, err = run(
+            capsys, "lauricella", "--n", "2", "--a", "1/10,1/5,3/10", "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_emitted_json_reparses_exactly(self, capsys, lauricella_file):
         from arrconn.connection import connection_to_json, load_connection
 
@@ -241,6 +249,16 @@ class TestNumericCommands:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("pk-exists", "--alpha", "0.9,0.9,0.9"), ("signature", "--a", "0.1,0.1,0.1")]
+    )
+    def test_tol_refused(self, capsys, argv):
+        # the parameters are exact rationals, so no tolerance could apply
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_volume_needs_arguments(self, capsys):
         code, _, err = run(capsys, "volume")
         assert code == 2
@@ -260,6 +278,19 @@ class TestNumericCommands:
         code, _, err = run(capsys, "holonomy", lauricella_file, "--tol", tol)
         assert code == 2
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("tol, code", [("0.1", 2), ("0.5", 2), ("0.05", 0)])
+    def test_holonomy_tolerance_below_tenth(self, capsys, lauricella_file, tol, code):
+        got, _, err = run(capsys, "holonomy", lauricella_file, "--tol", tol)
+        assert got == code
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_holonomy_pole_proximity_is_one_line(self, capsys, lauricella_file):
+        # the step size underflows before the tolerance is met
+        code, _, err = run(capsys, "holonomy", lauricella_file, "--tol", "1e-40")
+        assert code == 1
+        assert err == "error: path too close to singular locus\n"
 
     def test_holonomy_determinism(self, capsys, lauricella_file):
         args = ("holonomy", lauricella_file, "--json", "--seed", "3")

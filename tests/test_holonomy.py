@@ -408,6 +408,14 @@ class TestReportAssembly:
         with pytest.raises(InputError, match="tolerance"):
             holonomy_report(conn, tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.1, 0.5])
+    def test_tolerance_of_useless_analysis_is_input_error(self, tol):
+        # the analysis runs at 10 tol, where no word's unit residual can
+        # exceed the threshold, so the span closure would keep no word
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        with pytest.raises(InputError, match="below 0.1"):
+            holonomy_report(conn, tol=tol)
+
     def test_numeric_view_built_once(self, monkeypatch):
         calls = []
         original = ExactMatrix.to_complex

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrconn.arrangement import ambient_flat, flat_from_indices
 from arrconn.connection import StandardConnection
@@ -245,3 +247,52 @@ class TestRecovery:
             if traces in seen:
                 assert seen[traces] == tuple(a)
             seen[traces] = tuple(a)
+
+
+gaussian = st.builds(
+    lambda p, q, r, t: G(F(p, q), F(r, t)),
+    st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9),
+)
+
+
+@st.composite
+def pair_tables(draw):
+    """Values b_ij on the pairs of N = 3..7 points: pair sums a_i + a_j
+    over Q(i), the same with one pair perturbed, or drawn freely."""
+    count = draw(st.integers(3, 7))
+    pairs = list(combinations(range(1, count + 1), 2))
+    kind = draw(st.sampled_from(["sums", "perturbed", "free"]))
+    if kind == "free":
+        return kind, count, {pair: draw(gaussian) for pair in pairs}
+    a = draw(st.lists(gaussian, min_size=count, max_size=count))
+    table = {(i, j): a[i - 1] + a[j - 1] for i, j in pairs}
+    if kind == "perturbed":
+        pair = draw(st.sampled_from(pairs))
+        table[pair] = table[pair] + draw(gaussian.filter(bool))
+    return kind, count, table
+
+
+@given(pair_tables())
+def test_four_subset_equalities_force_pair_sums(case):
+    # recover_parameters checks only the 4-subset equalities before it
+    # solves a_i = (b_ij + b_ik - b_jk) / 2, j, k the two smallest other
+    # points: wherever they hold, the solution reproduces every b_ij
+    kind, count, table = case
+    points = range(1, count + 1)
+
+    def b(i, j):
+        return table[(i, j) if i < j else (j, i)]
+
+    holds = all(
+        b(i, j) + b(k, l) == b(i, k) + b(j, l) == b(i, l) + b(j, k)
+        for i, j, k, l in combinations(points, 4)
+    )
+    if kind == "perturbed" and count >= 4:
+        assert not holds
+    if not holds:
+        return
+    a = []
+    for i in points:
+        j, k = [x for x in points if x != i][:2]
+        a.append(G(F(1, 2)) * (b(i, j) + b(i, k) - b(j, k)))
+    assert all(a[i - 1] + a[j - 1] == t for (i, j), t in table.items())
