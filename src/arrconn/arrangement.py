@@ -29,7 +29,6 @@ from .numkernel import (
     rank_kernel,
     vec,
     vec_complex,
-    vec_dot,
 )
 
 DEFAULT_LATTICE_CAP = 20
@@ -131,18 +130,6 @@ class Arrangement:
         """Kernel basis of each hyperplane's form, in hyperplane order,
         solved once per arrangement."""
         return tuple(tuple(rank_kernel([h.form])[1]) for h in self.hyperplanes)
-
-    @cached_property
-    def _integer_kernels(self) -> tuple:
-        """``hyperplane_kernels`` as Gaussian-integer columns, each basis
-        vector cleared of denominators: (re, im) object arrays of shape
-        (m, n, n - 1)."""
-        m, n = len(self), self.dimension
-        parts = [[cleared(b) for b in kernel] for kernel in self.hyperplane_kernels]
-        re = np.array([[p[0] for p in kernel] for kernel in parts], dtype=object)
-        im = np.array([[p[1] for p in kernel] for kernel in parts], dtype=object)
-        shape = (m, max(n - 1, 0), n)
-        return re.reshape(shape).transpose(0, 2, 1), im.reshape(shape).transpose(0, 2, 1)
 
     @cached_property
     def complex_forms(self) -> np.ndarray:
@@ -513,19 +500,17 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
 
     ``projection`` maps each surviving hyperplane id to the id of its trace
     on h0 (merged traces share one id).  h0 is a separator when the center
-    of the deleted arrangement is not inside h0.
+    of the deleted arrangement is not inside h0, that is, when its form is
+    outside the span of the other forms: a coloop of the matroid of the
+    forms.  No form is zero, so a coloop is exactly a one-element block of
+    the cached irreducible decomposition.
     """
     i0 = arr.index_of(h0)
-    h0_plane = arr.hyperplanes[i0]
     keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
     deleted = Arrangement(arr.dimension, keep)
     traces, restricted = _hyperplane_restriction(arr, i0)
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
-    if keep:
-        _, basis = rank_kernel([h.form for h in keep])
-        separator = any(vec_dot(h0_plane.form, b) for b in basis)
-    else:
-        separator = True
+    separator = (i0,) in arr._decomposition[0]
     return DeletionRestriction(deleted, restricted, projection, separator)
 
 

@@ -153,14 +153,20 @@ class TorsionFreeReport:
 
 def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
     """H inside ker A_H for every hyperplane, decided exactly on the integer
-    view: with N = d A and K_H the kernel basis of H that the arrangement
-    caches, cleared of denominators, A_H kills H iff N_H K_H = 0, and every
-    product is taken in one batched Gaussian-integer matmul."""
+    view, with no kernel basis: with f the cleared form of H and p its
+    first nonzero coordinate, ker f is spanned by f_p e_j - f_j e_p, so
+    N = d A_H kills H iff f_p N = N[:, p] f^T.  Every hyperplane is tested
+    in one batch of elementwise Gaussian-integer products."""
     arr = conn.arrangement
     view = conn.integer
-    k_re, k_im = arr._integer_kernels
-    re = view.re @ k_re - view.im @ k_im
-    im = view.re @ k_im + view.im @ k_re
+    fr, fi = arr._integer_forms
+    rows = np.arange(len(arr))
+    p = ((fr != 0) | (fi != 0)).argmax(axis=1)
+    pr, pi = fr[rows, p][:, None, None], fi[rows, p][:, None, None]
+    cr, ci = view.re[rows, :, p][:, :, None], view.im[rows, :, p][:, :, None]
+    fr, fi = fr[:, None, :], fi[:, None, :]
+    re = pr * view.re - pi * view.im - (cr * fr - ci * fi)
+    im = pr * view.im + pi * view.re - (cr * fi + ci * fr)
     bad = (re != 0).any(axis=(1, 2)) | (im != 0).any(axis=(1, 2))
     violators = tuple(h.id for h, b in zip(arr.hyperplanes, bad) if b)
     return TorsionFreeReport(not violators, violators)

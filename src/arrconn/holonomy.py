@@ -10,33 +10,24 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .arrangement import Arrangement, Flat, flat_from_basis
-from .connection import (
-    StandardConnection,
-    localization_connection,
-    flat_perp_basis,
-    weight_at_flat,
-)
+from .arrangement import Arrangement, Flat, irreducible_components
+from .connection import StandardConnection, localization_connection, weight_at_flat
 from .errors import ArrConnError, InputError, PreconditionError
 from .numkernel import (
-    ExactMatrix,
     HermForm,
     PoleProximityError,
     Signature,
-    coordinates_in_basis,
     hermitian_signature,
-    independent_subset,
     matrix_exp,
     ode_transport,
-    vec_complex,
 )
 
 CLOSURE_TOL = 1e-12
+MIN_TOL = 1e-15  # the smallest transport tolerance double precision can meet
 POLE_TOL = 1e-14
 CLEARANCE_SAMPLES = 64
 
@@ -146,18 +137,19 @@ class GeneratorSet:
     central: LoopPath  # scaling loop around the origin
 
 
-def _draw_basepoint(arr: Arrangement, seed: int):
+def _draw_basepoint(arr: Arrangement, seed: int) -> np.ndarray:
+    """A deterministic real point with coordinates in (-1, 1) on a grid of
+    1/1000, farther than 0.05 |p| from every hyperplane."""
     rng = random.Random(seed)
     forms = arr.complex_forms
     norms = np.linalg.norm(forms, axis=1) if forms.size else np.array([])
     for _ in range(1000):
-        exact = tuple(Fraction(rng.randint(-999, 999), 1000) for _ in range(arr.dimension))
-        z = np.array([float(x) for x in exact], dtype=complex)
+        z = np.array([rng.randint(-999, 999) / 1000 for _ in range(arr.dimension)], dtype=complex)
         r = np.linalg.norm(z)
         if r == 0:
             continue
         if _point_clearance(forms, norms, z) > 0.05 * r:
-            return exact, z
+            return z
     raise ArrConnError("no generic basepoint found in 1000 draws")
 
 
@@ -215,7 +207,7 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
     if not len(arr):
         raise PreconditionError("generator loops need a nonempty arrangement")
     for attempt in range(50):
-        _, p = _draw_basepoint(arr, seed + 7919 * attempt)
+        p = _draw_basepoint(arr, seed + 7919 * attempt)
         meridians = tuple(meridian(arr, p, h.id) for h in arr.hyperplanes)
         central = make_loop(
             arr, p, (Arc(np.zeros(arr.dimension, dtype=complex), p, 2.0 * np.pi),)
@@ -296,49 +288,26 @@ def _match_multisets(predicted, computed):
     return worst
 
 
-def _standard_complement(flat: Flat, n: int):
-    """Standard basis vectors completing the flat to the whole space, the
-    greedy choice: the pivots past the flat's basis in one echelon form of
-    that basis followed by e_1..e_n.  Used only when every localized
-    residue vanishes and no normal frame exists."""
-    vectors = list(flat.kernel_basis) + list(ExactMatrix.identity(n).entries)
-    return tuple(vectors[k] for k in independent_subset(vectors)[flat.dim:])
-
-
 def central_loop_spectrum_check(
     conn: StandardConnection, flat: Flat, tol: float = 1e-6, seed: int = 0
 ) -> SpectrumReport:
-    """Transport around the loop that rotates the normal component of the
-    basepoint at the flat; the spectrum must match exp(2 pi i a_j) with the
-    normal multiplicities and 1 on the flat directions."""
+    """Transport of the localization at the flat around the central loop
+    e^{i theta} p of a basepoint p; the spectrum must match exp(2 pi i a_j)
+    with the normal multiplicities and 1 on the flat directions.
+
+    Every hyperplane of the localization contains the flat, so the
+    connection form on this loop is i A_L whatever part of p lies in the
+    flat: the loop needs no splitting of p and no normal frame.
+    """
     loc = localization_connection(conn, flat)
     arr = loc.arrangement
-    flat_loc = flat_from_basis(arr, flat.kernel_basis)
-    exact, p = _draw_basepoint(arr, seed)
-    if all(loc.residue(h.id).is_zero() for h in arr.hyperplanes):
-        # trivial connection: no normal frame; any exact complement works
-        perp = _standard_complement(flat_loc, arr.dimension)
-    else:
-        perp = flat_perp_basis(loc, flat_loc)
-    basis = list(flat_loc.kernel_basis) + list(perp)
-    coords = coordinates_in_basis(basis, exact)
-    if coords is None:
-        raise PreconditionError("basepoint decomposition failed; weights degenerate")
-    d = len(flat_loc.kernel_basis)
-    p_flat = np.zeros(arr.dimension, dtype=complex)
-    for c, b in zip(coords[:d], flat_loc.kernel_basis):
-        p_flat += complex(c) * vec_complex(b)
-    p_perp = p - p_flat
-    loop = make_loop(arr, p, (Arc(p_flat, p_perp, 2.0 * np.pi),))
+    p = _draw_basepoint(arr, seed)
+    loop = make_loop(arr, p, (Arc(np.zeros_like(p), p, 2.0 * np.pi),))
     t, err = holonomy(loc, loop, tol=min(1e-9, tol * 1e-2))
     computed = sorted(np.linalg.eigvals(t), key=lambda z: (z.real, z.imag))
-    from .arrangement import irreducible_components
-
-    predicted = [1.0 + 0.0j] * d
-    for comp in irreducible_components(arr, flat_loc):
-        a_i = weight_at_flat(loc, comp)
-        mult = comp.codim
-        predicted.extend([np.exp(2j * np.pi * complex(a_i))] * mult)
+    predicted = [1.0 + 0.0j] * flat.dim
+    for comp in irreducible_components(conn.arrangement, flat):
+        predicted.extend([np.exp(2j * np.pi * complex(weight_at_flat(conn, comp)))] * comp.codim)
     predicted = sorted(predicted, key=lambda z: (z.real, z.imag))
     worst = _match_multisets(predicted, computed)
     return SpectrumReport(
@@ -365,7 +334,7 @@ def residue_limit_check(
     of the residue; radii are fractions (< 1) of the safe distance around
     the crossing."""
     arr = conn.arrangement
-    _, p = _draw_basepoint(arr, seed)
+    p = _draw_basepoint(arr, seed)
     data = meridian(arr, p, hyperplane_id)
     w = data.direction
     t_star = data.t_star
@@ -552,12 +521,15 @@ def holonomy_report(
     signature_tol: float = 1e-6,
 ) -> HolonomyReport:
     """Transport all requested loops and assemble the invariant-form and
-    irreducibility analysis in the basepoint frame."""
+    irreducibility analysis in the basepoint frame.  tol must lie in
+    [MIN_TOL, 0.1); anything else is an InputError."""
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     if tol >= 0.1:
         # the analysis runs at 10 tol, and no unit residual exceeds 1
         raise InputError(f"tolerance must be below 0.1, got {tol!r}")
+    if tol < MIN_TOL:
+        raise InputError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
     if loops not in ("meridians", "central", "all"):
         raise PreconditionError(f"unknown loops selection {loops!r}")
     gen = generator_loops(conn.arrangement, seed=seed)

@@ -25,7 +25,7 @@ from arrconn.arrangement import (
     restriction,
 )
 from arrconn.errors import InputError, LatticeCapError, PreconditionError
-from arrconn.numkernel import GaussianRational, span_rank, vec, vec_dot
+from arrconn.numkernel import GaussianRational, rank_kernel, span_rank, vec, vec_dot
 
 
 def boolean(n):
@@ -344,6 +344,25 @@ class TestDeletionRestriction:
         assert sorted(dr.projection) == sorted(h.id for h in dr.deleted.hyperplanes)
         trace_ids = {h.id for h in dr.restricted.hyperplanes}
         assert set(dr.projection.values()) == trace_ids
+
+    @given(small_arrangements())
+    def test_separator_matches_kernel_oracle(self, arr):
+        for i0, h0 in enumerate(arr.hyperplanes):
+            others = [h.form for h in arr.hyperplanes if h is not h0]
+            center = rank_kernel(others)[1] if others else ambient_flat(arr).kernel_basis
+            outside = any(vec_dot(h0.form, b) for b in center)
+            assert deletion_restriction(arr, h0.id).separator == outside
+
+    def test_separator_solves_no_kernel(self, monkeypatch):
+        arr = braid(4)
+        arr.hyperplane_kernels
+        calls = []
+        monkeypatch.setattr(
+            "arrconn.arrangement.rank_kernel", lambda m: calls.append(m) or rank_kernel(m)
+        )
+        for h in arr.hyperplanes:
+            assert not deletion_restriction(arr, h.id).separator
+        assert calls == []
 
     def test_deleted_braid_stays_essential(self):
         # essential irreducible arrangements keep full rank after deletion

@@ -279,16 +279,22 @@ class TestNumericCommands:
         assert code == 2
         assert "tolerance" in err
 
-    @pytest.mark.parametrize("tol, code", [("0.1", 2), ("0.5", 2), ("0.05", 0)])
+    # a tolerance must lie in [1e-15, 0.1): below double precision the
+    # transport loses the invariant form (1e-16) or runs for minutes (1e-25)
+    @pytest.mark.parametrize(
+        "tol, code",
+        [("0.1", 2), ("0.5", 2), ("0.05", 0), ("1e-15", 0), ("1e-16", 2), ("1e-25", 2), ("1e-40", 2)],
+    )
     def test_holonomy_tolerance_below_tenth(self, capsys, lauricella_file, tol, code):
         got, _, err = run(capsys, "holonomy", lauricella_file, "--tol", tol)
         assert got == code
         if code:
             assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_holonomy_pole_proximity_is_one_line(self, capsys, lauricella_file):
-        # the step size underflows before the tolerance is met
-        code, _, err = run(capsys, "holonomy", lauricella_file, "--tol", "1e-40")
+    def test_holonomy_pole_proximity_is_one_line(self, capsys, lauricella_file, monkeypatch):
+        # a minimum step above the first step size fails the first step
+        monkeypatch.setattr("arrconn.numkernel.MIN_STEP", 1.0)
+        code, _, err = run(capsys, "holonomy", lauricella_file)
         assert code == 1
         assert err == "error: path too close to singular locus\n"
 

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 import arrconn.arrangement as arrangement_module
 import arrconn.numkernel as numkernel_module
-from arrconn.arrangement import Arrangement, Flat, Hyperplane, _matroid_components
+from arrconn.arrangement import Arrangement, Hyperplane, _matroid_components
 from arrconn.connection import StandardConnection, check_weight_constraints, euler_field
 from arrconn.errors import PreconditionError
-from arrconn.holonomy import _standard_complement
 from arrconn.lauricella import _check_braid, build_An, flat_to_partition, reduced_residues
 from arrconn.numkernel import (
     GR_ONE,
@@ -29,7 +28,6 @@ from arrconn.numkernel import (
     independent_subset,
     row_echelon,
     solve_exact,
-    span_rank,
 )
 from conftest import random_params_nonzero_subsets
 from test_arrangement import _PARTS, boolean, small_arrangements
@@ -83,16 +81,6 @@ def greedy_independent(vectors):
     return chosen
 
 
-def greedy_complement(flat, n):
-    chosen = []
-    for i in range(n):
-        e = tuple(GR_ONE if j == i else GR_ZERO for j in range(n))
-        trial = list(flat.kernel_basis) + chosen + [e]
-        if span_rank(trial) == len(trial):
-            chosen.append(e)
-    return tuple(chosen)
-
-
 def inverse_by_columns(columns):
     n = len(columns)
     basis = ExactMatrix.from_columns(columns)
@@ -113,11 +101,6 @@ def vector_lists(draw):
     pool.append(tuple([GR_ZERO] * n))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=9))
     return n, [pool[k] for k in picks]
-
-
-def _flat_of(n, vectors):
-    basis = tuple(vectors[k] for k in greedy_independent(vectors))
-    return Flat(containing=(), kernel_basis=basis, codim=n - len(basis))
 
 
 # -- the single-echelon versions agree with the greedy loops ---------------------------
@@ -146,17 +129,6 @@ class TestAgainstGreedyLoops:
         for flat in arr.lattice().flats:
             forms = [arr.form(i) for i in flat.containing]
             assert independent_subset(forms) == greedy_independent(forms)
-
-    @given(vector_lists())
-    def test_standard_complement(self, drawn):
-        n, vectors = drawn
-        flat = _flat_of(n, vectors)
-        assert _standard_complement(flat, n) == greedy_complement(flat, n)
-
-    @given(small_arrangements())
-    def test_standard_complement_of_flats(self, arr):
-        for flat in arr.lattice().flats:
-            assert _standard_complement(flat, arr.dimension) == greedy_complement(flat, arr.dimension)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_euler_field_matrix(self, n):

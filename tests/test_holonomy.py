@@ -106,7 +106,7 @@ class TestGeneratorLoops:
 
         # 1e-9 off H_1_2 (z_1 = z_2) on every draw
         point = np.array([0.3 + 1e-9, 0.3], dtype=complex)
-        monkeypatch.setattr(hol, "_draw_basepoint", lambda arr, seed: ((F(3, 10), F(3, 10)), point))
+        monkeypatch.setattr(hol, "_draw_basepoint", lambda arr, seed: point)
         with pytest.raises(PreconditionError, match="clearance"):
             generator_loops(reduced_residues([F(1), F(2), F(3)]).arrangement)
 
@@ -272,6 +272,27 @@ class TestCentralLoops:
         assert report.ok
         assert np.allclose(report.predicted, 1.0)
 
+    def test_zero_residue_inside_the_flat(self):
+        # the H_1_2 residue is zero, so it has no normal vector
+        conn = reduced_residues([F(0), F(0), F(3, 10)])
+        origin = flat_from_indices(conn.arrangement, [0, 1, 2])
+        report = central_loop_spectrum_check(conn, origin, tol=1e-6)
+        assert report.ok, report
+        assert np.allclose(report.predicted, np.exp(2j * np.pi * 0.3))
+
+    @pytest.mark.parametrize("indices", [[0], [0, 1]])
+    def test_nilpotent_residue(self, indices):
+        # the z1 residue is nilpotent: its normal vector would lie inside z1
+        arr = Arrangement(
+            2, [Hyperplane("z1", vec([1, 0])), Hyperplane("z2", vec([0, 1]))]
+        )
+        conn = StandardConnection(
+            arr,
+            {"z1": ExactMatrix([[0, 0], [1, 0]]), "z2": ExactMatrix([[0, 0], [0, F(1, 3)]])},
+        )
+        report = central_loop_spectrum_check(conn, flat_from_indices(arr, indices), tol=1e-6)
+        assert report.ok, report
+
 
 class TestResidueLimit:
     def test_one_dim_exact_at_all_radii(self):
@@ -402,7 +423,9 @@ class TestReportAssembly:
         rep0 = holonomy_report(trivial, tol=1e-8)
         assert rep0.signature is not None  # 1-dim space for the 1-dim identity rep
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+    # below 1e-15 the A_2 report loses its invariant form (1e-16) or the
+    # transport runs for minutes (1e-25)
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan, 1e-16, 1e-25])
     def test_bad_tolerance_is_input_error(self, tol):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
         with pytest.raises(InputError, match="tolerance"):

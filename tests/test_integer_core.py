@@ -359,6 +359,11 @@ class TestRestrictionsTorsionInduced:
         for h in conn.arrangement.hyperplanes:
             self._compare(conn, h.id)
 
+    def test_torsion_free_builds_no_kernel(self):
+        conn = reduced_residues([Fraction(1, 10 + i) for i in range(5)])
+        assert check_torsion_free(conn).ok
+        assert "hyperplane_kernels" not in vars(conn.arrangement)
+
     def test_induced_connection_solves_no_kernel(self, monkeypatch):
         conn = reduced_residues([Fraction(1, 10 + i) for i in range(5)])
         conn.arrangement.hyperplane_kernels
