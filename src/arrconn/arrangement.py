@@ -126,10 +126,11 @@ class Arrangement:
         return self._lattice
 
     @cached_property
-    def hyperplane_kernels(self) -> tuple:
-        """Kernel basis of each hyperplane's form, in hyperplane order,
-        solved once per arrangement."""
-        return tuple(tuple(rank_kernel([h.form])[1]) for h in self.hyperplanes)
+    def hyperplane_flats(self) -> tuple:
+        """The flats covering the ambient flat, built once: no two forms are
+        proportional, so one per hyperplane H, in order, with kernel basis
+        e_j - (f_j / f_p) e_p (j != p; f the form of H, f_p its first nonzero)."""
+        return tuple(_covering_flats(self, [ambient_flat(self)], {}))
 
     @cached_property
     def complex_forms(self) -> np.ndarray:
@@ -152,9 +153,8 @@ class Arrangement:
     def essential_irreducible_restrictions(self) -> frozenset:
         """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
         irreducible, decided once per arrangement (no cap enters)."""
-        return frozenset(
-            i0 for i0 in range(len(self)) if _hyperplane_restriction(self, i0)[1].essential_irreducible
-        )
+        flats = enumerate(self.hyperplane_flats)
+        return frozenset(i0 for i0, flat in flats if _restricted(self, flat)[1].essential_irreducible)
 
     @cached_property
     def _decomposition(self) -> tuple:
@@ -251,20 +251,12 @@ class Lattice:
     def __init__(self, arr: Arrangement, flats):
         self.arrangement = arr
         self.flats = sorted(flats, key=lambda f: (f.codim, f.containing))
-        self.by_key = {f.containing: f for f in self.flats}
 
     def __len__(self):
         return len(self.flats)
 
-    def __contains__(self, flat: Flat) -> bool:
-        return flat.containing in self.by_key
-
     def of_codim(self, c: int):
         return [f for f in self.flats if f.codim == c]
-
-    def leq(self, l: Flat, m: Flat) -> bool:
-        """Reverse-inclusion order: L <= M iff L contains M as a subspace."""
-        return set(l.containing) <= set(m.containing)
 
     @cached_property
     def irreducible(self) -> tuple:
@@ -273,7 +265,20 @@ class Lattice:
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
-    """Breadth-first search from the ambient flat over covering flats.
+    """Breadth-first search from the ambient flat, one level of covering
+    flats (``_covering_flats``) at a time."""
+    start = ambient_flat(arr)
+    flats = {start.containing: start}
+    frontier = [start]
+    while frontier:
+        frontier = _covering_flats(arr, frontier, flats)
+    return Lattice(arr, flats.values())
+
+
+def _covering_flats(arr: Arrangement, frontier, seen: dict) -> list:
+    """The flats covering those of the frontier that are not yet in
+    ``seen`` (a dict from containing sets to flats, updated), in order of
+    the frontier and then of the first member of each class.
 
     The flats covering F are the classes of proportional traces on F of
     the hyperplanes not containing it (``_trace_classes``); a class's flat
@@ -282,27 +287,22 @@ def build_lattice(arr: Arrangement) -> Lattice:
     class's first member, in F's kernel_basis frame, mapped back to C^n
     (``_trace_kernel``).
     """
-    start = ambient_flat(arr)
-    flats = {start.containing: start}
-    frontier = [start]
-    while frontier:
-        new = []
-        bases = [_cleared_basis(flat.kernel_basis) for flat in frontier]
-        # one product for the whole level, sliced flat by flat
-        rows = _integer_traces(arr, [p for parts, _ in bases for p in parts])
-        hi = 0
-        for flat, (parts, mus) in zip(frontier, bases):
-            lo, hi = hi, hi + len(parts)
-            traces = [(re[lo:hi], im[lo:hi]) for re, im in rows]
-            for sources in _trace_classes(traces, flat.containing):
-                key = tuple(sorted(flat.containing + sources))
-                if key in flats:
-                    continue
-                basis = _trace_kernel(traces[sources[0]], flat.kernel_basis, parts, mus)
-                flats[key] = Flat(key, basis, arr.dimension - len(basis))
-                new.append(flats[key])
-        frontier = new
-    return Lattice(arr, flats.values())
+    new = []
+    bases = [_cleared_basis(flat.kernel_basis) for flat in frontier]
+    # one product for the whole level, sliced flat by flat
+    rows = _integer_traces(arr, [p for parts, _ in bases for p in parts])
+    hi = 0
+    for flat, (parts, mus) in zip(frontier, bases):
+        lo, hi = hi, hi + len(parts)
+        traces = [(re[lo:hi], im[lo:hi]) for re, im in rows]
+        for sources in _trace_classes(traces, flat.containing):
+            key = tuple(sorted(flat.containing + sources))
+            if key in seen:
+                continue
+            basis = _trace_kernel(traces[sources[0]], flat.kernel_basis, parts, mus)
+            seen[key] = Flat(key, basis, arr.dimension - len(basis))
+            new.append(seen[key])
+    return new
 
 
 def _cleared_basis(basis):
@@ -395,10 +395,16 @@ def _traces_on(arr: Arrangement, flat: Flat):
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """Induced arrangement on a flat, in its kernel_basis coordinates."""
     _require_flat(arr, flat)
+    return _restricted(arr, flat)[1]
+
+
+def _restricted(arr: Arrangement, flat: Flat):
+    """The traces on a flat of the arrangement (``_traces_on``) and the
+    restriction they make; a flat that is a point is refused."""
     if flat.dim == 0:
         raise PreconditionError("restriction to a point undefined")
     traces = _traces_on(arr, flat)
-    return Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
+    return traces, Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
 
 
 def center_rank_essential(arr: Arrangement):
@@ -498,30 +504,21 @@ class DeletionRestriction:
 def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     """Deletion-restriction triple at the hyperplane with id h0.
 
-    ``projection`` maps each surviving hyperplane id to the id of its trace
-    on h0 (merged traces share one id).  h0 is a separator when the center
-    of the deleted arrangement is not inside h0, that is, when its form is
-    outside the span of the other forms: a coloop of the matroid of the
-    forms.  No form is zero, so a coloop is exactly a one-element block of
-    the cached irreducible decomposition.
+    The restriction is to h0's flat in ``arr.hyperplane_flats`` (so C^1 is
+    refused as a point).  ``projection`` maps each surviving hyperplane id
+    to the id of its trace on h0 (merged traces share one id).  h0 is a
+    separator when the center of the deleted arrangement is not inside h0,
+    that is, when its form is outside the span of the other forms: a
+    coloop of the matroid of the forms.  No form is zero, so a coloop is
+    exactly a one-element block of the cached irreducible decomposition.
     """
     i0 = arr.index_of(h0)
     keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
     deleted = Arrangement(arr.dimension, keep)
-    traces, restricted = _hyperplane_restriction(arr, i0)
+    traces, restricted = _restricted(arr, arr.hyperplane_flats[i0])
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
     separator = (i0,) in arr._decomposition[0]
     return DeletionRestriction(deleted, restricted, projection, separator)
-
-
-def _hyperplane_restriction(arr: Arrangement, i0: int):
-    """The restriction half of ``deletion_restriction``: the traces on
-    H_i0, in the frame of its cached kernel basis, and the restriction
-    A^{H_i0}.  No other hyperplane is proportional to H_i0, so as a flat
-    it contains H_i0 alone."""
-    flat = Flat((i0,), arr.hyperplane_kernels[i0], arr.dimension - 1)
-    traces = _traces_on(arr, flat)
-    return traces, Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
 
 
 def _require_flat(arr: Arrangement, flat: Flat):

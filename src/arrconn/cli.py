@@ -123,9 +123,7 @@ def cmd_check(args) -> int:
             "codim": flat.codim,
             "weight": arrmod._entry_to_json(w),
         }
-        for flat, w in sorted(
-            weight_report.table.items(), key=lambda kv: (kv[0].codim, kv[0].containing)
-        )
+        for flat, w in weight_report.table.items()
     ]
     constraint_rows = []
     constraints_ok = True

@@ -28,8 +28,8 @@ from .arrangement import (
     arrangement_to_json,
     _entry_to_json,
     _parse_entry,
-    _hyperplane_restriction,
     _read_json,
+    _restricted,
     flat_from_indices,
     irreducible_decomposition,
     irreducible_flats,
@@ -237,7 +237,8 @@ class WeightReport:
 
 
 def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport:
-    """Weight of every irreducible flat; the verdict lists zero weights."""
+    """Weight of every irreducible flat, in lattice order; the verdict
+    lists zero weights."""
     table = {}
     zero = []
     for flat in irreducible_flats(conn.arrangement, cap=cap):
@@ -323,11 +324,8 @@ def decomposition_at_flat(conn: StandardConnection, flat: Flat) -> Decomposition
     items = {}
     stacked = list(flat.kernel_basis) + perp_all
     items["direct_sum"] = len(stacked) == n and span_rank(stacked) == n
-    _, ker = rank_kernel(a_l) if flat.containing else (0, list(flat.kernel_basis))
-    items["kernel"] = (
-        same_span(ker, flat.kernel_basis) if (ker or flat.kernel_basis) else True
-    )
-    items["perp_splits"] = span_rank(perp_all) == len(perp_all) if perp_all else True
+    items["kernel"] = same_span(rank_kernel(a_l)[1], flat.kernel_basis)
+    items["perp_splits"] = span_rank(perp_all) == len(perp_all)
     scalar_ok = True
     for comp, part in zip(components, perp_parts):
         a_comp = weight_at_flat(conn, comp)
@@ -498,7 +496,8 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
 
     The residue at a trace H'' is the restriction to H0 of the full residue
     of the codimension-two flat H'' (sum over all hyperplanes through it),
-    written in the kernel-basis coordinates of H0.
+    written in the kernel-basis coordinates of H0's flat in
+    ``arr.hyperplane_flats``; in C^1 that flat is a point, and is refused.
     """
     arr = conn.arrangement
     i0 = arr.index_of(h0)
@@ -506,8 +505,8 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
         raise PreconditionError(
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
-    basis = arr.hyperplane_kernels[i0]
-    traces, restricted = _hyperplane_restriction(arr, i0)
+    flat = arr.hyperplane_flats[i0]
+    traces, restricted = _restricted(arr, flat)
     residues = {}
     for trace in traces:
         # the codimension-two flat H0 ∩ H_s contains exactly H0 and the
@@ -515,7 +514,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
         a_full = conn.residue(h0)
         for i in trace.sources:
             a_full = a_full + conn.residue(arr.hyperplanes[i].id)
-        residues[trace.id] = _residue_in_basis(a_full, basis)
+        residues[trace.id] = _residue_in_basis(a_full, flat.kernel_basis)
         if residues[trace.id] is None:
             raise PreconditionError(
                 f"residue of the flat {trace.id} does not preserve {h0}; "
@@ -523,7 +522,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
             )
     induced = StandardConnection(restricted, residues)
     projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
-    return InducedConnection(induced, h0, basis, projection)
+    return InducedConnection(induced, h0, flat.kernel_basis, projection)
 
 
 # -- linear weight constraints -------------------------------------------------

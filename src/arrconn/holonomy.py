@@ -383,8 +383,7 @@ def invariant_forms(generators, tol: float = 1e-8):
     n = gens[0].shape[0]
     basis = _hermitian_basis(n)
     _, s, vt = np.linalg.svd(_constraint_matrix(gens, basis), full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    null_dim = int(np.sum(s <= tol * max(smax, 1.0))) + basis.shape[1] - s.size
+    null_dim = int(np.sum(s <= tol * max(s[0], 1.0)))
     forms = []
     for k in range(null_dim):
         mat = (basis @ vt[-(k + 1)]).reshape(n, n)

@@ -435,9 +435,6 @@ def solve_exact(matrix: ExactMatrix, rhs: ExactVector):
     aug = [list(row) + [b] for row, b in zip(matrix.entries, rhs)]
     rref, pivots = row_echelon(aug)
     n = matrix.cols
-    for row in rref:
-        if not any(row[:n]) and row[n]:
-            return None
     x = [GR_ZERO] * n
     for r, pc in enumerate(pivots):
         if pc == n:

@@ -245,7 +245,6 @@ def local_integrability(conn: StandardConnection) -> IntegrabilityReport:
             raise PreconditionError("local integrability needs real weights")
         if not w.re < 1:
             witnesses.append(flat)
-    witnesses.sort(key=lambda f: (f.codim, f.containing))
     return IntegrabilityReport(not witnesses, tuple(witnesses))
 
 

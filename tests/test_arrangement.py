@@ -81,13 +81,6 @@ class TestLattice:
             again = flat_from_indices(arr, flat.containing)
             assert again.containing == flat.containing
 
-    def test_partial_order(self):
-        arr = braid(2)
-        lat = arr.lattice()
-        origin = flat_from_indices(arr, [0, 1, 2])
-        for flat in lat.flats:
-            assert lat.leq(flat, origin)
-
     def test_cap(self):
         arr = braid(6)  # 21 hyperplanes
         with pytest.raises(LatticeCapError) as err:
@@ -133,11 +126,21 @@ class TestLatticeOracle:
             for size in range(len(arr) + 1)
             for subset in combinations(range(len(arr)), size)
         }
-        assert set(lat.by_key) == closures
+        assert {f.containing for f in lat.flats} == closures
         for f in lat.flats:
             assert all(not vec_dot(arr.form(i), b) for i in f.containing for b in f.kernel_basis)
             assert flat_from_basis(arr, f.kernel_basis).containing == f.containing
             assert f.codim == arr.dimension - len(f.kernel_basis)
+
+    @given(small_arrangements())
+    def test_hyperplane_flats_are_the_codim_one_flats(self, arr):
+        codim1 = arr.lattice().of_codim(1)
+        assert len(arr.hyperplane_flats) == len(codim1) == len(arr)
+        for i, (flat, lattice_flat) in enumerate(zip(arr.hyperplane_flats, codim1)):
+            assert flat.containing == lattice_flat.containing == (i,)
+            assert (flat.codim, flat.dim) == (1, arr.dimension - 1)
+            assert flat.kernel_basis == flat_from_indices(arr, [i]).kernel_basis
+            assert flat.kernel_basis == lattice_flat.kernel_basis
 
 
 class TestRestrictionCache:
@@ -338,6 +341,11 @@ class TestDeletionRestriction:
         assert len(dr.restricted) == 0
         assert dr.separator
 
+    def test_line_restricts_to_a_point(self):
+        arr = Arrangement(1, [Hyperplane("h", vec([1]))])
+        with pytest.raises(PreconditionError, match="restriction to a point"):
+            deletion_restriction(arr, "h")
+
     def test_projection_covers_deleted(self):
         arr = braid(3)
         dr = deletion_restriction(arr, "H_1_2")
@@ -355,7 +363,6 @@ class TestDeletionRestriction:
 
     def test_separator_solves_no_kernel(self, monkeypatch):
         arr = braid(4)
-        arr.hyperplane_kernels
         calls = []
         monkeypatch.setattr(
             "arrconn.arrangement.rank_kernel", lambda m: calls.append(m) or rank_kernel(m)

@@ -307,6 +307,12 @@ class TestDerivedConnections:
         with pytest.raises(PreconditionError):
             induced_connection(conn, "H_1_2")
 
+    def test_induced_on_a_line_is_a_point(self):
+        arr = Arrangement(1, [Hyperplane("h", vec([1]))])
+        conn = StandardConnection(arr, {"h": ExactMatrix([[F(1, 3)]])})
+        with pytest.raises(PreconditionError, match="restriction to a point"):
+            induced_connection(conn, "h")
+
     def test_induced_boolean(self):
         conn = boolean_connection((F(1, 3), F(2, 5)))
         ind = induced_connection(conn, "z1")
@@ -394,14 +400,14 @@ class TestWeightConstraints:
         import arrconn.connection as connmod
 
         calls = []
-        original = arrmod._hyperplane_restriction
+        original = arrmod._restricted
 
-        def counting(arr, i0):
-            calls.append(i0)
-            return original(arr, i0)
+        def counting(arr, flat):
+            calls.append(flat)
+            return original(arr, flat)
 
-        monkeypatch.setattr(arrmod, "_hyperplane_restriction", counting)
-        monkeypatch.setattr(connmod, "_hyperplane_restriction", counting, raising=False)
+        monkeypatch.setattr(arrmod, "_restricted", counting)
+        monkeypatch.setattr(connmod, "_restricted", counting)
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10), F(5, 10)])
         check_weight_constraints(conn)
         assert len(calls) == len(conn.arrangement) == 10

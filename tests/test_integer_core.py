@@ -27,12 +27,15 @@ from arrconn.arrangement import (
 )
 from arrconn.connection import (
     StandardConnection,
+    check_flat,
     check_torsion_free,
+    check_weight_constraints,
     induced_connection,
     residue_at_flat,
+    weights,
 )
 from arrconn.errors import InputError, PreconditionError
-from arrconn.lauricella import build_An, reduced_residues
+from arrconn.lauricella import build_An, recover_parameters, reduced_residues
 from arrconn.numkernel import (
     GR_ONE,
     GR_ZERO,
@@ -146,8 +149,8 @@ def fraction_check_torsion_free(conn):
     arr = conn.arrangement
     return tuple(
         h.id
-        for h, kernel in zip(arr.hyperplanes, arr.hyperplane_kernels)
-        if any(any(conn.residue(h.id).apply(b)) for b in kernel)
+        for h in arr.hyperplanes
+        if any(any(conn.residue(h.id).apply(b)) for b in rank_kernel([h.form])[1])
     )
 
 
@@ -159,7 +162,7 @@ def fraction_induced_connection(conn, h0):
     i0 = arr.index_of(h0)
     if conn.residue(h0).is_zero():
         return "zero"
-    basis = arr.hyperplane_kernels[i0]
+    basis = tuple(rank_kernel([arr.form(i0)])[1])
     dr = deletion_restriction(arr, h0)
     residues = {}
     for trace in dr.restricted.hyperplanes:
@@ -362,17 +365,31 @@ class TestRestrictionsTorsionInduced:
     def test_torsion_free_builds_no_kernel(self):
         conn = reduced_residues([Fraction(1, 10 + i) for i in range(5)])
         assert check_torsion_free(conn).ok
-        assert "hyperplane_kernels" not in vars(conn.arrangement)
+        assert "hyperplane_flats" not in vars(conn.arrangement)
 
     def test_induced_connection_solves_no_kernel(self, monkeypatch):
         conn = reduced_residues([Fraction(1, 10 + i) for i in range(5)])
-        conn.arrangement.hyperplane_kernels
         calls = []
         original = numkernel_module.rank_kernel
         monkeypatch.setattr(
             "arrconn.arrangement.rank_kernel", lambda m: calls.append(m) or original(m)
         )
         induced_connection(conn, "H_1_2")
+        assert calls == []
+
+    def test_exact_checks_solve_no_kernel(self, monkeypatch):
+        conn = reduced_residues([Fraction(1, 10 + i) for i in range(6)])  # A_5
+        calls = []
+        original = numkernel_module.rank_kernel
+        for module in ("numkernel", "arrangement", "connection"):
+            monkeypatch.setattr(
+                f"arrconn.{module}.rank_kernel", lambda m: calls.append(m) or original(m)
+            )
+        check_torsion_free(conn)
+        check_flat(conn)
+        weights(conn)
+        check_weight_constraints(conn)
+        recover_parameters(conn)
         assert calls == []
 
     @staticmethod

@@ -97,6 +97,20 @@ class TestExactLinearAlgebra:
             assert sol is not None
             assert m.apply(sol) == b
 
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [([[1, 2], [2, 4]], [1, 3]), ([[0, 0], [1, 1]], [1, 2]), ([[1, 0, 1], [1, 0, 1]], [0, 1])],
+    )
+    def test_solve_inconsistent_is_none(self, rows, rhs):
+        assert solve_exact(ExactMatrix(rows), vec(rhs)) is None
+
+    def test_solve_singular_consistent(self):
+        m = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 0]])
+        b = vec([3, 6, 0])
+        sol = solve_exact(m, b)
+        assert sol == vec([3, 0, 0])
+        assert m.apply(sol) == b
+
     def test_row_echelon_pivots(self):
         rref, pivots = row_echelon([vec([0, 1]), vec([0, 2])])
         assert pivots == [1]
