@@ -32,6 +32,9 @@ from .numkernel import (
 )
 
 DEFAULT_LATTICE_CAP = 20
+# the largest dimension, and builtin n, that a file may give; a larger one
+# is refused as it is read, before any hyperplane or array is built
+MAX_DIMENSION = 64
 
 
 @dataclass(frozen=True)
@@ -168,17 +171,16 @@ class Arrangement:
         """
         if not len(self):
             raise PreconditionError("irreducible decomposition of an empty arrangement")
-        fr, fi = self._integer_forms
-        blocks, total = _matroid_components(fr, fi)
+        blocks, total = _blocks(self, range(len(self)))
         block_ranks = 0
         for block in blocks:
-            sub_blocks, rank = _matroid_components(fr[block], fi[block])
+            sub_blocks, rank = _blocks(self, block)
             if len(sub_blocks) != 1:
                 raise AssertionError("matroid decomposition produced a reducible block")
             block_ranks += rank
         if block_ranks != total:
             raise AssertionError("matroid decomposition failed rank additivity")
-        return tuple(tuple(block) for block in blocks), total
+        return tuple(blocks), total
 
 
 @dataclass(frozen=True)
@@ -407,12 +409,6 @@ def _restricted(arr: Arrangement, flat: Flat):
     return traces, Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
 
 
-def center_rank_essential(arr: Arrangement):
-    """Center flat, rank (codim of the center) and essentiality."""
-    center = flat_from_indices(arr, range(len(arr)))
-    return center, center.codim, center.codim == arr.dimension
-
-
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -450,10 +446,10 @@ def _matroid_components(re, im):
         for i in range(m):
             if re[i] or im[i]:
                 uf.union(p, i)
-    groups = {}
+    groups = {}  # filled in index order, so ordered by smallest member
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0]), len(pivots)
+    return list(groups.values()), len(pivots)
 
 
 def irreducible_decomposition(arr: Arrangement):
@@ -462,31 +458,32 @@ def irreducible_decomposition(arr: Arrangement):
     return [list(block) for block in arr._decomposition[0]]
 
 
-def irreducible_components(arr: Arrangement, flat: Flat):
-    """Centers of the irreducible blocks of the localization at the flat.
-
-    Components are ordered by their smallest hyperplane index.
-    """
-    _require_flat(arr, flat)
-    if not flat.containing:
-        return []
+def _blocks(arr: Arrangement, indices):
+    """The matroid blocks (``_matroid_components``) of the hyperplanes
+    with the given increasing indices, as sorted index tuples ordered by
+    their smallest member, and the rank of their forms; no indices, no
+    blocks.  On a flat's containing set the blocks are the irreducible
+    components of its localization, and each is closed: a hyperplane
+    through a block's center contains the flat, and its form lies in the
+    span of that block only, as the blocks' spans are independent."""
+    indices = list(indices)
     fr, fi = arr._integer_forms
-    containing = list(flat.containing)
-    blocks = _matroid_components(fr[containing], fi[containing])[0]
-    components = []
-    for block in blocks:
-        components.append(flat_from_indices(arr, [flat.containing[i] for i in block]))
-    return components
+    groups, rank = _matroid_components(fr[indices], fi[indices])
+    return [tuple([indices[i] for i in group]) for group in groups], rank
+
+
+def irreducible_components(arr: Arrangement, flat: Flat):
+    """Centers of the irreducible components of the localization at the
+    flat: one flat per block of its containing set (``_blocks``), which is
+    that flat's containing set, ordered by smallest hyperplane index."""
+    _require_flat(arr, flat)
+    return [flat_from_indices(arr, block) for block in _blocks(arr, flat.containing)[0]]
 
 
 def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
-    """A flat is irreducible when its localization is; the ambient flat
-    (empty localization) is excluded by convention."""
-    if not flat.containing:
-        return False
-    fr, fi = arr._integer_forms
-    containing = list(flat.containing)
-    return len(_matroid_components(fr[containing], fi[containing])[0]) == 1
+    """A flat is irreducible when its containing set is one matroid block;
+    the ambient flat (no hyperplanes, no blocks) is not."""
+    return len(_blocks(arr, flat.containing)[0]) == 1
 
 
 def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:
@@ -578,17 +575,25 @@ def _entry_to_json(value: GaussianRational):
 
 
 def _integer_field(obj: dict, name: str) -> int:
-    """A field holding an integer, or a number or string without a
-    fractional part; a bool, a fraction or anything else is refused."""
+    """A field holding an integer up to MAX_DIMENSION, or a number or
+    string without a fractional part; a bool, a fraction, a larger value
+    or anything else is refused."""
     if name not in obj:
         raise InputError(f"missing field {name!r}")
     value = obj[name]
+    try:  # float() reads "1e99999999" as inf, where Fraction builds the integer
+        if float(value) > MAX_DIMENSION:
+            value = MAX_DIMENSION + 1
+    except (TypeError, ValueError, OverflowError):
+        pass  # a "p/q" string, or an int past the float range
     try:
         number = Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         number = None
     if isinstance(value, bool) or number is None or number.denominator != 1:
         raise InputError(f"field {name!r} must be an integer, got {value!r}")
+    if number > MAX_DIMENSION:
+        raise InputError(f"field {name!r} must be at most {MAX_DIMENSION}")
     return int(number)
 
 
@@ -633,7 +638,7 @@ def _read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # e.g. bad UTF-8, an int past 4300 digits
         raise InputError(str(exc)) from None
 
 

@@ -71,21 +71,20 @@ def _default_cap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    """The lattice report.  Each flat's components are the matroid blocks
+    of its containing set, so no component flat is built; the rank and
+    essentiality are read from the last flat, the one of greatest codim,
+    which is the center, and its blocks are the decomposition."""
     arr = arrmod.load_arrangement(args.file)
-    cap = _default_cap(args)
-    lattice = arr.lattice(cap=cap)
-    blocks = (
-        arrmod.irreducible_decomposition(arr) if len(arr) else []
-    )
-    _, rank, essential = arrmod.center_rank_essential(arr)
+    lattice = arr.lattice(cap=_default_cap(args))
+    center = lattice.flats[-1]
+    rank, essential = center.codim, center.codim == arr.dimension
     flats = []
     for flat in lattice.flats:
         entry = _flat_json(arr, flat)
-        comps = arrmod.irreducible_components(arr, flat)
-        entry["irreducible"] = len(comps) == 1
-        entry["components"] = [
-            [arr.hyperplanes[i].id for i in c.containing] for c in comps
-        ]
+        blocks = arrmod._blocks(arr, flat.containing)[0]
+        entry["irreducible"] = len(blocks) == 1
+        entry["components"] = [[arr.hyperplanes[i].id for i in b] for b in blocks]
         flats.append(entry)
     obj = {
         "dimension": arr.dimension,
@@ -93,7 +92,7 @@ def cmd_lattice(args) -> int:
         "flat_count": len(lattice),
         "rank": rank,
         "essential": essential,
-        "decomposition": [[arr.hyperplanes[i].id for i in b] for b in blocks],
+        "decomposition": flats[-1]["components"],
         "flats": flats,
     }
     lines = [

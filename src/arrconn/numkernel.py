@@ -575,21 +575,12 @@ def ode_transport(rhs, x0: np.ndarray, tol=1e-10):
     (L,), accumulates the local error estimates of each lane's accepted
     steps.  Aborts with PoleProximityError if the step size of any lane
     falls below MIN_STEP.
-
-    An (n, n) x0 with an rhs over 1-D times is the one-lane case; it
-    returns an (n, n) X(1) and a float error.
     """
-    x = np.array(x0, dtype=complex)
-    if x.ndim == 2 and x.shape[0] == x.shape[1]:
-        x1, err = _dormand_prince(lambda ts: rhs(ts[0])[None], x[None], np.array([float(tol)]))
-        return x1[0], float(err[0])
-    if x.ndim != 3 or x.shape[1] != x.shape[2]:
-        raise ValueError("initial value must be a square matrix or a stack of them")
-    return _dormand_prince(rhs, x, np.broadcast_to(np.asarray(tol, dtype=float), x.shape[:1]))
-
-
-def _dormand_prince(rhs, x0, tol):
+    x0 = np.array(x0, dtype=complex)
+    if x0.ndim != 3 or x0.shape[1] != x0.shape[2]:
+        raise ValueError("initial value must be a stack of square matrices")
     lanes, n = x0.shape[:2]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (lanes,))
     size = n * n
     x1 = np.empty_like(x0)
     err_out = np.zeros(lanes)

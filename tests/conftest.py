@@ -1,12 +1,15 @@
-"""Shared helpers for the test suite: seeded rational sampling and the
-exact commutator of two matrices over Q(i)."""
+"""Shared helpers for the test suite: seeded rational sampling, the
+exact commutator of two matrices over Q(i), and one-lane transport."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from arrconn.numkernel import ode_transport
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example deadline (shared CPUs vary in speed).
@@ -17,6 +20,13 @@ settings.load_profile("arrconn")
 def commutator(a, b):
     """[a, b] = ab - ba of two ExactMatrix values."""
     return (a @ b) - (b @ a)
+
+
+def transport_one(rhs, x0, tol):
+    """``ode_transport`` on a stack of one lane: rhs takes 1-D times and
+    returns (k, n, n); returns the (n, n) X(1) and the lane's error."""
+    x1, err = ode_transport(lambda ts: rhs(ts[0])[None], np.array(x0, dtype=complex)[None], tol)
+    return x1[0], err[0]
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9) -> Fraction:

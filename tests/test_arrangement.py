@@ -1,11 +1,17 @@
+import contextlib
+import io
+import json
+import tempfile
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arrconn.arrangement import (
+    _blocks,
     Arrangement,
     Flat,
     Hyperplane,
@@ -13,7 +19,6 @@ from arrconn.arrangement import (
     arrangement_from_json,
     arrangement_to_json,
     braid_hyperplanes,
-    center_rank_essential,
     deletion_restriction,
     flat_from_basis,
     flat_from_indices,
@@ -24,6 +29,7 @@ from arrconn.arrangement import (
     localization,
     restriction,
 )
+from arrconn.cli import main
 from arrconn.errors import InputError, LatticeCapError, PreconditionError
 from arrconn.numkernel import GaussianRational, rank_kernel, span_rank, vec, vec_dot
 
@@ -105,16 +111,51 @@ _PARTS = (-2, -1, 0, 0, 0, 1, 2, Fraction(1, 2))
 
 
 @st.composite
-def small_arrangements(draw):
-    """Non-generic arrangements over Q(i): dimension 2-4, at most 7
-    hyperplanes with small complex coefficients, proportional forms dropped."""
-    n = draw(st.integers(2, 4))
+def small_arrangements(draw, dims=(2, 4), max_size=7):
+    """Non-generic arrangements over Q(i): dimension in ``dims`` (2-4), at
+    most ``max_size`` (7) hyperplanes with small complex coefficients,
+    proportional forms dropped."""
+    n = draw(st.integers(*dims))
     entry = st.builds(GaussianRational, st.sampled_from(_PARTS), st.sampled_from((0, 0, 1, -1)))
     forms = []
-    for form in draw(st.lists(st.tuples(*[entry] * n), max_size=7)):
+    for form in draw(st.lists(st.tuples(*[entry] * n), max_size=max_size)):
         if any(form) and all(span_rank([f, form]) == 2 for f in forms):
             forms.append(form)
     return Arrangement(n, [Hyperplane(f"h{k}", f) for k, f in enumerate(forms)])
+
+
+def direct_sum(*parts):
+    """The arrangement of the parts' forms in disjoint coordinate blocks."""
+    n, planes, offset = sum(p.dimension for p in parts), [], 0
+    for k, part in enumerate(parts):
+        for h in part.hyperplanes:
+            form = [0] * offset + list(h.form) + [0] * (n - offset - part.dimension)
+            planes.append(Hyperplane(f"p{k}{h.id}", vec(form)))
+        offset += part.dimension
+    return Arrangement(n, planes)
+
+
+reducible_arrangements = st.one_of(
+    st.sampled_from([
+        boolean(3),
+        direct_sum(braid(2), Arrangement(1, [])),  # a padded braid: not essential
+        direct_sum(braid(2), Arrangement(2, [Hyperplane("w", vec([1, 0]))])),
+        direct_sum(braid(2), braid(2)),
+    ]),
+    st.builds(direct_sum, small_arrangements((1, 3), 4), small_arrangements((1, 3), 4)),
+    small_arrangements(),
+)
+
+
+def lattice_report(arr) -> dict:
+    """``arrconn lattice --json`` on the arrangement, written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arr.json"
+        path.write_text(json.dumps(arrangement_to_json(arr)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["lattice", str(path), "--json"]) == 0
+    return json.loads(out.getvalue())
 
 
 class TestLatticeOracle:
@@ -143,13 +184,35 @@ class TestLatticeOracle:
             assert flat.kernel_basis == lattice_flat.kernel_basis
 
 
+class TestComponentBlocks:
+    @given(reducible_arrangements)
+    def test_blocks_are_the_closed_components(self, arr):
+        report = lattice_report(arr)
+        center = flat_from_indices(arr, range(len(arr)))
+        assert (report["rank"], report["essential"]) == (center.codim, center.codim == arr.dimension)
+        flats = arr.lattice().flats
+        assert len(report["flats"]) == len(flats)
+        for flat, entry in zip(flats, report["flats"]):
+            blocks = _blocks(arr, flat.containing)[0]
+            assert sorted(i for block in blocks for i in block) == list(flat.containing)
+            assert blocks == sorted(blocks) and all(list(b) == sorted(b) for b in blocks)
+            assert all(flat_from_indices(arr, block).containing == block for block in blocks)
+            assert is_irreducible_flat(arr, flat) == (len(blocks) == 1)
+            components = irreducible_components(arr, flat)
+            assert [c.containing for c in components] == blocks
+            assert entry["hyperplanes"] == [arr.hyperplanes[i].id for i in flat.containing]
+            assert entry["components"] == [[arr.hyperplanes[i].id for i in c.containing] for c in components]
+            assert entry["irreducible"] == (len(components) == 1)
+
+
 class TestRestrictionCache:
     @given(small_arrangements())
     def test_cache_returns_fresh_verdicts(self, arr):
         fresh = set()
         for i0, h0 in enumerate(arr.hyperplanes):
             restricted = deletion_restriction(arr, h0.id).restricted
-            _, _, essential = center_rank_essential(restricted)
+            center = flat_from_indices(restricted, range(len(restricted)))
+            essential = center.codim == restricted.dimension
             if len(restricted) and essential and len(irreducible_decomposition(restricted)) == 1:
                 fresh.add(i0)
         assert arr.essential_irreducible_restrictions == fresh
@@ -249,12 +312,15 @@ class TestLocalizationRestriction:
 class TestCenterRank:
     def test_empty(self):
         arr = Arrangement(2, [])
-        center, rank, essential = center_rank_essential(arr)
+        center = flat_from_indices(arr, range(len(arr)))
+        rank, essential = center.codim, center.codim == arr.dimension
         assert center.codim == 0 and rank == 0 and not essential
 
     def test_braid_essential(self):
         for n in (2, 3):
-            _, rank, essential = center_rank_essential(braid(n))
+            arr = braid(n)
+            center = flat_from_indices(arr, range(len(arr)))
+            rank, essential = center.codim, center.codim == arr.dimension
             assert rank == n and essential
 
     def test_unreduced_braid_not_essential(self):
@@ -264,7 +330,8 @@ class TestCenterRank:
             Hyperplane("23", vec([0, 1, -1])),
         ]
         arr = Arrangement(3, planes)
-        center, rank, essential = center_rank_essential(arr)
+        center = flat_from_indices(arr, range(len(arr)))
+        rank, essential = center.codim, center.codim == arr.dimension
         assert rank == 2 and not essential
         assert center.kernel_basis == (vec([1, 1, 1]),)
 
@@ -377,7 +444,8 @@ class TestDeletionRestriction:
             arr = braid(n)
             for h in arr.hyperplanes:
                 dr = deletion_restriction(arr, h.id)
-                _, rank, essential = center_rank_essential(dr.deleted)
+                center = flat_from_indices(dr.deleted, range(len(dr.deleted)))
+                essential = center.codim == dr.deleted.dimension
                 assert essential, f"deleting {h.id} from the braid arrangement lost rank"
 
 

@@ -1,7 +1,10 @@
 import json
+import time
 
 import pytest
 
+import arrconn.arrangement as arrmod
+import arrconn.numkernel as nummod
 from arrconn.cli import main
 
 
@@ -123,6 +126,18 @@ class TestLattice:
         monkeypatch.setenv("ARRCONN_CAP", "2")
         code, _, _ = run(capsys, "lattice", str(path))
         assert code == 3
+
+    def test_lattice_solves_no_kernel(self, capsys, tmp_path, monkeypatch):
+        # components and the center come from the lattice's own flats
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps({"builtin": "A_n", "n": 5}))
+        calls = []
+        for module, name in [(arrmod, "rank_kernel"), (nummod, "rank_kernel"), (arrmod, "flat_from_indices")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        code, out, _ = run(capsys, "lattice", str(path), "--json")
+        assert code == 0 and json.loads(out)["flat_count"] == 203
+        assert calls == []
 
     def test_determinism(self, capsys, a2_file):
         _, out1, _ = run(capsys, "lattice", a2_file, "--json")
@@ -336,6 +351,55 @@ class TestRepeatedCalls:
         assert first[3][2].startswith("usage: arrconn lauricella")
         assert outcomes() == first
         assert arrconn.cli.build_parser() is arrconn.cli.build_parser()
+
+
+class TestSizeBound:
+    # a dimension or builtin n above MAX_DIMENSION is refused as the file
+    # is read, before any hyperplane is built
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"builtin": "A_n", "n": 1e308},
+            {"builtin": "A_n", "n": "1e9"},
+            {"builtin": "A_n", "n": "1e99999999"},
+            {"builtin": "A_n", "n": "130/2"},
+            {"builtin": "A_n", "n": arrmod.MAX_DIMENSION + 1},
+            {"dimension": 1e30, "hyperplanes": []},
+            {"dimension": 1000000000, "hyperplanes": []},
+        ],
+        ids=["n-1e308", "n-1e9-string", "n-huge-exponent-string", "n-fraction-string", "n-one-over", "dimension-1e30", "dimension-1e9"],
+    )
+    @pytest.mark.parametrize("command", ["lattice", "check", "holonomy"])
+    def test_oversized_exits_2_at_once(self, capsys, tmp_path, monkeypatch, obj, command):
+        def refuse(n):
+            raise AssertionError("braid_hyperplanes called")
+
+        monkeypatch.setattr(arrmod, "braid_hyperplanes", refuse)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj if command == "lattice" else {**obj, "residues": {}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        field = "n" if "builtin" in obj else "dimension"
+        assert err == f"error: field {field!r} must be at most {arrmod.MAX_DIMENSION}\n"
+
+    def test_largest_builtin_is_read(self):
+        n = arrmod.MAX_DIMENSION
+        arr = arrmod.arrangement_from_json({"builtin": "A_n", "n": str(n)})
+        assert (arr.dimension, len(arr)) == (n, n * (n + 1) // 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"builtin": "A_n", "n": ' + b"1" * 5000 + b"}", b'\xff\xfe{"builtin": "A_n", "n": 2}'],
+        ids=["int-past-4300-digits", "not-utf-8"],
+    )
+    def test_unreadable_number_or_text_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, _, err = run(capsys, "lattice", str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCapValues:

@@ -20,6 +20,8 @@ from arrconn.holonomy import (
 from arrconn.lauricella import reduced_residues
 from arrconn.numkernel import ExactMatrix, PoleProximityError, hermitian_signature, ode_transport, vec, vec_complex
 
+from conftest import transport_one
+
 F = Fraction
 
 
@@ -228,7 +230,7 @@ class TestBatchedTransport:
                     e = np.exp(1j * piece.sweep * ts)[:, None]
                     return connection_form(conn, piece.center + e * piece.offset, 1j * piece.sweep * e * piece.offset)
 
-                x, e = ode_transport(rhs, np.eye(n, dtype=complex), 1e-8 * min(1.0, loop.clearance))
+                x, e = transport_one(rhs, np.eye(n, dtype=complex), 1e-8 * min(1.0, loop.clearance))
                 bound = np.linalg.norm(x, 2) * bound + e * (np.linalg.norm(product, 2) + bound)
                 product = x @ product
             assert np.linalg.norm(t - product) <= 1e-12 * max(1.0, np.linalg.norm(product))

@@ -21,7 +21,7 @@ from arrconn.numkernel import (
     vec,
 )
 
-from conftest import commutator, random_rational
+from conftest import commutator, random_rational, transport_one
 
 
 G = GaussianRational
@@ -186,14 +186,14 @@ class TestMatrixExp:
 class TestOdeTransport:
     def test_zero_rhs(self):
         x0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        x1, err = ode_transport(lambda ts: np.zeros((len(ts), 2, 2), dtype=complex), x0, tol=1e-10)
+        x1, err = transport_one(lambda ts: np.zeros((len(ts), 2, 2), dtype=complex), x0, tol=1e-10)
         assert np.array_equal(x1, x0)
         assert err == 0.0
 
     def test_scalar_circle(self):
         # pullback of (1/4) dz/z along the unit circle is constant pi i / 2
         rhs = lambda ts: np.full((len(ts), 1, 1), 0.5j * np.pi)
-        x1, err = ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-10)
+        x1, err = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
         assert abs(x1[0, 0] - 1j) < 1e-8
 
     def test_transport_then_reverse(self):
@@ -209,9 +209,9 @@ class TestOdeTransport:
 
             return rhs
 
-        x1, e1 = ode_transport(make(1.0), np.eye(2, dtype=complex), tol=1e-10)
+        x1, e1 = transport_one(make(1.0), np.eye(2, dtype=complex), tol=1e-10)
         back = lambda ts: -make(1.0)(1.0 - ts)
-        x2, e2 = ode_transport(back, x1, tol=1e-10)
+        x2, e2 = transport_one(back, x1, tol=1e-10)
         assert np.linalg.norm(x2 - np.eye(2)) < 1e-8
 
     def test_pole_abort(self):
@@ -221,7 +221,7 @@ class TestOdeTransport:
             return (1.0 / (ts - 0.5) ** 2).astype(complex).reshape(-1, 1, 1)
 
         with pytest.raises(PoleProximityError):
-            ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-10)
+            transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
 
     def test_pole_abort_warns_nothing(self):
         # the overflow near the blow-up is handled by shrinking the step;
@@ -232,12 +232,12 @@ class TestOdeTransport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PoleProximityError):
-                ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-10)
+                transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
 
     def test_error_estimate_scales(self):
         rhs = lambda ts: np.full((len(ts), 1, 1), 2j * np.pi)
-        _, loose = ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-6)
-        _, tight = ode_transport(rhs, np.eye(1, dtype=complex), tol=1e-12)
+        _, loose = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-6)
+        _, tight = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-12)
         assert tight <= loose + 1e-12
 
     def test_lanes_match_single_runs(self):
@@ -269,7 +269,7 @@ class TestOdeTransport:
         x1, errs = ode_transport(stacked, np.stack(starts), tols)
         assert x1.shape == (3, 2, 2) and errs.shape == (3,)
         for lane, (rhs, x0, tol) in enumerate(zip(systems, starts, tols)):
-            alone, err = ode_transport(rhs, x0, tol)
+            alone, err = transport_one(rhs, x0, tol)
             assert np.linalg.norm(x1[lane] - alone) <= 1e-13 * np.linalg.norm(alone)
             assert abs(errs[lane] - err) <= 1e-9 * err
             ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
@@ -315,7 +315,7 @@ class TestOdeTransport:
                 alone_attempts.append(ts[0] < ts[-1])
                 return rhs(ts)
 
-            alone, err = ode_transport(alone_rhs, x0, tol)
+            alone, err = transport_one(alone_rhs, x0, tol)
             assert attempts[lane] == sum(alone_attempts)
             assert np.array_equal(x1[lane], alone) and errs[lane] == err
             ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
