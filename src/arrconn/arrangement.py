@@ -26,6 +26,7 @@ from .numkernel import (
     cleared,
     common_denominator,
     gaussian_ratio,
+    parse_fraction,
     rank_kernel,
     vec,
     vec_complex,
@@ -563,7 +564,7 @@ def _parse_entry(entry) -> GaussianRational:
     if isinstance(entry, str):
         return GaussianRational.parse(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re, im = (Fraction(str(part).strip()) for part in entry)
+        re, im = (parse_fraction(str(part)) for part in entry)
         return GaussianRational(re, im)
     if isinstance(entry, int):
         return GaussianRational(entry)

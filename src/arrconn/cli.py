@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,11 +21,12 @@ from . import holonomy as holmod
 from . import lauricella as laumod
 from . import pkcriteria as pkmod
 from .errors import ArrConnError, InputError, LatticeCapError
+from .numkernel import parse_fraction
 
 
 def _parse_fraction_list(text: str):
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
+        return tuple(parse_fraction(tok) for tok in text.split(",") if tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational list {text!r}: {exc}") from None
 

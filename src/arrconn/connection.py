@@ -63,9 +63,14 @@ from .numkernel import (
 class IntegerView:
     """The residues over one common denominator d, the least common multiple
     of every entry's denominators: A_k = (re[k] + i im[k]) / d, rows in
-    hyperplane order.  The (m, n, n) arrays hold Python ints (dtype object),
-    so no product can overflow; they are read-only.  ``trace_re[k]`` and
-    ``trace_im[k]`` are the numerators of tr A_k."""
+    hyperplane order.  The (m, n, n) arrays are read-only.  They hold int64
+    when an entrywise bound proves that no product ``check_flat`` or
+    ``check_torsion_free`` forms from them can overflow: with M the largest
+    |re| or |im| numerator and F the largest |entry| of the arrangement's
+    cleared forms, 4 n m M^2 < 2^62 and 4 F max(M, 1) < 2^62.  Otherwise
+    they hold Python ints (dtype object), which cannot overflow.
+    ``trace_re[k]`` and ``trace_im[k]`` are the numerators of tr A_k, as
+    Python ints."""
 
     denominator: int
     re: np.ndarray
@@ -121,20 +126,25 @@ class StandardConnection:
 
     @cached_property
     def integer(self) -> IntegerView:
-        """Gaussian-integer numerators over one common denominator; built on
-        first use, read-only."""
+        """Gaussian-integer numerators over one common denominator, int64
+        when the bound in ``IntegerView`` holds; built on first use,
+        read-only."""
         arr = self.arrangement
-        n = arr.dimension
+        n, m = arr.dimension, len(arr)
         entries = [e for h in arr.hyperplanes for row in self.residues[h.id].entries for e in row]
         d = common_denominator(entries)
-        re, im = (np.array(part, dtype=object).reshape(len(arr), n, n) for part in cleared(entries, d))
+        parts = cleared(entries, d)
+        big = max(map(abs, parts[0] + parts[1]), default=0)
+        form_big = max((abs(x) for forms in arr._integer_forms for x in forms.flat), default=0)
+        fits = 4 * n * m * big**2 < 2**62 and 4 * form_big * max(big, 1) < 2**62
+        re, im = (np.array(part, dtype=np.int64 if fits else object).reshape(m, n, n) for part in parts)
         re.flags.writeable = im.flags.writeable = False
         return IntegerView(
             d,
             re,
             im,
-            tuple(np.trace(re, axis1=1, axis2=2)),
-            tuple(np.trace(im, axis1=1, axis2=2)),
+            tuple(map(int, np.trace(re, axis1=1, axis2=2))),
+            tuple(map(int, np.trace(im, axis1=1, axis2=2))),
         )
 
     def numeric_residue(self, hyperplane_id: str) -> np.ndarray:
@@ -156,10 +166,11 @@ def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
     view, with no kernel basis: with f the cleared form of H and p its
     first nonzero coordinate, ker f is spanned by f_p e_j - f_j e_p, so
     N = d A_H kills H iff f_p N = N[:, p] f^T.  Every hyperplane is tested
-    in one batch of elementwise Gaussian-integer products."""
+    in one batch of elementwise Gaussian-integer products, on the view's
+    dtype."""
     arr = conn.arrangement
     view = conn.integer
-    fr, fi = arr._integer_forms
+    fr, fi = (np.asarray(forms, dtype=view.re.dtype) for forms in arr._integer_forms)
     rows = np.arange(len(arr))
     p = ((fr != 0) | (fi != 0)).argmax(axis=1)
     pr, pi = fr[rows, p][:, None, None], fi[rows, p][:, None, None]
@@ -203,8 +214,9 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
 
     Decided on the integer view: with N = d A, [N_L, N_H] = d^2 [A_L, A_H],
     so every (L, H) pair is stacked and tested with one batched set of
-    Gaussian-integer products.  Violations are listed flat by flat in
-    lattice order, hyperplanes in ``containing`` order."""
+    Gaussian-integer products; when every imaginary part is zero, only the
+    real one.  Violations are listed flat by flat in lattice order,
+    hyperplanes in ``containing`` order."""
     arr = conn.arrangement
     flats = arr.lattice(cap=cap).of_codim(2)
     if not flats:
@@ -219,10 +231,14 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
         return flat_sums[which], part[above]
 
     l_re, h_re = pair_stacks(view.re)
-    l_im, h_im = pair_stacks(view.im)
-    re = _commutators(l_re, h_re) - _commutators(l_im, h_im)
-    im = _commutators(l_re, h_im) + _commutators(l_im, h_re)
-    bad = np.flatnonzero((re != 0).any(axis=(1, 2)) | (im != 0).any(axis=(1, 2)))
+    re = _commutators(l_re, h_re)
+    if view.im.any():
+        l_im, h_im = pair_stacks(view.im)
+        re = re - _commutators(l_im, h_im)
+        nonzero = (re != 0) | (_commutators(l_re, h_im) + _commutators(l_im, h_re) != 0)
+    else:
+        nonzero = re != 0
+    bad = np.flatnonzero(nonzero.any(axis=(1, 2)))
     violations = tuple((flats[which[p]], arr.hyperplanes[above[p]].id) for p in bad)
     return FlatnessReport(not violations, violations)
 

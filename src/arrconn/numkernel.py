@@ -17,9 +17,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArrConnError
+from .errors import ArrConnError, InputError
 
 _FRAC_ZERO = Fraction(0)
+
+MAX_EXPONENT = 4300  # the digit limit of Python's int parsing, so of the JSON reader
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent ("2.5e-3") above
+    MAX_EXPONENT in magnitude: Fraction builds 10**k for the exponent k,
+    which takes seconds from k = 10**7 on."""
+    text = text.strip()
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        raise InputError(f"decimal exponent of {text!r} is above {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 class GaussianRational:
@@ -34,7 +48,7 @@ class GaussianRational:
     @staticmethod
     def parse(text: str) -> "GaussianRational":
         """Parse a rational string like "3/4", "-2" or "0.25"."""
-        return GaussianRational(Fraction(text.strip()))
+        return GaussianRational(parse_fraction(text))
 
     @staticmethod
     def coerce(value) -> "GaussianRational":

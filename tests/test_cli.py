@@ -1,11 +1,13 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 import arrconn.arrangement as arrmod
 import arrconn.numkernel as nummod
-from arrconn.cli import main
+from arrconn.cli import _parse_fraction_list, main
+from arrconn.errors import InputError
 
 
 def run(capsys, *argv):
@@ -400,6 +402,44 @@ class TestSizeBound:
         code, _, err = run(capsys, "lattice", str(path))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestExponentBound:
+    # Fraction("1e99999999") builds 10**99999999; a decimal exponent past
+    # the 4300-digit limit of the JSON reader is refused before that
+    _A2 = {"builtin": "A_n", "n": 2}
+    _ZERO = [["0", "0"], ["0", "0"]]
+
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            (
+                {**_A2, "residues": {"H_1_2": [["1e99999999", "0"], ["0", "0"]], "H_1_3": _ZERO, "H_2_3": _ZERO}},
+                ("check",),
+            ),
+            ({"dimension": 2, "hyperplanes": [{"id": "h", "form": ["1", "-1E-99999999"]}]}, ("lattice",)),
+            (None, ("signature", "--a", "1/2,1e99999999,1/3")),
+        ],
+        ids=["residue-entry", "form-entry", "signature-a"],
+    )
+    def test_huge_exponent_exits_2_at_once(self, capsys, tmp_path, obj, argv):
+        if obj is not None:
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps(obj))
+            argv = (argv[0], str(path))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exponent" in err
+
+    def test_exponent_at_the_limit_is_read(self):
+        assert _parse_fraction_list("1e4300, 3E-4300,2.5e+0_1") == (
+            Fraction(10**4300), Fraction(3, 10**4300), Fraction(25),
+        )
+        with pytest.raises(InputError):
+            _parse_fraction_list("1e4301")
 
 
 class TestCapValues:

@@ -2,8 +2,10 @@
 
 ``fraction_check_flat`` is the Fraction commutator loop that decided
 flatness before the integer view existed; it stays here as the oracle.
+``test_integer_core.fraction_check_torsion_free`` is the torsion oracle.
 """
 
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -11,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arrconn.connection as connection_module
 from arrconn.arrangement import Arrangement, Hyperplane, pair_of_id
 from arrconn.connection import (
     FlatnessReport,
     StandardConnection,
     WeightConstraintRow,
     check_flat,
+    check_torsion_free,
     check_weight_constraints,
     residue_at_flat,
     weight_at_flat,
@@ -26,6 +30,7 @@ from arrconn.lauricella import build_An, recover_parameters, reduced_residues
 from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
 from conftest import commutator, random_params_nonzero_subsets, random_rational
 from test_arrangement import small_arrangements
+from test_integer_core import fraction_check_torsion_free
 
 F = Fraction
 
@@ -244,3 +249,152 @@ class TestIntegerView:
             rows = check_weight_constraints(conn).rows
             assert rows == _rows_from_matrix_traces(conn)
             assert repr(rows) == repr(_rows_from_matrix_traces(conn))
+
+    def test_trace_numerators_are_python_ints(self):
+        fits = reduced_residues([F(1, 3), F(-2, 5), F(3, 7), F(1, 11)], arrangement=_braid(3))
+        past = reduced_residues([*_BIG, F(1, 7), F(2, 9)], arrangement=_braid(3))
+        assert (fits.integer.re.dtype, past.integer.re.dtype) == (np.int64, object)
+        for conn in (fits, past):
+            view = conn.integer
+            assert all(type(x) is int for x in view.trace_re + view.trace_im)
+            total = view.trace_sum(range(len(conn.arrangement)), 2)
+            assert type(total.re.numerator) is int and type(total.im.numerator) is int
+
+
+# -- the int64 bound -----------------------------------------------------------------
+
+_EDGE = 2**62
+
+
+def _bound_holds(conn) -> bool:
+    """4 n m M^2 < 2^62 and 4 F max(M, 1) < 2^62, from the residues and
+    forms as Fractions: M the largest |re| or |im| numerator over the
+    residues' common denominator, F the largest |re| or |im| of a form
+    times its own common denominator."""
+    arr = conn.arrangement
+    n, m = arr.dimension, len(arr)
+    entries = [e for h in arr.hyperplanes for row in conn.residue(h.id).entries for e in row]
+    d = math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+    big = max((abs(x * d) for e in entries for x in (e.re, e.im)), default=0)
+    form_big = max((abs(x) for h in arr.hyperplanes for c in _form_numerators(h) for x in (c.re, c.im)), default=0)
+    return 4 * n * m * big**2 < _EDGE and 4 * form_big * max(big, 1) < _EDGE
+
+
+def _form_numerators(h) -> list:
+    """The form of h times the lcm of its entries' denominators."""
+    mu = math.lcm(*(x.denominator for c in h.form for x in (c.re, c.im)))
+    return [c * GaussianRational(mu) for c in h.form]
+
+
+def _largest_part(matrices) -> int:
+    return max((abs(x) for a in matrices for row in a.entries for e in row for x in (e.re, e.im)), default=0)
+
+
+def _at_edge(arr, residues, side, step, k=0):
+    """The connection with Gaussian-integer ``residues`` scaled (side
+    "flat") so that 4 n m M^2 is the last value under 2^62 (step 0) or the
+    first past it (step 1), or with the form of hyperplane k scaled (side
+    "torsion") so that 4 F max(M, 1) does the same.  Residues that are
+    rank one through a form stay so, as scaling a form keeps its kernel."""
+    n, m = arr.dimension, len(arr)
+    big = _largest_part(residues.values())
+    if side == "flat":
+        top = math.isqrt((_EDGE - 1) // (4 * n * m))  # the largest M under the bound
+        residues = {hid: a.scale(top // big + step) for hid, a in residues.items()}
+    else:
+        h = arr.hyperplanes[k]
+        form_big = max(abs(x) for c in _form_numerators(h) for x in (c.re, c.im))
+        top = (_EDGE - 1) // (4 * max(big, 1))  # the largest F under the bound
+        scale = GaussianRational(top // form_big + step)
+        scaled = Hyperplane(h.id, tuple(c * scale for c in _form_numerators(h)))
+        arr = Arrangement(n, [scaled if i == k else g for i, g in enumerate(arr.hyperplanes)])
+    return StandardConnection(arr, residues)
+
+
+@st.composite
+def bound_edge_connections(draw):
+    """(connection, side, step) with Gaussian-integer residues on A_2-A_4 or
+    a random Q(i) arrangement: zero, scalar, rank one through the form (torsion
+    free), random, or a multiple of one shared matrix; optionally real.
+    ``side`` "far" leaves the entries small; "flat" and "torsion" put the
+    connection at the edge of the bound with ``_at_edge``."""
+    arr = draw(st.one_of(st.integers(2, 4).map(_braid), small_arrangements().filter(len)))
+    n = arr.dimension
+    real = draw(st.booleans())
+    ints = st.integers(-3, 3)
+    entry = st.builds(GaussianRational, ints, st.just(0) if real else ints)
+    shared = _matrix(draw, n, entry)
+    residues = {}
+    for h in arr.hyperplanes:
+        kind = draw(st.sampled_from(("zero", "scalar", "rank-one", "random", "shared")))
+        if kind == "zero":
+            residues[h.id] = ExactMatrix.zeros(n, n)
+        elif kind == "scalar":
+            residues[h.id] = ExactMatrix.identity(n).scale(draw(entry))
+        elif kind == "rank-one":
+            v = [draw(entry) for _ in range(n)]
+            residues[h.id] = ExactMatrix([[x * f for f in _form_numerators(h)] for x in v])
+        elif kind == "random":
+            residues[h.id] = _matrix(draw, n, entry)
+        else:
+            residues[h.id] = shared.scale(draw(entry))
+    side = draw(st.sampled_from(("far", "flat", "torsion")))
+    step = draw(st.integers(0, 1))
+    if side == "far" or (side == "flat" and not _largest_part(residues.values())):
+        return StandardConnection(arr, residues), "far", step
+    k = draw(st.integers(0, len(arr) - 1))
+    return _at_edge(arr, residues, side, step, k), side, step
+
+
+class TestInt64Bound:
+    @settings(max_examples=150)
+    @given(bound_edge_connections())
+    def test_checks_match_oracles_across_the_bound(self, drawn):
+        conn, side, step = drawn
+        view = conn.integer
+        fits = _bound_holds(conn)
+        assert view.re.dtype == view.im.dtype == (np.int64 if fits else object)
+        if side != "far":
+            assert fits == (step == 0)
+        assert check_flat(conn) == fraction_check_flat(conn)
+        assert check_torsion_free(conn).violators == fraction_check_torsion_free(conn)
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["flat", "one-doubled"])
+    @pytest.mark.parametrize("side", ["flat", "torsion"])
+    @pytest.mark.parametrize("step", [0, 1], ids=["under", "over"])
+    def test_lauricella_at_the_edge(self, side, step, doubled):
+        conn = reduced_residues([F(1, 7), F(-2, 9), F(3, 11), F(-4, 13), F(5, 8)], arrangement=_braid(4))
+        d = conn.integer.denominator
+        arr = conn.arrangement
+        bad = arr.hyperplanes[3].id
+        residues = {hid: a.scale(2 * d if doubled and hid == bad else d) for hid, a in conn.residues.items()}
+        edge = _at_edge(arr, residues, side, step, k=5)
+        assert edge.integer.re.dtype == (np.int64 if step == 0 else object)
+        assert _bound_holds(edge) == (step == 0)
+        flat = check_flat(edge)
+        assert flat == fraction_check_flat(edge) and flat.ok == (not doubled)
+        torsion = check_torsion_free(edge)
+        assert torsion.violators == fraction_check_torsion_free(edge) and torsion.ok
+
+    def test_exact_sweep_shape_takes_int64_and_one_product(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.dtype)
+            return commutators(a, b)
+
+        commutators = connection_module._commutators
+        monkeypatch.setattr(connection_module, "_commutators", counting)
+        real = reduced_residues([F(1, 7), F(-2, 9), F(3, 11), F(-4, 13), F(5, 8), F(1, 3)], arrangement=_braid(5))
+        assert real.integer.re.dtype == np.int64 and not real.integer.im.any()
+        assert check_flat(real).ok
+        assert calls == [np.int64]
+        arr = real.arrangement
+        first = arr.hyperplanes[0].id
+        imaginary = StandardConnection(
+            arr, {hid: a.scale(GaussianRational(1, 1)) if hid == first else a for hid, a in real.residues.items()}
+        )
+        calls.clear()
+        assert imaginary.integer.im.any()
+        assert check_flat(imaginary) == fraction_check_flat(imaginary)
+        assert calls == [np.int64] * 4
