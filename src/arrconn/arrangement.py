@@ -24,7 +24,6 @@ from .numkernel import (
     GR_ZERO,
     _echelon_core,
     cleared,
-    common_denominator,
     gaussian_ratio,
     parse_fraction,
     rank_kernel,
@@ -84,20 +83,21 @@ class Arrangement:
         ids = [h.id for h in self.hyperplanes]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate hyperplane ids")
-        # each form h_i times its common denominator d_i, and the d_i
-        parts, self._denominators = _cleared_basis([h.form for h in self.hyperplanes])
+        # each form h_i as (re, im, d_i): h_i times its common denominator d_i
+        rows = [cleared(h.form) for h in self.hyperplanes]
+        self._denominators = [d for _, _, d in rows]
         seen = {}
-        for h, part in zip(self.hyperplanes, parts):
+        for h, (re, im, _) in zip(self.hyperplanes, rows):
             if len(h.form) != dimension:
                 raise InputError(f"form of {h.id} has wrong length")
-            key = _primitive_key(*part)
+            key = _primitive_key(re, im)
             if key in seen:
                 raise InputError(f"hyperplanes {seen[key]} and {h.id} are proportional")
             seen[key] = h.id
         # the cleared forms as Gaussian-integer rows: (re, im) object
         # arrays of shape (m, n)
         self._integer_forms = tuple(
-            np.array([p[k] for p in parts], dtype=object).reshape(len(parts), dimension)
+            np.array([row[k] for row in rows], dtype=object).reshape(len(rows), dimension)
             for k in (0, 1)
         )
         self._index = {h.id: i for i, h in enumerate(self.hyperplanes)}
@@ -189,12 +189,14 @@ class Flat:
     """An intersection-lattice element.
 
     ``containing`` is the closed, sorted set of indices of hyperplanes that
-    contain the subspace; it is the canonical key.  ``kernel_basis`` spans
-    the subspace.
+    contain the subspace; it is the canonical key.  ``rows`` spans the
+    subspace: one Gaussian-integer vector per basis vector b_j, as
+    (re, im, d) with b_j = (re + i im) / d, the form ``cleared`` gives.
+    ``kernel_basis`` is that basis over Q(i), built on first use.
     """
 
     containing: tuple
-    kernel_basis: tuple
+    rows: tuple
     codim: int
 
     def __eq__(self, other):
@@ -205,37 +207,42 @@ class Flat:
 
     @property
     def dim(self) -> int:
-        return len(self.kernel_basis)
+        return len(self.rows)
+
+    @cached_property
+    def kernel_basis(self) -> tuple:
+        return tuple(tuple(gaussian_ratio(a, b, d) for a, b in zip(re, im)) for re, im, d in self.rows)
 
 
 def ambient_flat(arr: Arrangement) -> Flat:
-    basis = tuple(
-        tuple(GR_ONE if i == j else GR_ZERO for j in range(arr.dimension))
-        for i in range(arr.dimension)
-    )
-    return Flat(containing=(), kernel_basis=basis, codim=0)
+    n = arr.dimension
+    rows = tuple(([int(i == j) for j in range(n)], [0] * n, 1) for i in range(n))
+    return Flat(containing=(), rows=rows, codim=0)
 
 
-def _integer_traces(arr: Arrangement, parts):
+def _integer_traces(arr: Arrangement, rows):
     """The trace of every hyperplane on the span of Gaussian-integer
-    vectors ((re, im) pairs, such as the cleared vectors of a flat's
-    kernel_basis), in hyperplane order, as one (re, im) pair of int lists:
-    the rows of the product F B^T of the integer forms and the vectors.
-    A trace is zero iff the hyperplane contains the span; rescaling the
-    vectors leaves alone which traces are proportional."""
+    vectors given as rows (re, im, d), such as a flat's, in hyperplane
+    order, as one (re, im) pair of int lists: the rows of the product
+    F B^T of the integer forms and the vectors.  A trace is zero iff the
+    hyperplane contains the span; rescaling the vectors leaves alone
+    which traces are proportional."""
     fr, fi = arr._integer_forms
-    n, k = arr.dimension, len(parts)
-    br = np.array([p[0] for p in parts], dtype=object).reshape(k, n).T
-    bi = np.array([p[1] for p in parts], dtype=object).reshape(k, n).T
+    n, k = arr.dimension, len(rows)
+    br = np.array([row[0] for row in rows], dtype=object).reshape(k, n).T
+    bi = np.array([row[1] for row in rows], dtype=object).reshape(k, n).T
     return list(zip((fr @ br - fi @ bi).tolist(), (fr @ bi + fi @ br).tolist()))
+
+
+def _containing(arr: Arrangement, rows) -> tuple:
+    """Indices of the hyperplanes containing the span of the rows."""
+    return tuple(i for i, (re, im) in enumerate(_integer_traces(arr, rows)) if not (any(re) or any(im)))
 
 
 def flat_from_basis(arr: Arrangement, basis) -> Flat:
     """Canonical flat with the given (possibly empty) kernel basis."""
-    basis = tuple(vec(b) for b in basis)
-    traces = _integer_traces(arr, [cleared(b) for b in basis])
-    containing = tuple(i for i, (re, im) in enumerate(traces) if not (any(re) or any(im)))
-    return Flat(containing=containing, kernel_basis=basis, codim=arr.dimension - len(basis))
+    rows = tuple(cleared(b) for b in basis)
+    return Flat(containing=_containing(arr, rows), rows=rows, codim=arr.dimension - len(rows))
 
 
 def flat_from_indices(arr: Arrangement, indices) -> Flat:
@@ -286,65 +293,58 @@ def _covering_flats(arr: Arrangement, frontier, seen: dict) -> list:
     The flats covering F are the classes of proportional traces on F of
     the hyperplanes not containing it (``_trace_classes``); a class's flat
     contains F's hyperplanes and the class's sources.  Only a flat not
-    seen before gets a kernel basis: the kernel of the trace of the
-    class's first member, in F's kernel_basis frame, mapped back to C^n
-    (``_trace_kernel``).
+    seen before gets rows: the kernel of the trace of the class's first
+    member, in F's frame, mapped back to C^n (``_trace_kernel``).
     """
     new = []
-    bases = [_cleared_basis(flat.kernel_basis) for flat in frontier]
     # one product for the whole level, sliced flat by flat
-    rows = _integer_traces(arr, [p for parts, _ in bases for p in parts])
+    level = _integer_traces(arr, [row for flat in frontier for row in flat.rows])
     hi = 0
-    for flat, (parts, mus) in zip(frontier, bases):
-        lo, hi = hi, hi + len(parts)
-        traces = [(re[lo:hi], im[lo:hi]) for re, im in rows]
+    for flat in frontier:
+        lo, hi = hi, hi + len(flat.rows)
+        traces = [(re[lo:hi], im[lo:hi]) for re, im in level]
         for sources in _trace_classes(traces, flat.containing):
             key = tuple(sorted(flat.containing + sources))
             if key in seen:
                 continue
-            basis = _trace_kernel(traces[sources[0]], flat.kernel_basis, parts, mus)
-            seen[key] = Flat(key, basis, arr.dimension - len(basis))
+            rows = _trace_kernel(traces[sources[0]], flat.rows)
+            seen[key] = Flat(key, rows, arr.dimension - len(rows))
             new.append(seen[key])
     return new
 
 
-def _cleared_basis(basis):
-    """The vectors b_j of a basis over Q(i) as Gaussian-integer vectors
-    B_j = mu_j b_j, (re, im) pairs, and the common denominators mu_j."""
-    mus = [common_denominator(b) for b in basis]
-    return [cleared(b, mu) for b, mu in zip(basis, mus)], mus
+def _trace_kernel(trace, rows) -> tuple:
+    """Exact kernel, inside the span of a flat's rows, of the trace t of a
+    hyperplane, given its integer trace T on them, as rows again.
 
-
-def _trace_kernel(trace, basis, parts, mus) -> tuple:
-    """Exact kernel, inside span(basis), of the trace t of a hyperplane,
-    given its integer trace T on the cleared vectors B_j = mu_j b_j.
-
-    With p the first index where t is nonzero, the kernel is spanned by
+    With B_j the Gaussian-integer vector of row j and mu_j its
+    denominator, the basis vectors are b_j = B_j / mu_j.  With p the
+    first index where t is nonzero, the kernel is spanned by
     b_j - (t_j / t_p) b_p for j != p, in order of j.  T_j = d mu_j t_j (d
     the form's common denominator), so that vector is
-    (N B_j - T_j conj(T_p) B_p) / (N mu_j) with N = |T_p|^2; a b_j on
-    which t vanishes is kept as it is.
+    (N B_j - T_j conj(T_p) B_p) / (N mu_j) with N = |T_p|^2, divided
+    through by the gcd of its parts and N mu_j; a row on which t vanishes
+    is kept as it is.
     """
     tr, ti = trace
     p = next(j for j, (a, b) in enumerate(zip(tr, ti)) if a or b)
     pr, pi = tr[p], ti[p]
     norm = pr * pr + pi * pi
-    yr, yi = parts[p]
+    yr, yi, _ = rows[p]
     out = []
-    for j, (vector, (xr, xi), mu) in enumerate(zip(basis, parts, mus)):
+    for j, row in enumerate(rows):
         if j == p:
             continue
         if not (tr[j] or ti[j]):
-            out.append(vector)
+            out.append(row)
             continue
+        xr, xi, mu = row
         cr, ci = tr[j] * pr + ti[j] * pi, ti[j] * pr - tr[j] * pi
+        re = [norm * a - cr * u + ci * v for a, u, v in zip(xr, yr, yi)]
+        im = [norm * b - cr * v - ci * u for b, u, v in zip(xi, yr, yi)]
         d = norm * mu
-        out.append(
-            tuple(
-                gaussian_ratio(norm * a - cr * u + ci * v, norm * b - cr * v - ci * u, d)
-                for a, b, u, v in zip(xr, xi, yr, yi)
-            )
-        )
+        g = math.gcd(d, *re, *im)
+        out.append(([a // g for a in re], [b // g for b in im], d // g))
     return tuple(out)
 
 
@@ -381,16 +381,15 @@ def _traces_on(arr: Arrangement, flat: Flat):
     into one class when proportional, in order of their first member;
     coordinates are taken in the flat's kernel_basis frame, and only a
     class's first member gets its exact form, t_j = T_j / (d mu_j) from
-    its integer trace T (see ``_trace_kernel``).  Each class is a
-    hyperplane of the restriction and, as a flat of the arrangement, one
-    of the flats covering this one."""
-    parts, mus = _cleared_basis(flat.kernel_basis)
-    traces = _integer_traces(arr, parts)
+    its integer trace T on the rows (see ``_trace_kernel``).  Each class
+    is a hyperplane of the restriction and, as a flat of the arrangement,
+    one of the flats covering this one."""
+    traces = _integer_traces(arr, flat.rows)
     out = []
     for sources in _trace_classes(traces, flat.containing):
         i = sources[0]
         d = arr._denominators[i]
-        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, mu in zip(*traces[i], mus))
+        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, (_, _, mu) in zip(*traces[i], flat.rows))
         out.append(Trace(arr.hyperplanes[i].id, form, sources))
     return out
 
@@ -521,8 +520,8 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
 
 def _require_flat(arr: Arrangement, flat: Flat):
     """Refuse a flat unless its containing set is exactly the hyperplanes
-    its kernel basis lies in: one closure decides both failures."""
-    closed = flat_from_basis(arr, flat.kernel_basis).containing
+    its rows lie in: one closure decides both failures."""
+    closed = _containing(arr, flat.rows)
     if not set(flat.containing) <= set(closed):
         raise PreconditionError("flat does not belong to this arrangement")
     if closed != flat.containing:
@@ -566,7 +565,7 @@ def _parse_entry(entry) -> GaussianRational:
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         re, im = (parse_fraction(str(part)) for part in entry)
         return GaussianRational(re, im)
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return GaussianRational(entry)
     raise InputError(f"cannot parse coefficient {entry!r}")
 
@@ -615,6 +614,8 @@ def arrangement_from_json(obj) -> Arrangement:
     planes = []
     for item in raw:
         try:
+            if not isinstance(item["form"], list):
+                raise TypeError(f"form must be a list, got {item['form']!r}")
             form = vec(_parse_entry(e) for e in item["form"])
             planes.append(Hyperplane(str(item["id"]), form))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -48,7 +48,6 @@ from .numkernel import (
     GR_ONE,
     GR_ZERO,
     cleared,
-    common_denominator,
     coordinates_in_basis,
     independent_subset,
     rank_kernel,
@@ -132,8 +131,7 @@ class StandardConnection:
         arr = self.arrangement
         n, m = arr.dimension, len(arr)
         entries = [e for h in arr.hyperplanes for row in self.residues[h.id].entries for e in row]
-        d = common_denominator(entries)
-        parts = cleared(entries, d)
+        *parts, d = cleared(entries)
         big = max(map(abs, parts[0] + parts[1]), default=0)
         form_big = max((abs(x) for forms in arr._integer_forms for x in forms.flat), default=0)
         fits = 4 * n * m * big**2 < 2**62 and 4 * form_big * max(big, 1) < 2**62
@@ -215,19 +213,21 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
     Decided on the integer view: with N = d A, [N_L, N_H] = d^2 [A_L, A_H],
     so every (L, H) pair is stacked and tested with one batched set of
     Gaussian-integer products; when every imaginary part is zero, only the
-    real one.  Violations are listed flat by flat in lattice order,
-    hyperplanes in ``containing`` order."""
+    real one.  The N_L are one product of the 0/1 flat-by-hyperplane
+    incidence matrix with the stacked N_H.  Violations are listed flat by
+    flat in lattice order, hyperplanes in ``containing`` order."""
     arr = conn.arrangement
     flats = arr.lattice(cap=cap).of_codim(2)
     if not flats:
         return FlatnessReport(True, ())
     view = conn.integer
-    rows = [list(flat.containing) for flat in flats]
-    which = [k for k, row in enumerate(rows) for _ in row]  # flat of each pair
-    above = [i for row in rows for i in row]  # hyperplane of each pair
+    which = [k for k, flat in enumerate(flats) for _ in flat.containing]  # flat of each pair
+    above = [i for flat in flats for i in flat.containing]  # hyperplane of each pair
+    incidence = np.zeros((len(flats), len(arr)), dtype=view.re.dtype)
+    incidence[which, above] = 1
 
     def pair_stacks(part):
-        flat_sums = np.stack([part[row].sum(axis=0) for row in rows])
+        flat_sums = (incidence @ part.reshape(len(part), -1)).reshape(len(flats), *part.shape[1:])
         return flat_sums[which], part[above]
 
     l_re, h_re = pair_stacks(view.re)
@@ -637,6 +637,8 @@ def connection_from_json(obj) -> StandardConnection:
     residues = {}
     for hid, grid in obj["residues"].items():
         try:
+            if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+                raise TypeError(f"must be a list of rows, each a list, got {grid!r}")
             m = ExactMatrix([[_parse_entry(e) for e in row] for row in grid])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad residue for {hid}: {exc}") from None

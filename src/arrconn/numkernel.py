@@ -297,23 +297,19 @@ class ExactMatrix:
 
 # -- exact elimination -------------------------------------------------------
 
-def common_denominator(vector) -> int:
-    """The lcm of the denominators of a vector of GaussianRationals."""
-    return math.lcm(*(x.denominator for e in vector for x in (e.re, e.im)))
-
-
-def cleared(vector, d=None):
-    """A vector over Q(i) times d, by default its common denominator, as a
-    pair of int lists (real parts, imaginary parts).  Entries may also be
-    ints or Fractions."""
+def cleared(vector):
+    """A vector over Q(i) as a Gaussian-integer vector over one positive
+    integer: (re, im, d), with re and im int lists and d the lcm of the
+    entries' denominators, so that the vector is (re + i im) / d and
+    gcd(d, re..., im...) = 1.  Entries may also be ints or Fractions."""
     vector = [GaussianRational.coerce(e) for e in vector]
-    if d is None:
-        d = common_denominator(vector)
+    d = math.lcm(*(x.denominator for e in vector for x in (e.re, e.im)))
     if d == 1:
-        return [e.re.numerator for e in vector], [e.im.numerator for e in vector]
+        return [e.re.numerator for e in vector], [e.im.numerator for e in vector], 1
     return (
         [e.re.numerator * (d // e.re.denominator) for e in vector],
         [e.im.numerator * (d // e.im.denominator) for e in vector],
+        d,
     )
 
 
@@ -339,8 +335,8 @@ def _echelon_core(rows):
     """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss).
 
     Rows are Gaussian-integer vectors, (re, im) pairs of int sequences
-    (``cleared`` makes them from rows over Q(i)); the input is not
-    modified.  Bareiss's step replaces each other row x by
+    (the first two parts of ``cleared`` of rows over Q(i)); the input is
+    not modified.  Bareiss's step replaces each other row x by
     (p*x - x[c]*y) / q, with p the pivot in column c of row y and q the
     previous pivot (1 at the first); the division is exact, as every entry
     is then a minor of the input, within Hadamard's bound.  A row with
@@ -400,7 +396,7 @@ def row_echelon(rows):
     """
     rows = list(rows)
     n_cols = len(rows[0]) if rows else 0
-    core, pivots = _echelon_core([cleared(row) for row in rows])
+    core, pivots = _echelon_core([cleared(row)[:2] for row in rows])
     out = []
     for (xr, xi), c in zip(core, pivots):
         pr, pi = xr[c], xi[c]
@@ -435,13 +431,13 @@ def rank_kernel(matrix):
 
 
 def span_rank(vectors) -> int:
-    return len(_echelon_core([cleared(v) for v in vectors])[1])
+    return len(_echelon_core([cleared(v)[:2] for v in vectors])[1])
 
 
 def independent_subset(vectors):
     """Indices of the greedy maximal independent subset: the pivot columns
     of one reduced echelon form of the vectors taken as columns."""
-    return _echelon_core([cleared(row) for row in zip(*vectors)])[1]
+    return _echelon_core([cleared(row)[:2] for row in zip(*vectors)])[1]
 
 
 def solve_exact(matrix: ExactMatrix, rhs: ExactVector):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arrconn.arrangement as arrmod
 from arrconn.arrangement import (
     _blocks,
     Arrangement,
@@ -31,7 +32,7 @@ from arrconn.arrangement import (
 )
 from arrconn.cli import main
 from arrconn.errors import InputError, LatticeCapError, PreconditionError
-from arrconn.numkernel import GaussianRational, rank_kernel, span_rank, vec, vec_dot
+from arrconn.numkernel import GaussianRational, cleared, rank_kernel, span_rank, vec, vec_dot
 
 
 def boolean(n):
@@ -184,6 +185,35 @@ class TestLatticeOracle:
             assert flat.kernel_basis == lattice_flat.kernel_basis
 
 
+class TestFlatRows:
+    """A flat stores its basis once, as the Gaussian-integer rows the
+    lattice computes with; ``kernel_basis`` is a view of them."""
+
+    @staticmethod
+    def assert_rows_are_cleared(arr):
+        for f in arr.lattice().flats + list(arr.hyperplane_flats):
+            assert f.rows == tuple(cleared(b) for b in f.kernel_basis)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_braid_rows_are_the_cleared_kernel_basis(self, n):
+        self.assert_rows_are_cleared(braid(n))
+
+    @given(small_arrangements())
+    def test_rows_are_the_cleared_kernel_basis(self, arr):
+        self.assert_rows_are_cleared(arr)
+
+    def test_cold_check_builds_no_kernel_basis(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "a5.json"
+        assert main(["lauricella", "--n", "5", "--a", "1/20,2/20,3/20,4/20,5/20,6/20", "--out", str(path)]) == 0
+        built = []
+        real = arrmod.build_lattice
+        monkeypatch.setattr(arrmod, "build_lattice", lambda arr: built.append(real(arr)) or built[-1])
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert [len(lattice) for lattice in built] == [203]
+        assert not any("kernel_basis" in vars(f) for f in built[0].flats)
+
+
 class TestComponentBlocks:
     @given(reducible_arrangements)
     def test_blocks_are_the_closed_components(self, arr):
@@ -279,7 +309,7 @@ class TestLocalizationRestriction:
     def test_flat_leaving_a_listed_hyperplane_refused(self):
         # the line z1 = z2 lies in H_1_2 but not in H_1_3 (z1 = 0)
         arr = braid(2)
-        flat = Flat((0, 1), (vec([1, 1]),), 1)
+        flat = Flat((0, 1), (cleared(vec([1, 1])),), 1)
         for op in (localization, restriction):
             with pytest.raises(PreconditionError, match="does not belong"):
                 op(arr, flat)
@@ -287,7 +317,7 @@ class TestLocalizationRestriction:
     def test_flat_missing_a_hyperplane_refused(self):
         # the line z1 = z2 lies in H_1_2, which the containing set leaves out
         arr = braid(2)
-        flat = Flat((), (vec([1, 1]),), 1)
+        flat = Flat((), (cleared(vec([1, 1])),), 1)
         for op in (localization, restriction):
             with pytest.raises(PreconditionError, match="not closed"):
                 op(arr, flat)

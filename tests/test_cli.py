@@ -70,8 +70,38 @@ class TestLattice:
                 {"builtin": "A_n", "n": 2, "residues": [[["1", "0"], ["0", "0"]]]},
                 ("check", "recover", "holonomy"),
             ),
+            # a string is not read one character per coefficient
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": "10"}, {"id": "y", "form": "01"}],
+                 "residues": {"x": ["10", "00"], "y": ["00", "01"]}},
+                ("lattice", "check", "recover", "holonomy"),
+            ),
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": [1, 0]}, {"id": "y", "form": [0, 1]}],
+                 "residues": {"x": ["10", "00"], "y": [[0, 0], [0, 1]]}},
+                ("check", "recover", "holonomy"),
+            ),
+            # a JSON bool is not the integer 1 or 0
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": [True, 0]}, {"id": "y", "form": [0, 1]}]},
+                ("lattice",),
+            ),
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": [1, 0]}, {"id": "y", "form": [0, 1]}],
+                 "residues": {"x": [[True, 0], [0, 0]], "y": [[0, 0], [0, False]]}},
+                ("check", "recover", "holonomy"),
+            ),
         ],
-        ids=["form-zero-denominator", "residue-zero-denominator", "residue-ragged-row", "residues-list"],
+        ids=[
+            "form-zero-denominator",
+            "residue-zero-denominator",
+            "residue-ragged-row",
+            "residues-list",
+            "form-string",
+            "residue-row-string",
+            "form-bool",
+            "residue-bool",
+        ],
     )
     def test_malformed_rational_exits_2(self, capsys, tmp_path, obj, commands):
         path = tmp_path / "bad.json"
