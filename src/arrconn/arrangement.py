@@ -560,14 +560,12 @@ def pair_of_id(hyperplane_id: str):
 # -- JSON file format ---------------------------------------------------------
 
 def _parse_entry(entry) -> GaussianRational:
-    if isinstance(entry, str):
-        return GaussianRational.parse(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re, im = (parse_fraction(str(part)) for part in entry)
-        return GaussianRational(re, im)
-    if isinstance(entry, int) and not isinstance(entry, bool):
-        return GaussianRational(entry)
-    raise InputError(f"cannot parse coefficient {entry!r}")
+    """A rational string, an int, or a [re, im] pair of those; never a bool or float."""
+    re, im = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
+    for part in (re, im):
+        if type(part) is not str and type(part) is not int:  # a bool is not an int here
+            raise InputError(f"cannot parse coefficient {part!r}")
+    return GaussianRational(*(parse_fraction(p) if type(p) is str else p for p in (re, im)))
 
 
 def _entry_to_json(value: GaussianRational):

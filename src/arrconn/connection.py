@@ -4,14 +4,14 @@ Residues are exact; every criterion (torsion freeness, flatness, weights,
 normal frames, direct-sum decompositions, Euler fields) is decided over
 Q(i), as are the derived constructions: localization, quotient and induced
 connections, and the linear weight constraints they impose.  A connection
-has two lazy read-only views of its residues: ``integer``, Gaussian-integer
-numerators over one common denominator, on which torsion freeness,
-flatness, weights and the weight constraints are decided exactly; and
-``numeric``, the complex view that numerical code reads.
+stores its residues once, as ``integer``: Gaussian-integer numerators over
+one common denominator, on which the exact checks run.  ``residues`` (exact
+matrices) and ``numeric`` (complex arrays) are read-only views of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,6 +49,7 @@ from .numkernel import (
     GR_ZERO,
     cleared,
     coordinates_in_basis,
+    gaussian_ratio,
     independent_subset,
     rank_kernel,
     row_echelon,
@@ -60,95 +61,106 @@ from .numkernel import (
 
 @dataclass(frozen=True)
 class IntegerView:
-    """The residues over one common denominator d, the least common multiple
-    of every entry's denominators: A_k = (re[k] + i im[k]) / d, rows in
-    hyperplane order.  The (m, n, n) arrays are read-only.  They hold int64
-    when an entrywise bound proves that no product ``check_flat`` or
-    ``check_torsion_free`` forms from them can overflow: with M the largest
-    |re| or |im| numerator and F the largest |entry| of the arrangement's
-    cleared forms, 4 n m M^2 < 2^62 and 4 F max(M, 1) < 2^62.  Otherwise
-    they hold Python ints (dtype object), which cannot overflow.
-    ``trace_re[k]`` and ``trace_im[k]`` are the numerators of tr A_k, as
-    Python ints."""
+    """The stored form of a connection: A_k = (re[k] + i im[k]) / d in
+    hyperplane order, d the lcm of the entries' denominators, so gcd(d, re...,
+    im...) = 1.  The (m, n, n) arrays are read-only.  They are int64 when a
+    bound proves that no product ``check_flat`` or ``check_torsion_free``
+    forms, and no trace sum of the weights and constraints, can overflow:
+    with M the largest |re| or |im| and F the largest |entry| of the cleared
+    forms, 4 n m M^2 < 2^62 and 4 F max(M, 1) < 2^62.  Otherwise they hold
+    Python ints (dtype object), which cannot overflow."""
 
     denominator: int
     re: np.ndarray
     im: np.ndarray
-    trace_re: tuple
-    trace_im: tuple
 
-    def trace_sum(self, indices, divisor: int = 1) -> GaussianRational:
-        """(sum of tr A_k over ``indices``, with repeats) / divisor, exactly."""
-        d = self.denominator * divisor
-        return GaussianRational(
-            Fraction(sum(self.trace_re[k] for k in indices), d),
-            Fraction(sum(self.trace_im[k] for k in indices), d),
-        )
+    def traces(self) -> np.ndarray:
+        """(m, 2): the numerators of tr A_k, real then imaginary part."""
+        return np.stack([self.re.trace(axis1=1, axis2=2), self.im.trace(axis1=1, axis2=2)], axis=1)
+
+
+def _residue_sum(view: IntegerView, rows) -> ExactMatrix:
+    """The sum of the stored residues at ``rows``, over Q(i)."""
+    re, im = (part[list(rows)].sum(axis=0).tolist() for part in (view.re, view.im))
+    return ExactMatrix([[gaussian_ratio(a, b, view.denominator) for a, b in zip(*r)] for r in zip(re, im)])
+
+
+def _check_ids(arrangement: Arrangement, ids) -> None:
+    missing = [h.id for h in arrangement.hyperplanes if h.id not in ids]
+    if missing:
+        raise InputError(f"missing residues for {missing}")
+    extra = set(ids) - {h.id for h in arrangement.hyperplanes}
+    if extra:
+        raise InputError(f"residues for unknown hyperplanes {sorted(extra)}")
 
 
 class StandardConnection:
-    """Arrangement plus one exact square residue matrix per hyperplane."""
+    """Arrangement plus one exact residue per hyperplane, stored once, as the
+    ``IntegerView`` ``integer``; ``residues`` and ``numeric`` are views of it."""
 
     def __init__(self, arrangement: Arrangement, residues: dict):
-        self.arrangement = arrangement
         n = arrangement.dimension
-        missing = [h.id for h in arrangement.hyperplanes if h.id not in residues]
-        if missing:
-            raise InputError(f"missing residues for {missing}")
-        extra = set(residues) - {h.id for h in arrangement.hyperplanes}
-        if extra:
-            raise InputError(f"residues for unknown hyperplanes {sorted(extra)}")
+        _check_ids(arrangement, residues)
         for hid, m in residues.items():
             if not isinstance(m, ExactMatrix) or m.rows != n or m.cols != n:
                 raise InputError(f"residue at {hid} must be an exact {n}x{n} matrix")
-        # read-only, so the views below can never go stale
-        self.residues = MappingProxyType(dict(residues))
+        entries = [e for h in arrangement.hyperplanes for row in residues[h.id].entries for e in row]
+        stored = self._from_numerators(arrangement, *cleared(entries))
+        self.arrangement, self.integer = stored.arrangement, stored.integer
+
+    @classmethod
+    def _from_numerators(cls, arrangement: Arrangement, re: list, im: list, d: int) -> "StandardConnection":
+        """The connection with residues (re + i im) / d, for int lists of the
+        n x n grids in hyperplane order.  Every stored form is made here: common
+        factors of d and the numerators are divided out, and the bound picks the dtype."""
+        g = math.gcd(d, *re, *im)
+        if g > 1:
+            d, re, im = d // g, [x // g for x in re], [x // g for x in im]
+        n, m = arrangement.dimension, len(arrangement)
+        big = max(map(abs, re + im), default=0)
+        form_big = max((abs(x) for forms in arrangement._integer_forms for x in forms.flat), default=0)
+        fits = 4 * n * m * big**2 < 2**62 and 4 * form_big * max(big, 1) < 2**62
+        re, im = (np.array(part, dtype=np.int64 if fits else object).reshape(m, n, n) for part in (re, im))
+        re.flags.writeable = im.flags.writeable = False
+        conn = cls.__new__(cls)
+        conn.arrangement, conn.integer = arrangement, IntegerView(d, re, im)
+        return conn
 
     @property
     def dimension(self) -> int:
         return self.arrangement.dimension
+
+    @cached_property
+    def residues(self) -> MappingProxyType:
+        """Hyperplane id -> ``ExactMatrix``, built on first use, read-only."""
+        hyperplanes = self.arrangement.hyperplanes
+        return MappingProxyType({h.id: _residue_sum(self.integer, [k]) for k, h in enumerate(hyperplanes)})
 
     def residue(self, hyperplane_id: str):
         return self.residues[hyperplane_id]
 
     @cached_property
     def numeric(self):
-        """Complex forms (m, n) and residues (m, n*n), rows in hyperplane
-        order; built on first use, read-only."""
-        arr = self.arrangement
-        n = arr.dimension
-        residues = np.array(
-            [self.residues[h.id].to_complex().ravel() for h in arr.hyperplanes], dtype=complex
-        ).reshape(len(arr), n * n)
+        """Complex forms (m, n) and residues (m, n*n), read-only; Python int true
+        division rounds correctly, so each entry is ``complex`` of the exact one."""
+        arr, view, d = self.arrangement, self.integer, self.integer.denominator
+        entries = [complex(a / d, b / d) for a, b in zip(view.re.ravel().tolist(), view.im.ravel().tolist())]
+        residues = np.array(entries, dtype=complex).reshape(len(arr), arr.dimension**2)
         residues.flags.writeable = False
         return arr.complex_forms, residues
-
-    @cached_property
-    def integer(self) -> IntegerView:
-        """Gaussian-integer numerators over one common denominator, int64
-        when the bound in ``IntegerView`` holds; built on first use,
-        read-only."""
-        arr = self.arrangement
-        n, m = arr.dimension, len(arr)
-        entries = [e for h in arr.hyperplanes for row in self.residues[h.id].entries for e in row]
-        *parts, d = cleared(entries)
-        big = max(map(abs, parts[0] + parts[1]), default=0)
-        form_big = max((abs(x) for forms in arr._integer_forms for x in forms.flat), default=0)
-        fits = 4 * n * m * big**2 < 2**62 and 4 * form_big * max(big, 1) < 2**62
-        re, im = (np.array(part, dtype=np.int64 if fits else object).reshape(m, n, n) for part in parts)
-        re.flags.writeable = im.flags.writeable = False
-        return IntegerView(
-            d,
-            re,
-            im,
-            tuple(map(int, np.trace(re, axis1=1, axis2=2))),
-            tuple(map(int, np.trace(im, axis1=1, axis2=2))),
-        )
 
     def numeric_residue(self, hyperplane_id: str) -> np.ndarray:
         """One residue as an n x n view into ``numeric``."""
         n = self.dimension
         return self.numeric[1][self.arrangement.index_of(hyperplane_id)].reshape(n, n)
+
+
+def _incidence(flats, m: int, dtype) -> np.ndarray:
+    """The 0/1 matrix whose row k marks the hyperplanes containing flats[k]."""
+    incidence = np.zeros((len(flats), m), dtype=dtype)
+    which = [k for k, flat in enumerate(flats) for _ in flat.containing]
+    incidence[which, [i for flat in flats for i in flat.containing]] = 1
+    return incidence
 
 
 # -- basic criteria -----------------------------------------------------------
@@ -189,18 +201,16 @@ class FlatnessReport:
 
 def residue_at_flat(conn: StandardConnection, flat: Flat) -> ExactMatrix:
     """Sum of the residues over the hyperplanes containing the flat."""
-    n = conn.dimension
-    total = ExactMatrix.zeros(n, n)
-    for i in flat.containing:
-        total = total + conn.residue(conn.arrangement.hyperplanes[i].id)
-    return total
+    return _residue_sum(conn.integer, flat.containing)
 
 
 def weight_at_flat(conn: StandardConnection, flat: Flat) -> GaussianRational:
-    """The weight of a flat, (sum of tr A_H over the hyperplanes containing
-    it) / codim: the trace of ``residue_at_flat`` over the codimension, read
-    as Fraction(sum of the integer-view trace numerators, d * codim)."""
-    return conn.integer.trace_sum(flat.containing, flat.codim)
+    """The weight of a flat, tr ``residue_at_flat`` / codim: the sum of the
+    stored trace numerators of the hyperplanes containing it over d codim."""
+    view = conn.integer
+    re, im = view.traces()[list(flat.containing)].sum(axis=0).tolist()
+    d = view.denominator * flat.codim
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,10 +231,8 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
     if not flats:
         return FlatnessReport(True, ())
     view = conn.integer
-    which = [k for k, flat in enumerate(flats) for _ in flat.containing]  # flat of each pair
-    above = [i for flat in flats for i in flat.containing]  # hyperplane of each pair
-    incidence = np.zeros((len(flats), len(arr)), dtype=view.re.dtype)
-    incidence[which, above] = 1
+    incidence = _incidence(flats, len(arr), view.re.dtype)
+    which, above = np.nonzero(incidence)  # the flat and the hyperplane of each pair
 
     def pair_stacks(part):
         flat_sums = (incidence @ part.reshape(len(part), -1)).reshape(len(flats), *part.shape[1:])
@@ -253,16 +261,13 @@ class WeightReport:
 
 
 def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport:
-    """Weight of every irreducible flat, in lattice order; the verdict
-    lists zero weights."""
-    table = {}
-    zero = []
-    for flat in irreducible_flats(conn.arrangement, cap=cap):
-        w = weight_at_flat(conn, flat)
-        table[flat] = w
-        if not w:
-            zero.append(flat)
-    return WeightReport(table, not zero, tuple(zero))
+    """Weight of every irreducible flat, in lattice order, from one incidence
+    product with the stored trace numerators; the verdict lists zero weights."""
+    view, flats = conn.integer, irreducible_flats(conn.arrangement, cap=cap)
+    sums = (_incidence(flats, len(conn.arrangement), view.re.dtype) @ view.traces()).tolist()
+    table = {f: gaussian_ratio(re, im, view.denominator * f.codim) for f, (re, im) in zip(flats, sums)}
+    zero = tuple(flat for flat, w in table.items() if not w)
+    return WeightReport(table, not zero, zero)
 
 
 # -- normal frames ------------------------------------------------------------
@@ -434,10 +439,11 @@ def euler_field(conn: StandardConnection) -> EulerField:
 
 def localization_connection(conn: StandardConnection, flat: Flat) -> StandardConnection:
     """Same residues, arrangement replaced by the hyperplanes containing
-    the flat."""
+    the flat: the rows of the stored form at ``flat.containing``."""
     sub = localization(conn.arrangement, flat)
-    residues = {h.id: conn.residue(h.id) for h in sub.hyperplanes}
-    return StandardConnection(sub, residues)
+    view, rows = conn.integer, list(flat.containing)
+    re, im = (part[rows].ravel().tolist() for part in (view.re, view.im))
+    return StandardConnection._from_numerators(sub, re, im, view.denominator)
 
 
 @dataclass(frozen=True)
@@ -527,9 +533,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
     for trace in traces:
         # the codimension-two flat H0 ∩ H_s contains exactly H0 and the
         # sources of the trace of H_s
-        a_full = conn.residue(h0)
-        for i in trace.sources:
-            a_full = a_full + conn.residue(arr.hyperplanes[i].id)
+        a_full = _residue_sum(conn.integer, [i0, *trace.sources])
         residues[trace.id] = _residue_in_basis(a_full, flat.kernel_basis)
         if residues[trace.id] is None:
             raise PreconditionError(
@@ -566,35 +570,27 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
 
     Which H0 qualify depends on the arrangement alone and is read from
     ``Arrangement.essential_irreducible_restrictions``, decided once per
-    arrangement; each call does only the residue-trace work, on the trace
-    numerators of the integer view."""
+    arrangement; each call does only the residue-trace work, on products of
+    the codimension-two incidence matrix with the stored trace numerators."""
     arr = conn.arrangement
     n = arr.dimension
     if n < 2:
         raise PreconditionError("weight constraints need dimension >= 2")
     if not arr.essential_irreducible:
         raise PreconditionError("weight constraints assume an essential irreducible arrangement")
-    codim2 = arr.lattice(cap=cap).of_codim(2)
-    view = conn.integer
-    lhs = view.trace_sum(range(len(arr)), n)
+    traces, d = conn.integer.traces(), conn.integer.denominator
+    incidence = _incidence(arr.lattice(cap=cap).of_codim(2), len(arr), traces.dtype)
+    # rhs = (sum of tr A_H, H transversal to H0, + sum of tr A_L / 2, L deeper on H0) / (n - 1);
+    # over 2 (n - 1), L counts tr A_L and H0 ∩ H counts 2 tr A_H = 2 (tr A_L - tr A_H0)
+    sums = incidence @ traces
+    pairs = (incidence.sum(axis=1) == 2)[:, None]
+    rhs = incidence.T @ np.where(pairs, 2 * sums, sums) - 2 * (incidence.T @ pairs) * traces
+    lhs = gaussian_ratio(*traces.sum(axis=0).tolist(), d * n)
     rows = []
-    for i0, h0 in enumerate(arr.hyperplanes):
-        if i0 not in arr.essential_irreducible_restrictions:
-            rows.append(WeightConstraintRow(h0.id, lhs, GR_ZERO, GR_ZERO, False))
-            continue
-        # rhs = (sum of tr A_H over the H meeting H0 transversally + sum of
-        # the weights of the deeper codim-2 flats on H0) / (n - 1); such a
-        # weight is its trace sum / 2, so count transversal traces twice
-        terms = []
-        for flat in codim2:
-            if i0 not in flat.containing:
-                continue
-            if len(flat.containing) == 2:
-                terms += [i for i in flat.containing if i != i0] * 2
-            else:
-                terms += flat.containing
-        rhs = view.trace_sum(terms, 2 * (n - 1))
-        rows.append(WeightConstraintRow(h0.id, lhs, rhs, lhs - rhs, True))
+    for i0, (h0, (re, im)) in enumerate(zip(arr.hyperplanes, rhs.tolist())):
+        valid = i0 in arr.essential_irreducible_restrictions
+        r = gaussian_ratio(re, im, 2 * (n - 1) * d) if valid else GR_ZERO
+        rows.append(WeightConstraintRow(h0.id, lhs, r, lhs - r if valid else GR_ZERO, valid))
     valid_rows = [r for r in rows if r.restriction_essential_irreducible]
     return WeightConstraintReport(
         tuple(rows),
@@ -634,18 +630,23 @@ def connection_from_json(obj) -> StandardConnection:
     n = arr.dimension
     if not isinstance(obj["residues"], dict):
         raise InputError("'residues' must be an object mapping hyperplane ids to matrices")
-    residues = {}
+    grids = {}
     for hid, grid in obj["residues"].items():
         try:
             if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
                 raise TypeError(f"must be a list of rows, each a list, got {grid!r}")
-            m = ExactMatrix([[_parse_entry(e) for e in row] for row in grid])
+            rows = [[_parse_entry(e) for e in row] for row in grid]
+            cols = len(rows[0]) if rows else 0
+            if any(len(row) != cols for row in rows):
+                raise ValueError("ragged matrix")
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad residue for {hid}: {exc}") from None
-        if m.rows != n or m.cols != n:
-            raise InputError(f"residue for {hid} is {m.rows}x{m.cols}, expected {n}x{n}")
-        residues[str(hid)] = m
-    return StandardConnection(arr, residues)
+        if len(rows) != n or cols != n:
+            raise InputError(f"residue for {hid} is {len(rows)}x{cols}, expected {n}x{n}")
+        grids[str(hid)] = rows
+    _check_ids(arr, grids)
+    entries = [e for h in arr.hyperplanes for row in grids[h.id] for e in row]
+    return StandardConnection._from_numerators(arr, *cleared(entries))
 
 
 def connection_to_json(conn: StandardConnection) -> dict:

@@ -27,7 +27,7 @@ from .connection import (
     weights,
 )
 from .errors import InputError, PreconditionError
-from .numkernel import ExactMatrix, GaussianRational, GR_ZERO
+from .numkernel import ExactMatrix, GaussianRational, GR_ZERO, cleared, gaussian_ratio
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,22 @@ def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardCo
 
     Residue at H_{i,j} with j <= n: a_j and a_i on the diagonal at (i,i)
     and (j,j), -a_j and -a_i off it.  Residue at H_{i,n+1}: column i filled
-    with a_i except the diagonal entry a_i + a_{n+1}.
+    with a_i except the diagonal entry a_i + a_{n+1}.  So each is v (x) dh
+    with v = a_j e_i - a_i e_j, where e_{n+1} = -(1, ..., 1); it is written
+    as numerators over the parameters' common denominator.
     """
     params = _coerce_params(a)
     n = params.n
     arr = arrangement if arrangement is not None else build_An(n)
-    residues = {}
+    *parts, d = cleared(params.entries)
+    numerators = ([], [])
     for h in arr.hyperplanes:
         i, j = pair_of_id(h.id)
-        grid = [[GR_ZERO] * n for _ in range(n)]
-        if j <= n:
-            grid[i - 1][i - 1] = params[j - 1]
-            grid[i - 1][j - 1] = -params[j - 1]
-            grid[j - 1][i - 1] = -params[i - 1]
-            grid[j - 1][j - 1] = params[i - 1]
-        else:
-            for k in range(n):
-                grid[k][i - 1] = params[i - 1]
-            grid[i - 1][i - 1] = params[i - 1] + params[n]
-        residues[h.id] = ExactMatrix(grid)
-    return StandardConnection(arr, residues)
+        form = [(k == i - 1) - (k == j - 1) for k in range(n)]  # z_i - z_j, with z_{n+1} = 0
+        for p, out in zip(parts, numerators):
+            v = [p[j - 1] * (k == i - 1) - p[i - 1] * ((k == j - 1) - (j > n)) for k in range(n)]
+            out += [x * f for x in v for f in form]
+    return StandardConnection._from_numerators(arr, *numerators, d)
 
 
 def full_residues(a) -> dict:
@@ -197,7 +193,9 @@ def recover_parameters(
     """
     arr = conn.arrangement
     n = _check_braid(arr)
-    traces = {pair_of_id(h.id): conn.integer.trace_sum([k]) for k, h in enumerate(arr.hyperplanes)}
+    view = conn.integer
+    ratios = [gaussian_ratio(re, im, view.denominator) for re, im in view.traces().tolist()]
+    traces = {pair_of_id(h.id): t for h, t in zip(arr.hyperplanes, ratios)}
 
     if n == 1:
         return RecoveryResult(False, None, "n = 1: only a_1 + a_2 is determined", True, traces)
@@ -233,10 +231,12 @@ def recover_parameters(
         j, k = [x for x in range(1, n + 2) if x != i][:2]
         params.append(half * (b(i, j) + b(i, k) - b(j, k)))
     vector = ParameterVector(tuple(params))
-    expected = reduced_residues(vector, arrangement=arr)
-    for h in arr.hyperplanes:
-        if conn.residue(h.id) != expected.residue(h.id):
-            return RecoveryResult(
-                False, None, f"non-Lauricella residues at {h.id}", False, traces
-            )
+    want = reduced_residues(vector, arrangement=arr).integer
+    p, q = view.denominator, want.denominator
+    if p != q or (view.re != want.re).any() or (view.im != want.im).any():  # both forms are canonical
+        # A_k = B_k iff q N_k = p M_k, compared in Python ints, which cannot overflow
+        pairs = ((view.re, want.re), (view.im, want.im))
+        bad = sum((x.astype(object) * q != y.astype(object) * p).any(axis=(1, 2)) for x, y in pairs)
+        hid = arr.hyperplanes[bad.argmax()].id
+        return RecoveryResult(False, None, f"non-Lauricella residues at {hid}", False, traces)
     return RecoveryResult(True, vector, None, False, traces)

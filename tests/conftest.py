@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded rational sampling, the
-exact commutator of two matrices over Q(i), and one-lane transport."""
+exact commutator of two matrices over Q(i), one-lane transport, and the
+Jordan-Pochhammer residue grids built entry by entry."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from arrconn.numkernel import ode_transport
+from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational, ode_transport
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example deadline (shared CPUs vary in speed).
@@ -27,6 +28,30 @@ def transport_one(rhs, x0, tol):
     returns (k, n, n); returns the (n, n) X(1) and the lane's error."""
     x1, err = ode_transport(lambda ts: rhs(ts[0])[None], np.array(x0, dtype=complex)[None], tol)
     return x1[0], err[0]
+
+
+def jordan_pochhammer(params) -> dict:
+    """The reduced Jordan-Pochhammer residues of a_1..a_{n+1} on the braid
+    arrangement, keyed by hyperplane id, built one Q(i) entry at a time:
+    at H_{i,j} with j <= n, a_j and a_i on the diagonal at (i,i) and (j,j),
+    -a_j and -a_i off it; at H_{i,n+1}, column i filled with a_i except the
+    diagonal entry a_i + a_{n+1}."""
+    a = [GaussianRational.coerce(x) for x in params]
+    n = len(a) - 1
+    residues = {}
+    for i, j in combinations(range(1, n + 2), 2):
+        grid = [[GR_ZERO] * n for _ in range(n)]
+        if j <= n:
+            grid[i - 1][i - 1] = a[j - 1]
+            grid[i - 1][j - 1] = -a[j - 1]
+            grid[j - 1][i - 1] = -a[i - 1]
+            grid[j - 1][j - 1] = a[i - 1]
+        else:
+            for k in range(n):
+                grid[k][i - 1] = a[i - 1]
+            grid[i - 1][i - 1] = a[i - 1] + a[n]
+        residues[f"H_{i}_{j}"] = ExactMatrix(grid)
+    return residues
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9) -> Fraction:

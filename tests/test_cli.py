@@ -91,6 +91,16 @@ class TestLattice:
                  "residues": {"x": [[True, 0], [0, 0]], "y": [[0, 0], [0, False]]}},
                 ("check", "recover", "holonomy"),
             ),
+            # a JSON float is refused inside a [re, im] pair as it is bare
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": [[0.1, 0], [1, 0]]}, {"id": "y", "form": [0, 1]}]},
+                ("lattice",),
+            ),
+            (
+                {"dimension": 2, "hyperplanes": [{"id": "x", "form": [1, 0]}, {"id": "y", "form": [0, 1]}],
+                 "residues": {"x": [[["1", "0"], ["0", 1e-7]], [0, 0]], "y": [[0, 0], [0, 1]]}},
+                ("check", "recover", "holonomy"),
+            ),
         ],
         ids=[
             "form-zero-denominator",
@@ -101,6 +111,8 @@ class TestLattice:
             "residue-row-string",
             "form-bool",
             "residue-bool",
+            "form-pair-float",
+            "residue-pair-float",
         ],
     )
     def test_malformed_rational_exits_2(self, capsys, tmp_path, obj, commands):

@@ -1,0 +1,89 @@
+"""Byte-identity of the exact CLI commands.
+
+``lattice``, ``check`` and ``recover``, plain and ``--json``, run in
+process on A_2-A_5 Lauricella connection files: plain parameters, one
+residue doubled (not flat, so ``check`` and ``recover`` fail), complex
+parameters, and parameters whose numerators and denominators pass 2^63.
+The sha256 of every command's stdout, stderr and exit code, in order, is
+compared with a recorded digest per file, so any change to what these
+commands print shows here.  ``holonomy`` is left out: its floating-point
+output may differ between BLAS builds.  After an intended change of
+output, each failing case reports the digest to record.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from arrconn.cli import main
+from arrconn.numkernel import GaussianRational
+from conftest import jordan_pochhammer
+
+VARIANTS = ("plain", "doubled", "complex", "big")
+
+DIGESTS = {
+    "A_2-plain": "54bd67ea0dcdc45f35d4798f255e4e2b5fe2c83add710cd691c765312a44091f",
+    "A_2-doubled": "442261b5ba27165126d14e7e0674541f08679476ed56f59b7dae84a000f6ec0b",
+    "A_2-complex": "cf49b5023d825becc42dc359bf18fcab9942290aa8e2df72cd82d6fbbe32f624",
+    "A_2-big": "e2eb3e07debf7eedb80a16a610d17c874b1c1e24ba395509a820536826cdd73a",
+    "A_3-plain": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
+    "A_3-doubled": "6705f013e153834ff225f86ea938fc3498f29f0e4c2a9a2545939c0554dd2509",
+    "A_3-complex": "4d680cb442bb8876bcf149a77960287c5ae7d549f49b41ddde684259d6edc0f8",
+    "A_3-big": "acf09f14d3fba87a6cf9c41f9de63a253761e1e054bf0b5f819e2d04fb7f5b5c",
+    "A_4-plain": "3c48ac31de463181a1d40e3c8973b3b8252c7740594e0a4d62e50712e565e1aa",
+    "A_4-doubled": "cc6a459668ee462111e52dfa9431350d43074dffe9ef2af8a291c791109de1ce",
+    "A_4-complex": "c6daa232941fd6f244b9d5c88868c74cf78fd9694734e8f317c681e36ad7804a",
+    "A_4-big": "fee3a408636a681d2a72a8c0b9d0cc9530e8644f72e4bb077858ce10d5d2581a",
+    "A_5-plain": "6b57052b8072fbb86962b0242b91d719db574e4bccd985d596d616246c4b1fb2",
+    "A_5-doubled": "58eadcd286ec20a69bc2111e0209534f131d7fb1b59acc2fb9a2958811fd795d",
+    "A_5-complex": "71627928ec005b920aa8f3b128ad4832c1bf3ebf52c1e0fc16feacd47f001997",
+    "A_5-big": "299ae06021293e5edb81c286b7381344eca1024fbbc63cf2997af76f98cf0c4b",
+}
+
+
+def parameters(n: int, variant: str) -> list:
+    if variant == "complex":
+        return [GaussianRational(F(1, 10 + i), F((-1) ** i, 7 + i)) for i in range(n + 1)]
+    if variant == "big":
+        return [F(2**64 + 1 + i, 3**41) if i % 2 else F(-(3**43) - i, 2**65 + 3) for i in range(n + 1)]
+    return [F(1, 10 + i) for i in range(n + 1)]
+
+
+def connection_file(directory, n: int, variant: str):
+    residues = jordan_pochhammer(parameters(n, variant))
+    if variant == "doubled":
+        residues["H_1_2"] = residues["H_1_2"].scale(2)
+    obj = {
+        "builtin": "A_n",
+        "n": n,
+        "residues": {
+            hid: [[[str(e.re), str(e.im)] for e in row] for row in m.entries] for hid, m in residues.items()
+        },
+    }
+    path = directory / f"A_{n}-{variant}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def output_digest(path) -> str:
+    digest = hashlib.sha256()
+    for command in ("lattice", "check", "recover"):
+        for extra in ((), ("--json",)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path), *extra])
+            for part in (out.getvalue(), err.getvalue(), str(code)):
+                digest.update(part.encode() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_output_matches_recorded_digest(tmp_path, n, variant):
+    name = f"A_{n}-{variant}"
+    got = output_digest(connection_file(tmp_path, n, variant))
+    assert got == DIGESTS[name], f"{name}: {got}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from functools import cached_property
 
 from arrconn.arrangement import Arrangement, Hyperplane, flat_from_indices
 from arrconn.connection import StandardConnection
@@ -443,16 +444,19 @@ class TestReportAssembly:
 
     def test_numeric_view_built_once(self, monkeypatch):
         calls = []
-        original = ExactMatrix.to_complex
+        original = StandardConnection.__dict__["numeric"].func
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(conn):
+            calls.append(conn)
+            return original(conn)
 
-        monkeypatch.setattr(ExactMatrix, "to_complex", counting)
+        prop = cached_property(counting)
+        prop.__set_name__(StandardConnection, "numeric")
+        monkeypatch.setattr(StandardConnection, "numeric", prop)
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
         holonomy_report(conn, tol=1e-8)
-        assert len(calls) == len(conn.arrangement) == 6
+        assert calls == [conn]
+        assert "residues" not in conn.__dict__
 
 
 def reference_holonomy(conn, loop):

@@ -1,13 +1,15 @@
-"""The integer view of a connection and the flatness check built on it.
+"""The stored integer form of a connection, the checks built on it, and the
+``residues`` and ``numeric`` views built from it.
 
 ``fraction_check_flat`` is the Fraction commutator loop that decided
 flatness before the integer view existed; it stays here as the oracle.
 ``test_integer_core.fraction_check_torsion_free`` is the torsion oracle.
 """
 
+import json
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,13 +24,15 @@ from arrconn.connection import (
     check_flat,
     check_torsion_free,
     check_weight_constraints,
+    connection_to_json,
+    load_connection,
     residue_at_flat,
     weight_at_flat,
     weights,
 )
 from arrconn.lauricella import build_An, recover_parameters, reduced_residues
 from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
-from conftest import commutator, random_params_nonzero_subsets, random_rational
+from conftest import commutator, jordan_pochhammer, random_params_nonzero_subsets, random_rational
 from test_arrangement import small_arrangements
 from test_integer_core import fraction_check_torsion_free
 
@@ -193,25 +197,26 @@ def _rows_from_matrix_traces(conn):
 class TestIntegerView:
     def test_built_once_per_connection(self, monkeypatch):
         built = []
-        original = StandardConnection.__dict__["integer"].func
+        original = StandardConnection._from_numerators
 
-        def counting(conn):
-            built.append(conn)
-            return original(conn)
+        def making(arrangement, re, im, d):
+            conn = original(arrangement, re, im, d)
+            built.append(conn.integer)
+            return conn
 
-        prop = cached_property(counting)
-        prop.__set_name__(StandardConnection, "integer")
-        monkeypatch.setattr(StandardConnection, "integer", prop)
+        monkeypatch.setattr(StandardConnection, "_from_numerators", staticmethod(making))
         conn = reduced_residues([F(1, 7), F(2, 9), F(-3, 11), F(4, 13)], arrangement=_braid(3))
+        assert built == [conn.integer]
         check_flat(conn)
         weights(conn)
         check_weight_constraints(conn)
-        recover_parameters(conn)
         weight_at_flat(conn, conn.arrangement.lattice().flats[-1])
-        assert built == [conn]
+        assert built == [conn.integer]
+        recover_parameters(conn)  # builds the candidate connection, and nothing else
+        assert len(built) == 2 and built[0] is conn.integer
         other = StandardConnection(conn.arrangement, dict(conn.residues))
         check_flat(other)
-        assert built == [conn, other]
+        assert len(built) == 3 and built[2] is other.integer
 
     def test_arrays_read_only(self):
         view = reduced_residues([F(1, 3), F(1, 5), F(1, 7)]).integer
@@ -255,10 +260,13 @@ class TestIntegerView:
         past = reduced_residues([*_BIG, F(1, 7), F(2, 9)], arrangement=_braid(3))
         assert (fits.integer.re.dtype, past.integer.re.dtype) == (np.int64, object)
         for conn in (fits, past):
-            view = conn.integer
-            assert all(type(x) is int for x in view.trace_re + view.trace_im)
-            total = view.trace_sum(range(len(conn.arrangement)), 2)
-            assert type(total.re.numerator) is int and type(total.im.numerator) is int
+            values = [
+                *weights(conn).table.values(),
+                *(x for row in check_weight_constraints(conn).rows for x in (row.lhs, row.rhs, row.residual)),
+                *recover_parameters(conn).traces.values(),
+                weight_at_flat(conn, conn.arrangement.lattice().flats[-1]),
+            ]
+            assert all(type(x.numerator) is int for w in values for x in (w.re, w.im))
 
 
 # -- the int64 bound -----------------------------------------------------------------
@@ -398,3 +406,110 @@ class TestInt64Bound:
         assert imaginary.integer.im.any()
         assert check_flat(imaginary) == fraction_check_flat(imaginary)
         assert calls == [np.int64] * 4
+
+
+# -- the stored form ---------------------------------------------------------------
+
+def _canonical(conn) -> tuple:
+    """(d, re, im) from the residue entries as Fractions: d the lcm of their
+    denominators, re and im the numerators over d, in hyperplane order."""
+    entries = [e for h in conn.arrangement.hyperplanes for row in conn.residue(h.id).entries for e in row]
+    d = math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+    return d, [int(e.re * d) for e in entries], [int(e.im * d) for e in entries]
+
+
+def _form(conn) -> tuple:
+    view = conn.integer
+    return view.denominator, view.re.dtype, view.re.ravel().tolist(), view.im.ravel().tolist()
+
+
+@st.composite
+def stored_form_connections(draw):
+    """Random Q(i) residues on A_2-A_4 or a random Q(i) arrangement: zero,
+    scalar, rank one through the form, or random, with entries from small
+    rationals and, optionally, numerators and denominators past 2^63."""
+    arr = draw(st.one_of(st.integers(2, 4).map(_braid), small_arrangements()))
+    n = arr.dimension
+    parts = _SMALL + _BIG if draw(st.booleans()) else _SMALL
+    entry = _gauss(parts)
+    residues = {}
+    for h in arr.hyperplanes:
+        kind = draw(st.sampled_from(("zero", "scalar", "rank-one", "random")))
+        if kind == "zero":
+            residues[h.id] = ExactMatrix.zeros(n, n)
+        elif kind == "scalar":
+            residues[h.id] = ExactMatrix.identity(n).scale(draw(entry))
+        elif kind == "rank-one":
+            v = [draw(entry) for _ in range(n)]
+            residues[h.id] = ExactMatrix([[x * f for f in h.form] for x in v])
+        else:
+            residues[h.id] = _matrix(draw, n, entry)
+    return StandardConnection(arr, residues)
+
+
+@st.composite
+def lauricella_parameters(draw):
+    """a_1..a_{n+1} for A_1-A_5: complex, with small and optionally huge parts."""
+    n = draw(st.integers(1, 5))
+    parts = _PARAMS + _BIG if draw(st.booleans()) else _PARAMS
+    return draw(st.lists(_gauss(parts), min_size=n + 1, max_size=n + 1))
+
+
+class TestStoredForm:
+    @given(stored_form_connections())
+    def test_constructor_round_trips(self, conn):
+        d, _, re, im = _form(conn)
+        assert (d, re, im) == _canonical(conn)
+        assert _form(StandardConnection(conn.arrangement, conn.residues)) == _form(conn)
+        assert conn.integer.re.dtype == (np.int64 if _bound_holds(conn) else object)
+
+    @settings(max_examples=60)
+    @given(lauricella_parameters())
+    def test_reduced_residues_match_grids(self, params):
+        arr = _braid(len(params) - 1)
+        conn = reduced_residues(params, arrangement=arr)
+        assert _form(conn) == _form(StandardConnection(arr, jordan_pochhammer(params)))
+
+    def test_cancelling_denominators(self):
+        conn = reduced_residues([F(1, 2), F(1, 2)])
+        assert _form(conn) == (1, np.int64, [1], [0])
+
+    @settings(max_examples=60)
+    @given(st.one_of(qi_connections(), lauricella_connections()))
+    def test_weights_match_trace_oracle(self, conn):
+        arr = conn.arrangement
+        expected = {
+            flat: residue_at_flat(conn, flat).trace() / GaussianRational(flat.codim)
+            for flat in arr.lattice().irreducible
+        }
+        assert weights(conn).table == expected
+        if arr.dimension >= 2 and arr.essential_irreducible:
+            rows = check_weight_constraints(conn).rows
+            assert repr(rows) == repr(_rows_from_matrix_traces(conn))
+
+    def test_checks_build_no_residues_view(self, tmp_path):
+        a = [F(1, 7), F(2, 9), F(-3, 11), F(4, 13), F(5, 8), F(1, 3)]
+        path = tmp_path / "a4.json"
+        path.write_text(json.dumps(connection_to_json(reduced_residues(a[:5]))))
+        for conn in (reduced_residues(a), load_connection(path)):
+            check_torsion_free(conn)
+            check_flat(conn)
+            weights(conn)
+            check_weight_constraints(conn)
+            assert recover_parameters(conn).ok
+            assert "residues" not in conn.__dict__
+
+    def test_numeric_view_is_correctly_rounded(self):
+        # (2^53 + 1) / 3 is exact in Python ints, but a float64 division of
+        # the rounded numerator 2^53 gives a different double
+        big = GaussianRational(F(2**53 + 1, 3), F(-(2**60) - 7, 3))
+        arr = _braid(2)
+        conn = StandardConnection(
+            arr, {h.id: ExactMatrix([[big, F(1, 3)], [0, big * k]]) for k, h in enumerate(arr.hyperplanes)}
+        )
+        assert conn.integer.re.dtype == object and conn.integer.denominator == 3
+        exact = np.array(
+            [[complex(e) for row in conn.residue(h.id).entries for e in row] for h in arr.hyperplanes],
+            dtype=complex,
+        )
+        assert conn.numeric[1].tobytes() == exact.tobytes()

@@ -217,6 +217,20 @@ class TestRecovery:
         assert not result.ok
         assert "non-Lauricella" in result.failure
 
+    @pytest.mark.parametrize("shift", [G(1), G(F(1, 7))], ids=["same-denominator", "new-denominator"])
+    def test_names_the_non_lauricella_residue(self, shift):
+        # traces kept, so recovery reaches the comparison; a shift by 1/7 also
+        # changes the common denominator of the stored form
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
+        residues = dict(conn.residues)
+        m = [list(row) for row in residues["H_2_3"].entries]
+        m[0][0], m[1][1] = m[0][0] + shift, m[1][1] - shift
+        residues["H_2_3"] = ExactMatrix(m)
+        bad = StandardConnection(conn.arrangement, residues)
+        assert (bad.integer.denominator == conn.integer.denominator) == (shift == 1)
+        result = recover_parameters(bad, verify_input=False)
+        assert result.failure == "non-Lauricella residues at H_2_3"
+
     def test_unverified_non_flat_input_caught_by_default(self):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
         residues = dict(conn.residues)
