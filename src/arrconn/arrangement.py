@@ -1,8 +1,11 @@
 """Central hyperplane arrangements over Q(i).
 
-Intersection lattice, localization and restriction, irreducibility via
-linear-matroid connectivity, deletion-restriction triples, and the JSON
-file format (including the built-in braid arrangement generator).
+An arrangement stores its ids and one Gaussian-integer row per form;
+the Q(i) hyperplanes and the complex forms are views built from them on
+first use.  Intersection lattice, localization and restriction,
+irreducibility via linear-matroid connectivity, deletion-restriction
+triples, and the JSON file format (including the built-in braid
+arrangement generator).
 """
 
 from __future__ import annotations
@@ -20,15 +23,11 @@ from .errors import InputError, LatticeCapError, PreconditionError
 from .numkernel import (
     ExactVector,
     GaussianRational,
-    GR_ONE,
-    GR_ZERO,
     _echelon_core,
     cleared,
     gaussian_ratio,
     parse_fraction,
     rank_kernel,
-    vec,
-    vec_complex,
 )
 
 DEFAULT_LATTICE_CAP = 20
@@ -73,50 +72,66 @@ def _primitive_key(re, im) -> tuple:
 
 
 class Arrangement:
-    """A finite list of linear hyperplanes through the origin of C^n."""
+    """A finite list of linear hyperplanes through the origin of C^n.
+
+    Stored once: the ids, and each form h_i as the Gaussian-integer row
+    (re, im, d_i) that ``cleared`` gives, h_i = (re + i im) / d_i with
+    gcd(d_i, re..., im...) = 1, held as ``_integer_forms`` (the (re, im)
+    object arrays of shape (m, n)) and ``_denominators``.  ``hyperplanes``,
+    ``form(i)`` and ``complex_forms`` are read-only views, built on first
+    use.
+    """
 
     def __init__(self, dimension: int, hyperplanes):
+        hyperplanes = tuple(hyperplanes)
+        rows = [cleared(h.form) for h in hyperplanes]
+        vars(self).update(vars(self._from_rows(dimension, [h.id for h in hyperplanes], rows)))
+
+    @classmethod
+    def _from_rows(cls, dimension: int, ids, rows) -> "Arrangement":
+        """The arrangement of the given ids and canonical rows (re, im, d);
+        every arrangement is made here, and the input checks are made
+        here, in this order."""
         if dimension < 1:
             raise InputError("dimension must be >= 1")
-        self.dimension = dimension
-        self.hyperplanes = tuple(hyperplanes)
-        ids = [h.id for h in self.hyperplanes]
+        ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise InputError("duplicate hyperplane ids")
-        # each form h_i as (re, im, d_i): h_i times its common denominator d_i
-        rows = [cleared(h.form) for h in self.hyperplanes]
-        self._denominators = [d for _, _, d in rows]
         seen = {}
-        for h, (re, im, _) in zip(self.hyperplanes, rows):
-            if len(h.form) != dimension:
-                raise InputError(f"form of {h.id} has wrong length")
+        for hid, (re, im, _) in zip(ids, rows):
+            if len(re) != dimension:
+                raise InputError(f"form of {hid} has wrong length")
             key = _primitive_key(re, im)
             if key in seen:
-                raise InputError(f"hyperplanes {seen[key]} and {h.id} are proportional")
-            seen[key] = h.id
-        # the cleared forms as Gaussian-integer rows: (re, im) object
-        # arrays of shape (m, n)
-        self._integer_forms = tuple(
-            np.array([row[k] for row in rows], dtype=object).reshape(len(rows), dimension)
-            for k in (0, 1)
-        )
-        self._index = {h.id: i for i, h in enumerate(self.hyperplanes)}
-        self._lattice: Optional[Lattice] = None
+                raise InputError(f"hyperplanes {seen[key]} and {hid} are proportional")
+            seen[key] = hid
+        arr = cls.__new__(cls)
+        arr.dimension, arr._ids, arr._lattice = dimension, ids, None
+        arr._integer_forms = tuple(np.array([r[k] for r in rows], object).reshape(-1, dimension) for k in (0, 1))
+        arr._denominators = tuple(d for _, _, d in rows)
+        return arr
 
     def __len__(self):
-        return len(self.hyperplanes)
+        return len(self._ids)
 
     def index_of(self, hyperplane_id: str) -> int:
         try:
-            return self._index[hyperplane_id]
-        except KeyError:
+            return self._ids.index(hyperplane_id)
+        except ValueError:
             raise InputError(f"unknown hyperplane id {hyperplane_id!r}") from None
+
+    @cached_property
+    def hyperplanes(self) -> tuple:
+        """The hyperplanes as ``Hyperplane(id, form)``, forms over Q(i)."""
+        fr, fi = self._integer_forms
+        rows = zip(self._ids, fr.tolist(), fi.tolist(), self._denominators)
+        return tuple(Hyperplane(hid, tuple(gaussian_ratio(a, b, d) for a, b in zip(re, im))) for hid, re, im, d in rows)
 
     def form(self, i: int) -> ExactVector:
         return self.hyperplanes[i].form
 
     def ids(self):
-        return [h.id for h in self.hyperplanes]
+        return list(self._ids)
 
     def lattice(self, cap: Optional[int] = None) -> "Lattice":
         """The intersection lattice, built once; the cap (a hyperplane
@@ -138,9 +153,12 @@ class Arrangement:
 
     @cached_property
     def complex_forms(self) -> np.ndarray:
-        """The hyperplane forms as the rows of a complex (m, n) matrix,
-        built once per arrangement; read-only."""
-        forms = np.array([vec_complex(h.form) for h in self.hyperplanes], dtype=complex)
+        """The hyperplane forms as the rows of a complex (m, n) matrix;
+        Python int true division rounds correctly, so each entry is
+        ``complex`` of the exact one."""
+        fr, fi = self._integer_forms
+        rows = zip(fr.tolist(), fi.tolist(), self._denominators)
+        forms = np.array([complex(a / d, b / d) for re, im, d in rows for a, b in zip(re, im)], dtype=complex)
         forms = forms.reshape(len(self), self.dimension)
         forms.flags.writeable = False
         return forms
@@ -351,17 +369,14 @@ def _trace_kernel(trace, rows) -> tuple:
 def localization(arr: Arrangement, flat: Flat) -> Arrangement:
     """Sub-arrangement of the hyperplanes containing the flat (same ambient)."""
     _require_flat(arr, flat)
-    return Arrangement(arr.dimension, [arr.hyperplanes[i] for i in flat.containing])
+    return _sub_arrangement(arr, flat.containing)
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A hyperplane of a restricted arrangement with its source fibre
-    (the indices of the hyperplanes it is the trace of)."""
-
-    id: str
-    form: ExactVector
-    sources: tuple
+def _sub_arrangement(arr: Arrangement, indices) -> Arrangement:
+    """The hyperplanes at the given indices, in order: a row slice of the stored form."""
+    fr, fi = arr._integer_forms
+    rows = [(fr[i].tolist(), fi[i].tolist(), arr._denominators[i]) for i in indices]
+    return Arrangement._from_rows(arr.dimension, [arr._ids[i] for i in indices], rows)
 
 
 def _trace_classes(traces, containing):
@@ -376,24 +391,6 @@ def _trace_classes(traces, containing):
     return [tuple(sources) for sources in merged.values()]
 
 
-def _traces_on(arr: Arrangement, flat: Flat):
-    """Traces on the flat of the hyperplanes not containing it, merged
-    into one class when proportional, in order of their first member;
-    coordinates are taken in the flat's kernel_basis frame, and only a
-    class's first member gets its exact form, t_j = T_j / (d mu_j) from
-    its integer trace T on the rows (see ``_trace_kernel``).  Each class
-    is a hyperplane of the restriction and, as a flat of the arrangement,
-    one of the flats covering this one."""
-    traces = _integer_traces(arr, flat.rows)
-    out = []
-    for sources in _trace_classes(traces, flat.containing):
-        i = sources[0]
-        d = arr._denominators[i]
-        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, (_, _, mu) in zip(*traces[i], flat.rows))
-        out.append(Trace(arr.hyperplanes[i].id, form, sources))
-    return out
-
-
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """Induced arrangement on a flat, in its kernel_basis coordinates."""
     _require_flat(arr, flat)
@@ -401,12 +398,26 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
 
 
 def _restricted(arr: Arrangement, flat: Flat):
-    """The traces on a flat of the arrangement (``_traces_on``) and the
-    restriction they make; a flat that is a point is refused."""
+    """The classes of proportional traces on a flat (``_trace_classes``)
+    and the restriction they make, one hyperplane per class, with the id
+    and the trace of its first member; a flat that is a point is refused.
+    Coordinates are taken in the flat's kernel_basis frame: the trace is
+    t_j = T_j / (d mu_j), from the integer trace T on the rows (see
+    ``_trace_kernel``), stored over the lcm of the d mu_j."""
     if flat.dim == 0:
         raise PreconditionError("restriction to a point undefined")
-    traces = _traces_on(arr, flat)
-    return traces, Arrangement(flat.dim, [Hyperplane(t.id, t.form) for t in traces])
+    traces = _integer_traces(arr, flat.rows)
+    mus = [mu for _, _, mu in flat.rows]
+    lcm = math.lcm(*mus)
+    scale = [lcm // mu for mu in mus]
+    classes = _trace_classes(traces, flat.containing)
+    firsts, rows = [sources[0] for sources in classes], []
+    for i in firsts:
+        re, im = ([a * s for a, s in zip(part, scale)] for part in traces[i])
+        d = arr._denominators[i] * lcm
+        g = math.gcd(d, *re, *im)
+        rows.append(([a // g for a in re], [b // g for b in im], d // g))
+    return classes, Arrangement._from_rows(flat.dim, [arr._ids[i] for i in firsts], rows)
 
 
 class _UnionFind:
@@ -510,10 +521,9 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     exactly a one-element block of the cached irreducible decomposition.
     """
     i0 = arr.index_of(h0)
-    keep = [h for i, h in enumerate(arr.hyperplanes) if i != i0]
-    deleted = Arrangement(arr.dimension, keep)
-    traces, restricted = _restricted(arr, arr.hyperplane_flats[i0])
-    projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
+    deleted = _sub_arrangement(arr, [i for i in range(len(arr)) if i != i0])
+    classes, restricted = _restricted(arr, arr.hyperplane_flats[i0])
+    projection = {arr._ids[i]: hid for hid, sources in zip(restricted._ids, classes) for i in sources}
     separator = (i0,) in arr._decomposition[0]
     return DeletionRestriction(deleted, restricted, projection, separator)
 
@@ -530,23 +540,17 @@ def _require_flat(arr: Arrangement, flat: Flat):
 
 # -- braid arrangement forms (used by the file format and by lauricella) ------
 
-def braid_hyperplanes(n: int):
-    """Hyperplanes of the essential braid arrangement in C^n.
+def _braid_rows(n: int):
+    """Ids and rows of the essential braid arrangement in C^n.
 
     Pairs (i, j) with 1 <= i < j <= n+1 in lexicographic order; the form is
     z_i - z_j for j <= n and z_i for j = n+1.  Ids are "H_i_j".
     """
     if n < 1:
         raise InputError("braid arrangement needs n >= 1")
-    planes = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 2):
-            form = [GR_ZERO] * n
-            form[i - 1] = GR_ONE
-            if j <= n:
-                form[j - 1] = -GR_ONE
-            planes.append(Hyperplane(f"H_{i}_{j}", tuple(form)))
-    return planes
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
+    rows = [([(k == i) - (k == j) for k in range(1, n + 1)], [0] * n, 1) for i, j in pairs]
+    return [f"H_{i}_{j}" for i, j in pairs], rows
 
 
 def pair_of_id(hyperplane_id: str):
@@ -602,23 +606,27 @@ def arrangement_from_json(obj) -> Arrangement:
         if obj["builtin"] != "A_n":
             raise InputError(f"unknown builtin {obj['builtin']!r}")
         n = _integer_field(obj, "n")
-        return Arrangement(n, braid_hyperplanes(n))
+        return Arrangement._from_rows(n, *_braid_rows(n))
     dimension = _integer_field(obj, "dimension")
     if "hyperplanes" not in obj:
         raise InputError("missing field 'hyperplanes'")
     raw = obj["hyperplanes"]
     if not isinstance(raw, list):
         raise InputError(f"field 'hyperplanes' must be a list, got {raw!r}")
-    planes = []
+    rows = []
     for item in raw:
         try:
             if not isinstance(item["form"], list):
                 raise TypeError(f"form must be a list, got {item['form']!r}")
-            form = vec(_parse_entry(e) for e in item["form"])
-            planes.append(Hyperplane(str(item["id"]), form))
+            row = cleared([_parse_entry(e) for e in item["form"]])
+            if type(item["id"]) is not str:
+                raise TypeError(f"id must be a string, got {item['id']!r}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad hyperplane entry: {exc}") from None
-    return Arrangement(dimension, planes)
+        if not (any(row[0]) or any(row[1])):
+            raise InputError(f"hyperplane {item['id']} has a zero form")
+        rows.append(row)
+    return Arrangement._from_rows(dimension, [item["id"] for item in raw], rows)
 
 
 def arrangement_to_json(arr: Arrangement) -> dict:

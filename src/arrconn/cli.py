@@ -43,7 +43,7 @@ def _flat_json(arr, flat):
     return {
         "codim": flat.codim,
         "dim": flat.dim,
-        "hyperplanes": [arr.hyperplanes[i].id for i in flat.containing],
+        "hyperplanes": [arr._ids[i] for i in flat.containing],
     }
 
 
@@ -84,7 +84,7 @@ def cmd_lattice(args) -> int:
         entry = _flat_json(arr, flat)
         blocks = arrmod._blocks(arr, flat.containing)[0]
         entry["irreducible"] = len(blocks) == 1
-        entry["components"] = [[arr.hyperplanes[i].id for i in b] for b in blocks]
+        entry["components"] = [[arr._ids[i] for i in b] for b in blocks]
         flats.append(entry)
     obj = {
         "dimension": arr.dimension,
@@ -118,7 +118,7 @@ def cmd_check(args) -> int:
     arr = conn.arrangement
     weight_rows = [
         {
-            "hyperplanes": [arr.hyperplanes[i].id for i in flat.containing],
+            "hyperplanes": [arr._ids[i] for i in flat.containing],
             "codim": flat.codim,
             "weight": arrmod._entry_to_json(w),
         }
@@ -163,7 +163,7 @@ def cmd_check(args) -> int:
         lines.append(f"first failure: {first_failure}")
         if first_failure == "flat" and flatness.violations:
             flat, hid = flatness.violations[0]
-            ids = ",".join(arr.hyperplanes[i].id for i in flat.containing)
+            ids = ",".join(arr._ids[i] for i in flat.containing)
             lines.append(f"  commutator violation at flat [{ids}] with {hid}")
     else:
         lines.append("all checks passed")

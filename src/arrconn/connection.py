@@ -86,10 +86,10 @@ def _residue_sum(view: IntegerView, rows) -> ExactMatrix:
 
 
 def _check_ids(arrangement: Arrangement, ids) -> None:
-    missing = [h.id for h in arrangement.hyperplanes if h.id not in ids]
+    missing = [hid for hid in arrangement._ids if hid not in ids]
     if missing:
         raise InputError(f"missing residues for {missing}")
-    extra = set(ids) - {h.id for h in arrangement.hyperplanes}
+    extra = set(ids) - set(arrangement._ids)
     if extra:
         raise InputError(f"residues for unknown hyperplanes {sorted(extra)}")
 
@@ -104,7 +104,7 @@ class StandardConnection:
         for hid, m in residues.items():
             if not isinstance(m, ExactMatrix) or m.rows != n or m.cols != n:
                 raise InputError(f"residue at {hid} must be an exact {n}x{n} matrix")
-        entries = [e for h in arrangement.hyperplanes for row in residues[h.id].entries for e in row]
+        entries = [e for hid in arrangement._ids for row in residues[hid].entries for e in row]
         stored = self._from_numerators(arrangement, *cleared(entries))
         self.arrangement, self.integer = stored.arrangement, stored.integer
 
@@ -133,8 +133,8 @@ class StandardConnection:
     @cached_property
     def residues(self) -> MappingProxyType:
         """Hyperplane id -> ``ExactMatrix``, built on first use, read-only."""
-        hyperplanes = self.arrangement.hyperplanes
-        return MappingProxyType({h.id: _residue_sum(self.integer, [k]) for k, h in enumerate(hyperplanes)})
+        ids = self.arrangement._ids
+        return MappingProxyType({hid: _residue_sum(self.integer, [k]) for k, hid in enumerate(ids)})
 
     def residue(self, hyperplane_id: str):
         return self.residues[hyperplane_id]
@@ -189,7 +189,7 @@ def check_torsion_free(conn: StandardConnection) -> TorsionFreeReport:
     re = pr * view.re - pi * view.im - (cr * fr - ci * fi)
     im = pr * view.im + pi * view.re - (cr * fi + ci * fr)
     bad = (re != 0).any(axis=(1, 2)) | (im != 0).any(axis=(1, 2))
-    violators = tuple(h.id for h, b in zip(arr.hyperplanes, bad) if b)
+    violators = tuple(hid for hid, b in zip(arr._ids, bad) if b)
     return TorsionFreeReport(not violators, violators)
 
 
@@ -247,7 +247,7 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
     else:
         nonzero = re != 0
     bad = np.flatnonzero(nonzero.any(axis=(1, 2)))
-    violations = tuple((flats[which[p]], arr.hyperplanes[above[p]].id) for p in bad)
+    violations = tuple((flats[which[p]], arr._ids[above[p]]) for p in bad)
     return FlatnessReport(not violations, violations)
 
 
@@ -281,17 +281,16 @@ class NormalFrame:
 def hyperplane_normal(conn: StandardConnection, hyperplane_id: str) -> ExactVector:
     """The vector n_H with A_H = (column n_H) x (row dh); errors if A_H is
     not a semi-simple rank-one matrix killing H."""
-    i = conn.arrangement.index_of(hyperplane_id)
-    h = conn.arrangement.hyperplanes[i]
+    form = conn.arrangement.form(conn.arrangement.index_of(hyperplane_id))
     a = conn.residue(hyperplane_id)
-    j0 = next((j for j, c in enumerate(h.form) if c), None)
-    normal = tuple(e / h.form[j0] for e in a.column(j0))
+    j0 = next((j for j, c in enumerate(form) if c), None)
+    normal = tuple(e / form[j0] for e in a.column(j0))
     if not any(normal):
         raise NormalDataError(hyperplane_id, "residue is zero")
-    for j, c in enumerate(h.form):
+    for j, c in enumerate(form):
         if a.column(j) != tuple(c * x for x in normal):
             raise NormalDataError(hyperplane_id, "residue is not dh (x) n_H (rank != 1 or kernel != H)")
-    if not vec_dot(h.form, normal):
+    if not vec_dot(form, normal):
         raise NormalDataError(hyperplane_id, "nilpotent residue: n_H lies inside H")
     return normal
 
@@ -299,10 +298,11 @@ def hyperplane_normal(conn: StandardConnection, hyperplane_id: str) -> ExactVect
 def normal_data(conn: StandardConnection, cap: Optional[int] = None) -> NormalFrame:
     """Normal vectors of all hyperplanes and the spans L-perp of every
     irreducible flat (greedy independent normals, hyperplane order)."""
-    normals = {h.id: hyperplane_normal(conn, h.id) for h in conn.arrangement.hyperplanes}
+    ids = conn.arrangement._ids
+    normals = {hid: hyperplane_normal(conn, hid) for hid in ids}
     perp = {}
     for flat in irreducible_flats(conn.arrangement, cap=cap):
-        vectors = [normals[conn.arrangement.hyperplanes[i].id] for i in flat.containing]
+        vectors = [normals[ids[i]] for i in flat.containing]
         chosen = independent_subset(vectors)
         perp[flat] = tuple(vectors[k] for k in chosen)
     return NormalFrame(normals, perp)
@@ -312,7 +312,7 @@ def flat_perp_basis(conn: StandardConnection, flat: Flat) -> tuple:
     """Greedy basis of span{n_H : H contains the flat} (any flat, not only
     irreducible ones)."""
     arr = conn.arrangement
-    vectors = [hyperplane_normal(conn, arr.hyperplanes[i].id) for i in flat.containing]
+    vectors = [hyperplane_normal(conn, arr._ids[i]) for i in flat.containing]
     chosen = independent_subset(vectors)
     return tuple(vectors[k] for k in chosen)
 
@@ -402,7 +402,7 @@ def euler_field(conn: StandardConnection) -> EulerField:
         if not alpha_i:
             raise WeightZeroError(
                 f"Euler field undefined: angle 1 - a = 0 at the component of "
-                f"{[arr.hyperplanes[i].id for i in block]}"
+                f"{[arr._ids[i] for i in block]}"
             )
         perp = flat_perp_basis(conn, t_i)
         block_sum = residue_at_flat(conn, t_i)
@@ -412,7 +412,7 @@ def euler_field(conn: StandardConnection) -> EulerField:
         factors.append(
             EulerFactor(
                 t_i,
-                tuple(arr.hyperplanes[i].id for i in block),
+                tuple(arr._ids[i] for i in block),
                 a_i,
                 alpha_i,
                 perp,
@@ -528,20 +528,20 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
     flat = arr.hyperplane_flats[i0]
-    traces, restricted = _restricted(arr, flat)
+    classes, restricted = _restricted(arr, flat)
+    traces = list(zip(restricted._ids, classes))
     residues = {}
-    for trace in traces:
+    for hid, sources in traces:
         # the codimension-two flat H0 ∩ H_s contains exactly H0 and the
         # sources of the trace of H_s
-        a_full = _residue_sum(conn.integer, [i0, *trace.sources])
-        residues[trace.id] = _residue_in_basis(a_full, flat.kernel_basis)
-        if residues[trace.id] is None:
+        residues[hid] = _residue_in_basis(_residue_sum(conn.integer, [i0, *sources]), flat.kernel_basis)
+        if residues[hid] is None:
             raise PreconditionError(
-                f"residue of the flat {trace.id} does not preserve {h0}; "
+                f"residue of the flat {hid} does not preserve {h0}; "
                 "the input connection is not flat"
             )
     induced = StandardConnection(restricted, residues)
-    projection = {arr.hyperplanes[i].id: t.id for t in traces for i in t.sources}
+    projection = {arr._ids[i]: hid for hid, sources in traces for i in sources}
     return InducedConnection(induced, h0, flat.kernel_basis, projection)
 
 
@@ -587,10 +587,10 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     rhs = incidence.T @ np.where(pairs, 2 * sums, sums) - 2 * (incidence.T @ pairs) * traces
     lhs = gaussian_ratio(*traces.sum(axis=0).tolist(), d * n)
     rows = []
-    for i0, (h0, (re, im)) in enumerate(zip(arr.hyperplanes, rhs.tolist())):
+    for i0, (h0, (re, im)) in enumerate(zip(arr._ids, rhs.tolist())):
         valid = i0 in arr.essential_irreducible_restrictions
         r = gaussian_ratio(re, im, 2 * (n - 1) * d) if valid else GR_ZERO
-        rows.append(WeightConstraintRow(h0.id, lhs, r, lhs - r if valid else GR_ZERO, valid))
+        rows.append(WeightConstraintRow(h0, lhs, r, lhs - r if valid else GR_ZERO, valid))
     valid_rows = [r for r in rows if r.restriction_essential_irreducible]
     return WeightConstraintReport(
         tuple(rows),
@@ -617,7 +617,7 @@ def non_resonant(matrix, tol: float = 1e-9) -> bool:
 
 
 def non_resonance_report(conn: StandardConnection, tol: float = 1e-9) -> dict:
-    return {h.id: non_resonant(conn.numeric_residue(h.id), tol) for h in conn.arrangement.hyperplanes}
+    return {hid: non_resonant(conn.numeric_residue(hid), tol) for hid in conn.arrangement._ids}
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -645,15 +645,15 @@ def connection_from_json(obj) -> StandardConnection:
             raise InputError(f"residue for {hid} is {len(rows)}x{cols}, expected {n}x{n}")
         grids[str(hid)] = rows
     _check_ids(arr, grids)
-    entries = [e for h in arr.hyperplanes for row in grids[h.id] for e in row]
+    entries = [e for hid in arr._ids for row in grids[hid] for e in row]
     return StandardConnection._from_numerators(arr, *cleared(entries))
 
 
 def connection_to_json(conn: StandardConnection) -> dict:
     obj = arrangement_to_json(conn.arrangement)
     obj["residues"] = {
-        h.id: [[_entry_to_json(e) for e in row] for row in conn.residue(h.id).entries]
-        for h in conn.arrangement.hyperplanes
+        hid: [[_entry_to_json(e) for e in row] for row in conn.residue(hid).entries]
+        for hid in conn.arrangement._ids
     }
     return obj
 

@@ -113,7 +113,7 @@ def connection_form(conn: StandardConnection, z, v) -> np.ndarray:
     hz = z.reshape(-1, n) @ forms.T
     small = np.abs(hz) < POLE_TOL
     if small.any():
-        hid = conn.arrangement.hyperplanes[int(np.argmax(small.ravel())) % len(forms)].id
+        hid = conn.arrangement._ids[int(np.argmax(small.ravel())) % len(forms)]
         raise PoleProximityError(f"path touches hyperplane {hid}")
     c = (np.asarray(v, dtype=complex).reshape(-1, n) @ forms.T) / hz
     return (c @ residues).reshape(points + (n, n))
@@ -208,7 +208,7 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
         raise PreconditionError("generator loops need a nonempty arrangement")
     for attempt in range(50):
         p = _draw_basepoint(arr, seed + 7919 * attempt)
-        meridians = tuple(meridian(arr, p, h.id) for h in arr.hyperplanes)
+        meridians = tuple(meridian(arr, p, hid) for hid in arr._ids)
         central = make_loop(
             arr, p, (Arc(np.zeros(arr.dimension, dtype=complex), p, 2.0 * np.pi),)
         )

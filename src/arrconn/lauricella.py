@@ -16,7 +16,7 @@ from .arrangement import (
     Arrangement,
     Flat,
     _UnionFind,
-    braid_hyperplanes,
+    _braid_rows,
     flat_from_indices,
     pair_of_id,
 )
@@ -63,7 +63,7 @@ class ParameterVector:
 
 def build_An(n: int) -> Arrangement:
     """Essential braid arrangement in C^n: z_i = z_j and z_i = 0."""
-    return Arrangement(n, braid_hyperplanes(n))
+    return Arrangement._from_rows(n, *_braid_rows(n))
 
 
 def _coerce_params(a) -> ParameterVector:
@@ -86,8 +86,8 @@ def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardCo
     arr = arrangement if arrangement is not None else build_An(n)
     *parts, d = cleared(params.entries)
     numerators = ([], [])
-    for h in arr.hyperplanes:
-        i, j = pair_of_id(h.id)
+    for hid in arr._ids:
+        i, j = pair_of_id(hid)
         form = [(k == i - 1) - (k == j - 1) for k in range(n)]  # z_i - z_j, with z_{n+1} = 0
         for p, out in zip(parts, numerators):
             v = [p[j - 1] * (k == i - 1) - p[i - 1] * ((k == j - 1) - (j > n)) for k in range(n)]
@@ -123,7 +123,10 @@ def _canonical_partition(blocks) -> Partition:
 
 
 def _check_braid(arr: Arrangement) -> int:
-    if list(arr.hyperplanes) != braid_hyperplanes(arr.dimension):
+    """The dimension n, when the ids and rows are those of ``build_An(n)``."""
+    ids, rows = _braid_rows(arr.dimension)
+    fr, fi = arr._integer_forms
+    if arr._ids != tuple(ids) or list(zip(fr.tolist(), fi.tolist(), arr._denominators)) != rows:
         raise PreconditionError("arrangement is not the braid arrangement builder output")
     return arr.dimension
 
@@ -133,7 +136,7 @@ def flat_to_partition(arr: Arrangement, flat: Flat) -> Partition:
     n = _check_braid(arr)
     uf = _UnionFind(n + 2)  # 1-based
     for idx in flat.containing:
-        uf.union(*pair_of_id(arr.hyperplanes[idx].id))
+        uf.union(*pair_of_id(arr._ids[idx]))
     groups = {}
     for x in range(1, n + 2):
         groups.setdefault(uf.find(x), []).append(x)
@@ -153,7 +156,7 @@ def partition_to_flat(arr: Arrangement, partition) -> Flat:
             for j in block:
                 if i < j:
                     wanted.add(f"H_{i}_{j}")
-    indices = [k for k, h in enumerate(arr.hyperplanes) if h.id in wanted]
+    indices = [k for k, hid in enumerate(arr._ids) if hid in wanted]
     return flat_from_indices(arr, indices)
 
 
@@ -195,7 +198,7 @@ def recover_parameters(
     n = _check_braid(arr)
     view = conn.integer
     ratios = [gaussian_ratio(re, im, view.denominator) for re, im in view.traces().tolist()]
-    traces = {pair_of_id(h.id): t for h, t in zip(arr.hyperplanes, ratios)}
+    traces = {pair_of_id(hid): t for hid, t in zip(arr._ids, ratios)}
 
     if n == 1:
         return RecoveryResult(False, None, "n = 1: only a_1 + a_2 is determined", True, traces)
@@ -237,6 +240,6 @@ def recover_parameters(
         # A_k = B_k iff q N_k = p M_k, compared in Python ints, which cannot overflow
         pairs = ((view.re, want.re), (view.im, want.im))
         bad = sum((x.astype(object) * q != y.astype(object) * p).any(axis=(1, 2)) for x, y in pairs)
-        hid = arr.hyperplanes[bad.argmax()].id
+        hid = arr._ids[bad.argmax()]
         return RecoveryResult(False, None, f"non-Lauricella residues at {hid}", False, traces)
     return RecoveryResult(True, vector, None, False, traces)

@@ -46,18 +46,11 @@ class GaussianRational:
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        """Parse a rational string like "3/4", "-2" or "0.25"."""
-        return GaussianRational(parse_fraction(text))
-
-    @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
-        if isinstance(value, str):
-            return GaussianRational.parse(value)
         raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
 
     @staticmethod
@@ -198,10 +191,6 @@ def vec_dot(u: ExactVector, v: ExactVector) -> GaussianRational:
     for a, b in zip(u, v):
         total = total + a * b
     return total
-
-
-def vec_complex(u: ExactVector) -> np.ndarray:
-    return np.array([complex(a) for a in u], dtype=complex)
 
 
 class ExactMatrix:

@@ -19,7 +19,6 @@ from arrconn.arrangement import (
     ambient_flat,
     arrangement_from_json,
     arrangement_to_json,
-    braid_hyperplanes,
     deletion_restriction,
     flat_from_basis,
     flat_from_indices,
@@ -32,6 +31,7 @@ from arrconn.arrangement import (
 )
 from arrconn.cli import main
 from arrconn.errors import InputError, LatticeCapError, PreconditionError
+from arrconn.lauricella import build_An
 from arrconn.numkernel import GaussianRational, cleared, rank_kernel, span_rank, vec, vec_dot
 
 
@@ -45,7 +45,7 @@ def boolean(n):
 
 
 def braid(n):
-    return Arrangement(n, braid_hyperplanes(n))
+    return Arrangement(n, build_An(n).hyperplanes)
 
 
 def bell(n):

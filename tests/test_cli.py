@@ -133,6 +133,10 @@ class TestLattice:
             {"dimension": True, "hyperplanes": []},
             {"builtin": "A_n", "n": 2.5},
             {"builtin": "A_n", "n": True},
+            {"dimension": 1, "hyperplanes": [{"id": None, "form": [1]}]},
+            {"dimension": 1, "hyperplanes": [{"id": [1], "form": [1]}]},
+            {"dimension": 1, "hyperplanes": [{"id": 1, "form": [1]}]},
+            {"dimension": 1, "hyperplanes": [{"id": True, "form": [1]}]},
         ],
         ids=[
             "dimension-not-integer",
@@ -142,6 +146,10 @@ class TestLattice:
             "dimension-bool",
             "n-float",
             "n-bool",
+            "id-null",
+            "id-list",
+            "id-number",
+            "id-bool",
         ],
     )
     def test_bad_field_exits_2(self, capsys, tmp_path, obj):
@@ -416,9 +424,9 @@ class TestSizeBound:
     @pytest.mark.parametrize("command", ["lattice", "check", "holonomy"])
     def test_oversized_exits_2_at_once(self, capsys, tmp_path, monkeypatch, obj, command):
         def refuse(n):
-            raise AssertionError("braid_hyperplanes called")
+            raise AssertionError("braid arrangement built")
 
-        monkeypatch.setattr(arrmod, "braid_hyperplanes", refuse)
+        monkeypatch.setattr(arrmod, "_braid_rows", refuse)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(obj if command == "lattice" else {**obj, "residues": {}}))
         start = time.perf_counter()

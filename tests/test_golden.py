@@ -4,6 +4,10 @@
 process on A_2-A_5 Lauricella connection files: plain parameters, one
 residue doubled (not flat, so ``check`` and ``recover`` fail), complex
 parameters, and parameters whose numerators and denominators pass 2^63.
+Forms are also read from JSON: A_3 with its forms written out, the same
+file with one form scaled by 1/3 + i (no longer the braid builder's, so
+``recover`` refuses it), and ``lattice`` on a seeded essential
+irreducible arrangement with complex entries past 2^63.
 The sha256 of every command's stdout, stderr and exit code, in order, is
 compared with a recorded digest per file, so any change to what these
 commands print shows here.  ``holonomy`` is left out: its floating-point
@@ -15,11 +19,13 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from arrconn.cli import main
+from arrconn.lauricella import build_An
 from arrconn.numkernel import GaussianRational
 from conftest import jordan_pochhammer
 
@@ -42,7 +48,12 @@ DIGESTS = {
     "A_5-doubled": "58eadcd286ec20a69bc2111e0209534f131d7fb1b59acc2fb9a2958811fd795d",
     "A_5-complex": "71627928ec005b920aa8f3b128ad4832c1bf3ebf52c1e0fc16feacd47f001997",
     "A_5-big": "299ae06021293e5edb81c286b7381344eca1024fbbc63cf2997af76f98cf0c4b",
+    "A_3-explicit": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
+    "A_3-explicit-scaled": "eb7750720e0f1669e261ee706927a50907fce595eff17a299c5a90b1381876c5",
+    "random-Qi": "f04d1d56e07fd19b8f7e4f230beea05f7ecb518952c8d703b371ad78725d5f25",
 }
+
+COMMANDS = ("lattice", "check", "recover")
 
 
 def parameters(n: int, variant: str) -> list:
@@ -53,6 +64,10 @@ def parameters(n: int, variant: str) -> list:
     return [F(1, 10 + i) for i in range(n + 1)]
 
 
+def _entry(value) -> list:
+    return [str(value.re), str(value.im)]
+
+
 def connection_file(directory, n: int, variant: str):
     residues = jordan_pochhammer(parameters(n, variant))
     if variant == "doubled":
@@ -60,18 +75,55 @@ def connection_file(directory, n: int, variant: str):
     obj = {
         "builtin": "A_n",
         "n": n,
-        "residues": {
-            hid: [[[str(e.re), str(e.im)] for e in row] for row in m.entries] for hid, m in residues.items()
-        },
+        "residues": {hid: [[_entry(e) for e in row] for row in m.entries] for hid, m in residues.items()},
     }
     path = directory / f"A_{n}-{variant}.json"
     path.write_text(json.dumps(obj))
     return path
 
 
-def output_digest(path) -> str:
+def explicit_file(directory, scaled: bool):
+    """The plain A_3 Lauricella file with its forms written out; when
+    ``scaled``, the form of H_1_3 is multiplied by 1/3 + i."""
+    planes = build_An(3).hyperplanes
+    factor = GaussianRational(F(1, 3), 1)
+    residues = jordan_pochhammer(parameters(3, "plain"))
+    obj = {
+        "dimension": 3,
+        "hyperplanes": [
+            {"id": h.id, "form": [_entry(c * factor if scaled and h.id == "H_1_3" else c) for c in h.form]}
+            for h in planes
+        ],
+        "residues": {hid: [[_entry(e) for e in row] for row in m.entries] for hid, m in residues.items()},
+    }
+    path = directory / f"A_3-explicit{'-scaled' if scaled else ''}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def random_arrangement_file(directory):
+    """A seeded arrangement in C^3 over Q(i) with numerators and
+    denominators past 2^63: four random forms, a fifth in the span of the
+    first two and a sixth in the span of the third and fourth, so the
+    lattice has two triple lines; it is essential and irreducible."""
+    rng = random.Random(2718)
+
+    def entry():
+        return GaussianRational(F(rng.randint(-(2**70), 2**70), rng.randint(1, 2**66)), F(rng.randint(-9, 9), rng.randint(1, 7)))
+
+    forms = [[entry() for _ in range(3)] for _ in range(4)]
+    for a, b in ((0, 1), (2, 3)):
+        lam = entry()
+        forms.append([x + lam * y for x, y in zip(forms[a], forms[b])])
+    obj = {"dimension": 3, "hyperplanes": [{"id": f"h{k}", "form": [_entry(c) for c in f]} for k, f in enumerate(forms)]}
+    path = directory / "random-Qi.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def output_digest(path, commands=COMMANDS) -> str:
     digest = hashlib.sha256()
-    for command in ("lattice", "check", "recover"):
+    for command in commands:
         for extra in ((), ("--json",)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -87,3 +139,15 @@ def test_output_matches_recorded_digest(tmp_path, n, variant):
     name = f"A_{n}-{variant}"
     got = output_digest(connection_file(tmp_path, n, variant))
     assert got == DIGESTS[name], f"{name}: {got}"
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["explicit", "explicit-scaled"])
+def test_explicit_forms_match_recorded_digest(tmp_path, scaled):
+    name = f"A_3-explicit{'-scaled' if scaled else ''}"
+    got = output_digest(explicit_file(tmp_path, scaled))
+    assert got == DIGESTS[name], f"{name}: {got}"
+
+
+def test_random_arrangement_matches_recorded_digest(tmp_path):
+    got = output_digest(random_arrangement_file(tmp_path), commands=("lattice",))
+    assert got == DIGESTS["random-Qi"], f"random-Qi: {got}"

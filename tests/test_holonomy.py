@@ -19,7 +19,7 @@ from arrconn.holonomy import (
     residue_limit_check,
 )
 from arrconn.lauricella import reduced_residues
-from arrconn.numkernel import ExactMatrix, PoleProximityError, hermitian_signature, ode_transport, vec, vec_complex
+from arrconn.numkernel import ExactMatrix, PoleProximityError, hermitian_signature, ode_transport, vec
 
 from conftest import transport_one
 
@@ -465,10 +465,8 @@ def reference_holonomy(conn, loop):
     from scipy.integrate import solve_ivp
 
     n = conn.dimension
-    terms = [
-        (vec_complex(h.form), conn.residue(h.id).to_complex())
-        for h in conn.arrangement.hyperplanes
-    ]
+    arr = conn.arrangement
+    terms = [(arr.complex_forms[i], conn.residue(h.id).to_complex()) for i, h in enumerate(arr.hyperplanes)]
     x = np.eye(n, dtype=complex)
     for piece in loop.pieces:
         def f(s, y, piece=piece):

@@ -8,10 +8,13 @@ written on top of them.  The integer versions in ``src/`` must agree with
 them value for value.
 """
 
+import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,11 +23,16 @@ import arrconn.numkernel as numkernel_module
 from arrconn.arrangement import (
     Arrangement,
     Hyperplane,
+    _integer_traces,
     _primitive_key,
-    _traces_on,
+    _restricted,
+    _trace_classes,
     ambient_flat,
+    arrangement_to_json,
     deletion_restriction,
     flat_from_indices,
+    load_arrangement,
+    restriction,
 )
 from arrconn.connection import (
     StandardConnection,
@@ -45,9 +53,11 @@ from arrconn.numkernel import (
     _echelon_core,
     cleared,
     coordinates_in_basis,
+    gaussian_ratio,
     rank_kernel,
     row_echelon,
     span_rank,
+    vec,
     vec_dot,
 )
 from test_arrangement import small_arrangements
@@ -117,6 +127,19 @@ def fraction_traces(arr, flat):
         first, first_form, sources = merged.get(key, (h.id, form, ()))
         merged[key] = (first, first_form, sources + (i,))
     return list(merged.values())
+
+
+def ratio_restriction(arr, flat):
+    """(id, form) of each hyperplane of the restriction to a flat, the
+    form built entry by entry with ``gaussian_ratio`` from the class
+    representative's integer trace: t_j = T_j / (d mu_j)."""
+    traces = _integer_traces(arr, flat.rows)
+    out = []
+    for sources in _trace_classes(traces, flat.containing):
+        i, d = sources[0], arr._denominators[sources[0]]
+        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, (_, _, mu) in zip(*traces[i], flat.rows))
+        out.append((arr.ids()[i], form))
+    return out
 
 
 def fraction_lattice(arr):
@@ -286,8 +309,12 @@ class TestPrimitiveKeys:
     @given(small_arrangements())
     def test_trace_classes_match_normalized_forms(self, arr):
         for flat in arr.lattice().flats:
-            traces = [(t.id, t.form, t.sources) for t in _traces_on(arr, flat)]
-            assert traces == fraction_traces(arr, flat)
+            if not flat.dim:  # a point lies in every hyperplane: no traces
+                assert fraction_traces(arr, flat) == []
+                continue
+            classes, restricted = _restricted(arr, flat)
+            got = [(h.id, h.form, sources) for h, sources in zip(restricted.hyperplanes, classes, strict=True)]
+            assert got == fraction_traces(arr, flat)
 
     @given(small_arrangements())
     def test_lattice_matches_fraction_build(self, arr):
@@ -305,6 +332,84 @@ class TestPrimitiveKeys:
         other = tuple(G(Fraction(-7, 5), 3) * x for x in form)
         with pytest.raises(InputError, match="a and b are proportional"):
             Arrangement(3, [Hyperplane("a", form), Hyperplane("b", other)])
+
+
+# -- the stored form of an arrangement -------------------------------------------------------
+
+@st.composite
+def qi_arrangements(draw):
+    """Arrangements over Q(i) in C^1-C^4: entries with denominators and
+    complex parts, in half the examples numerators and denominators past
+    2**63; up to two forms are combinations of two others, so the lattice
+    has deeper flats; zero and proportional forms are dropped."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(_SMALL, _BIG) if draw(st.booleans()) else _SMALL
+    forms = [tuple(draw(entry) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, lam = draw(st.sampled_from(forms)), draw(st.sampled_from(forms)), draw(_SMALL)
+        forms.append(tuple(lam * x + y for x, y in zip(a, b)))
+    keys, planes = set(), []
+    for form in forms:
+        if any(form) and normalized_form(form) not in keys:
+            keys.add(normalized_form(form))
+            planes.append(Hyperplane(f"h{len(planes)}", form))
+    return Arrangement(n, planes)
+
+
+def stored(arr):
+    return arr._ids, [forms.tolist() for forms in arr._integer_forms], arr._denominators
+
+
+def assert_canonical(arr):
+    """Each stored row (re, im, d) has d > 0 and gcd(d, re..., im...) = 1."""
+    for re, im, d in zip(*stored(arr)[1], arr._denominators):
+        assert d > 0 and math.gcd(d, *re, *im) == 1
+
+
+class TestStoredForm:
+    """An arrangement stores its ids and one canonical Gaussian-integer row
+    per form; ``hyperplanes`` and ``complex_forms`` are views of them."""
+
+    @given(qi_arrangements())
+    def test_round_trip_through_the_view(self, arr):
+        assert_canonical(arr)
+        assert [cleared(h.form) for h in arr.hyperplanes] == list(zip(*stored(arr)[1], arr._denominators))
+        again = Arrangement(arr.dimension, arr.hyperplanes)
+        assert stored(again) == stored(arr)
+        assert again.hyperplanes == arr.hyperplanes
+        assert [arr.form(i) for i in range(len(arr))] == [h.form for h in arr.hyperplanes]
+
+    @given(qi_arrangements())
+    def test_complex_forms_round_each_exact_entry(self, arr):
+        want = np.array([[complex(c) for c in h.form] for h in arr.hyperplanes], dtype=complex)
+        assert arr.complex_forms.tobytes() == want.reshape(len(arr), arr.dimension).tobytes()
+        assert arr.complex_forms.shape == (len(arr), arr.dimension)
+        assert not arr.complex_forms.flags.writeable
+
+    @given(qi_arrangements())
+    def test_restrictions_match_gaussian_ratio_build(self, arr):
+        for flat in arr.lattice().flats:
+            if flat.dim:
+                restricted = restriction(arr, flat)
+                assert_canonical(restricted)
+                assert [(h.id, h.form) for h in restricted.hyperplanes] == ratio_restriction(arr, flat)
+
+    @pytest.mark.parametrize("source", ["A_5", "file"])
+    def test_restriction_verdicts_build_no_view(self, tmp_path, source):
+        if source == "A_5":
+            arr = build_An(5)
+        else:
+            forms = [(1, 0, G(0, 1)), (0, G(Fraction(1, 3), 1), 1), (1, 1, 0), (1, G(2, -1), G(Fraction(-5, 7))), (2**64 + 1, 0, 1)]
+            path = tmp_path / "forms.json"
+            planes = [Hyperplane(f"h{k}", vec(f)) for k, f in enumerate(forms)]
+            path.write_text(json.dumps(arrangement_to_json(Arrangement(3, planes))))
+            arr = load_arrangement(path)
+        for flat in arr.hyperplane_flats:
+            r = _restricted(arr, flat)[1]
+            r.essential_irreducible
+            r.lattice()
+            assert "hyperplanes" not in vars(r)
+        assert "hyperplanes" not in vars(arr)
 
 
 # -- restrictions, torsion and induced connections --------------------------------------------
