@@ -26,8 +26,8 @@ from .numkernel import (
     _echelon_core,
     cleared,
     gaussian_ratio,
+    kernel_of_echelon,
     parse_fraction,
-    rank_kernel,
 )
 
 DEFAULT_LATTICE_CAP = 20
@@ -264,13 +264,14 @@ def flat_from_basis(arr: Arrangement, basis) -> Flat:
 
 
 def flat_from_indices(arr: Arrangement, indices) -> Flat:
-    """Flat spanned by intersecting the given hyperplanes (closure taken)."""
+    """Flat spanned by intersecting the given hyperplanes (closure taken):
+    the kernel of one echelon form of their stored integer rows."""
     indices = sorted(set(indices))
     if not indices:
         return ambient_flat(arr)
-    rows = [arr.form(i) for i in indices]
-    _, basis = rank_kernel(rows)
-    return flat_from_basis(arr, basis)
+    fr, fi = arr._integer_forms
+    core, pivots = _echelon_core([(fr[i].tolist(), fi[i].tolist()) for i in indices])
+    return flat_from_basis(arr, kernel_of_echelon(core, pivots, arr.dimension))
 
 
 class Lattice:

@@ -1,8 +1,9 @@
 """Numerical parallel transport on the arrangement complement.
 
-Meridian and central loops with precomputed clearance, adaptive transport
-of fundamental solutions, residue-limit diagnostics, invariant Hermitian
-forms of the generated group, and the Burnside irreducibility test.
+Meridian and central loops with exact clearance, transport of fundamental
+solutions by Taylor series on the complex line of each loop piece, with
+error bounds, residue-limit diagnostics, invariant Hermitian forms of the
+generated group, and the Burnside irreducibility test.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .numkernel import (
     HermForm,
     PoleProximityError,
     Signature,
+    _echelon_core,
+    chain_product,
     hermitian_signature,
     matrix_exp,
     ode_transport,
@@ -29,7 +32,6 @@ from .numkernel import (
 CLOSURE_TOL = 1e-12
 MIN_TOL = 1e-15  # the smallest transport tolerance double precision can meet
 POLE_TOL = 1e-14
-CLEARANCE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,24 @@ def _point_clearance(forms: np.ndarray, norms: np.ndarray, z: np.ndarray) -> flo
 
 
 def loop_clearance(arr: Arrangement, pieces) -> float:
-    """Minimum distance from the loop to any hyperplane over
-    CLEARANCE_SAMPLES + 1 evenly spaced points of each piece.
+    """Minimum distance from the loop to any hyperplane, exact on each piece.
 
-    On a piece, h(z(s)) = h(center) + exp(i sweep s) h(offset), so one
-    product gives every form at both ends of every piece.
+    On a piece, h(z(s)) = h(center) + exp(i sweep s) h(offset).  On the
+    whole circle its modulus is least, ||h(center)| - |h(offset)||, where
+    exp(i sweep s) h(offset) points against h(center); if the sweep does
+    not reach that angle, the least value is at an end of the piece.  One
+    product gives every form at the center and offset of every piece.
     """
     forms = arr.complex_forms
     if forms.size == 0 or not pieces:
         return np.inf
-    norms = np.linalg.norm(forms, axis=1)[:, None]
-    s = np.arange(CLEARANCE_SAMPLES + 1) / CLEARANCE_SAMPLES
     h = forms @ np.array([[piece.center, piece.offset] for piece in pieces]).reshape(-1, arr.dimension).T
-    turn = np.exp(1j * np.array([piece.sweep for piece in pieces])[:, None] * s)
-    hz = h[:, 0::2, None] + h[:, 1::2, None] * turn  # (forms, pieces, samples)
-    return float(np.min(np.abs(hz) / norms[:, :, None]))
+    hc, ho = h[:, 0::2], h[:, 1::2]  # (forms, pieces)
+    sweep = np.array([piece.sweep for piece in pieces])
+    ends = np.minimum(np.abs(hc + ho), np.abs(hc + np.exp(1j * sweep) * ho))
+    reached = np.mod(np.sign(sweep) * (np.angle(-hc) - np.angle(ho)), 2 * np.pi) <= np.abs(sweep)
+    least = np.where(reached, np.abs(np.abs(hc) - np.abs(ho)), ends)
+    return float(np.min(least / np.linalg.norm(forms, axis=1)[:, None]))
 
 
 def make_loop(arr: Arrangement, basepoint: np.ndarray, pieces) -> LoopPath:
@@ -226,43 +231,70 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
 
 # -- transport -------------------------------------------------------------------
 
+def residue_factors(conn: StandardConnection) -> tuple:
+    """(U, V, owner), with A_k = U[:, owner == k] @ V[owner == k] for every
+    residue, exactly over Q(i): the rows of V at k are the nonzero rows of
+    the reduced row echelon form of A_k, from one echelon of its
+    Gaussian-integer rows, and the columns of U at k are the pivot columns
+    of A_k.  A rank-one residue costs one row and one column."""
+    n, view = conn.dimension, conn.integer
+    residues = conn.numeric[1].reshape(-1, n, n)
+    columns, rows, owner = [], [], []
+    for k, grid in enumerate(zip(view.re.tolist(), view.im.tolist())):
+        core, pivots = _echelon_core(list(zip(*grid)))
+        for (xr, xi), c in zip(core, pivots):
+            pr, pi = xr[c], xi[c]
+            norm = pr * pr + pi * pi
+            rows.append([complex((a * pr + b * pi) / norm, (b * pr - a * pi) / norm) for a, b in zip(xr, xi)])
+            columns.append(residues[k][:, c])
+            owner.append(k)
+    u = np.array(columns, dtype=complex).reshape(-1, n).T
+    v = np.array(rows, dtype=complex).reshape(-1, n)
+    return u, v, np.array(owner, dtype=int)
+
+
+def transport_pieces(conn: StandardConnection, pieces, tol: float = 1e-8):
+    """The transport of each piece from the identity, as the lanes of one
+    ``ode_transport`` call: a Taylor-series walk on the piece's complex
+    line, with the residues in the exact rank factorization of
+    ``residue_factors``.  Returns (matrices, bounds), shapes (P, n, n) and
+    (P,); each bound covers the Frobenius norm of its matrix's error, and
+    the truncation of each piece stays below TRUNCATION_SHARE tol."""
+    n = conn.dimension
+    if not pieces:
+        return np.zeros((0, n, n), dtype=complex), np.zeros(0)
+    forms = conn.numeric[0]
+    center = np.array([piece.center for piece in pieces])
+    offset = np.array([piece.offset for piece in pieces])
+    sweep = np.array([piece.sweep for piece in pieces])
+    turn = 1j * sweep[:, None]
+
+    def rhs(ts):
+        e = np.exp(turn * ts)[..., None]
+        return connection_form(conn, center[:, None] + e * offset[:, None], turn[..., None] * e * offset[:, None])
+
+    return ode_transport(rhs, center @ forms.T, offset @ forms.T, sweep, residue_factors(conn), tol)
+
+
 def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
     """Fundamental-solution transport around a loop; returns (T, err).
 
     Given a list of loops, returns a list of (T, err).  Every piece of
-    every loop is one lane of a single ``ode_transport`` call, started from
-    the identity; a loop's T is the product of its piece matrices, the
-    last piece on the left.  The stepper tolerance of each piece is
-    tightened in proportion to its loop's clearance, so that close
-    approaches to the polar locus get smaller steps.  err bounds the
-    error of T through the product: with T' the product so far and e its
-    bound, a piece (P, e_P) gives e <- |P|_2 e + e_P (|T'|_2 + e).
+    every loop is one lane of a single ``transport_pieces`` call, started
+    from the identity; tol bounds the series truncation, and the cost
+    hardly depends on it.  A loop's T is the ``chain_product`` of its
+    piece matrices, the last piece on the left, and err bounds the
+    Frobenius norm of the error of T: the sum over pieces P of |the
+    later pieces|_2 e_P |the earlier pieces|_2.
     """
     single = isinstance(loops, LoopPath)
     loops = [loops] if single else list(loops)
-    n = conn.dimension
-    pieces = [piece for loop in loops for piece in loop.pieces]
-    if pieces:
-        center = np.array([piece.center for piece in pieces])[:, None]
-        offset = np.array([piece.offset for piece in pieces])[:, None]
-        turn = 1j * np.array([piece.sweep for piece in pieces])[:, None]
-
-        def rhs(ts):
-            e = np.exp(turn * ts)[..., None]
-            return connection_form(conn, center + e * offset, turn[..., None] * e * offset)
-
-        tols = [tol * min(1.0, loop.clearance) for loop in loops for _ in loop.pieces]
-        mats, errs = ode_transport(rhs, np.tile(np.eye(n, dtype=complex), (len(pieces), 1, 1)), tols)
-        norms = np.linalg.norm(mats, 2, axis=(1, 2))
-    out, first = [], 0
-    for loop in loops:
-        t, err = np.eye(n, dtype=complex), 0.0
-        for j in range(first, first + len(loop.pieces)):
-            t_norm = np.linalg.norm(t, 2) if j > first else 1.0
-            err = norms[j] * err + errs[j] * (t_norm + err)
-            t = mats[j] @ t
-        first += len(loop.pieces)
-        out.append((t, float(err)))
+    mats, errs = transport_pieces(conn, [piece for loop in loops for piece in loop.pieces], tol)
+    sizes = [len(loop.pieces) for loop in loops]
+    chain = np.repeat(np.arange(len(loops)), sizes)
+    depth = np.arange(len(chain)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    products, bounds = chain_product(mats, errs, chain, depth, len(loops))
+    out = [(t, float(err)) for t, err in zip(products, bounds)]
     return out[0] if single else out
 
 

@@ -17,6 +17,7 @@ from .arrangement import (
     Flat,
     _UnionFind,
     _braid_rows,
+    _primitive_key,
     flat_from_indices,
     pair_of_id,
 )
@@ -26,7 +27,7 @@ from .connection import (
     check_torsion_free,
     weights,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .numkernel import ExactMatrix, GaussianRational, GR_ZERO, cleared, gaussian_ratio
 
 
@@ -123,11 +124,14 @@ def _canonical_partition(blocks) -> Partition:
 
 
 def _check_braid(arr: Arrangement) -> int:
-    """The dimension n, when the ids and rows are those of ``build_An(n)``."""
+    """The dimension n, when the ids are those of ``build_An(n)`` and each
+    form is a nonzero multiple of the builder's: its primitive key is the
+    builder's row, which is its own key."""
     ids, rows = _braid_rows(arr.dimension)
     fr, fi = arr._integer_forms
-    if arr._ids != tuple(ids) or list(zip(fr.tolist(), fi.tolist(), arr._denominators)) != rows:
-        raise PreconditionError("arrangement is not the braid arrangement builder output")
+    keys = [_primitive_key(re, im) for re, im in zip(fr.tolist(), fi.tolist())]
+    if arr._ids != tuple(ids) or keys != [(*re, *im) for re, im, _ in rows]:
+        raise InputError("arrangement is not the braid arrangement A_n, up to scaling of its forms")
     return arr.dimension
 
 

@@ -6,7 +6,8 @@ Gaussian integers.  Every algebraic criterion in the package is decided over
 Q(i), so equality tests never involve tolerances.
 
 Floating side: complex double matrices, Hermitian signature, matrix
-exponential and the adaptive Runge-Kutta transport used for holonomy.
+exponential, and the Taylor-series transport of Fuchsian systems along
+arcs, with its error bounds, used for holonomy.
 """
 
 from __future__ import annotations
@@ -404,19 +405,24 @@ def rank_kernel(matrix):
     rows = matrix.entries if isinstance(matrix, ExactMatrix) else [tuple(r) for r in matrix]
     if not rows:
         raise ValueError("rank_kernel of a matrix with no rows; use the identity basis")
-    n_cols = len(rows[0])
-    rref, pivots = row_echelon(rows)
-    rank = len(pivots)
+    core, pivots = _echelon_core([cleared(row)[:2] for row in rows])
+    return len(pivots), kernel_of_echelon(core, pivots, len(rows[0]))
+
+
+def kernel_of_echelon(core, pivots, n_cols: int) -> list:
+    """The kernel basis over Q(i) of rows in the form ``_echelon_core``
+    returns: for each free column f, the vector with 1 at f, 0 at the other
+    free columns, and -x[f] / x[c] at the pivot column c of each row x."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n_cols) if c not in pivot_set):
         v = [GR_ZERO] * n_cols
         v[fc] = GR_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+        for (xr, xi), c in zip(core, pivots):
+            pr, pi, a, b = xr[c], xi[c], xr[fc], xi[fc]
+            v[c] = gaussian_ratio(-(a * pr + b * pi), a * pi - b * pr, pr * pr + pi * pi)
         basis.append(tuple(v))
-    return rank, basis
+    return basis
 
 
 def span_rank(vectors) -> int:
@@ -524,121 +530,223 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 
 
 class PoleProximityError(ArrConnError):
-    """Raised when the adaptive step size underflows near a singularity,
-    or a path point lies on a hyperplane; the CLI reports it as a failed
-    computation (exit 1)."""
+    """Raised when a transport path runs into a hyperplane, or a path point
+    lies on one; the CLI reports it as a failed computation (exit 1)."""
 
 
-# Dormand-Prince 5(4) tableau.  Row s of _DP_A weights the slopes of the
-# stages before s; its last row is b5, so the last stage is evaluated at the
-# fifth-order solution and its slope is the next step's first (FSAL).
-# _DP_C holds the nodes of stages 1-6: stages 5 and 6 share the node 1.
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = np.array(
-    [
-        [0.0] * 7,
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-    ]
-)
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = _DP_A[6] - _DP_B4  # b5 - b4: x5 - x4 = h * _DP_E @ slopes
-_DP_AE = np.vstack([_DP_A, _DP_E])  # the stage rows, then the error row
-_DP_NODE = (None, 0, 1, 2, 3, 4, 4)  # the node each stage is evaluated at
-
-MIN_STEP = 1e-13
+# A step adds Taylor terms until its truncation bound is at most
+# TRUNCATION_SHARE * tol / K, K the step count of its lane: far enough below
+# tol that rounding, not truncation, sets the error, at the cost of a few
+# terms, as the bound falls geometrically.  A series still above that at
+# MAX_TERMS keeps its larger bound.
+TRUNCATION_SHARE = 1e-4
+MAX_TERMS = 1000
+_EPS = np.finfo(float).eps
+# series entries (rows x steps x columns) per batch of steps: on A_7 the
+# products of a larger batch fell out of cache and ran several times slower
+_CHUNK = 1 << 16
 
 
-def ode_transport(rhs, x0: np.ndarray, tol=1e-10):
-    """Integrate linear systems dX/dt = A(t) X over t in [0, 1] by
-    Dormand-Prince 5(4), for a stack of L independent lanes at once.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflowing bound stays inf
+def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
+    """Fundamental solutions of a Fuchsian system along a stack of L arcs, by
+    Taylor series on each arc's complex line; returns (X(1), err).
 
-    x0 has shape (L, n, n) and tol is one value or one per lane.  rhs(ts)
-    takes times of shape (L, k) and returns the finite complex matrices
-    A(ts), shape (L, k, n, n); the caller guarantees pole avoidance.  It
-    is called once at t = 0 and then once per iteration, at the five new
-    nodes of every live lane's step; a finished lane's row holds its end
-    time, 1.  Each lane keeps its own t, step size, accept/reject decision
-    and error sum, and the step controller decides them for all lanes in
-    one set of array operations, so a lane takes exactly the steps it
-    would take alone.  A lane that reaches t = 1 is written out and leaves
-    the stage arrays.  Each stage is one stacked product of the tableau
-    row with the slopes, and the last slope of an accepted step is the
-    first of the next.  Returns (X(1), err_est), where err_est, shape
-    (L,), accumulates the local error estimates of each lane's accepted
-    steps.  Aborts with PoleProximityError if the step size of any lane
-    falls below MIN_STEP.
+    Lane l is the arc z(s) = c + exp(i theta s) o, s in [0, 1], of the
+    connection sum_k A_k dh_k / h_k.  With tau = exp(i theta s) it lies on
+    the line c + tau o, where the system is dX/dtau = sum_k A_k / (tau -
+    tau_k) X with poles tau_k = -h_k(c) / h_k(o); a hyperplane with
+    h_k(o) = 0 drops out.  hc and ho, shape (L, m), hold h_k(c) and h_k(o);
+    sweep, shape (L,), holds theta; factors is (U, V, owner), an exact rank
+    factorization of the residues: A_k is U[:, owner == k] @ V[owner == k],
+    with U of shape (n, R), V of shape (R, n) and owner of shape (R,).
+
+    Each lane walks along its arc in steps of angle at most half the
+    distance from the step start to the nearest pole, so the series at the
+    start converges on the whole step.  At a start tau0, with d_k = tau0 -
+    tau_k, Y_0 = I and q_k = 0, the Taylor coefficients of X(tau0 + u)
+    follow q_k <- (V_k Y_j - q_k) / d_k and Y_{j+1} = sum_k U_k q_k /
+    (j + 1), for every step of every lane in one batch.  A step stops
+    adding terms once the truncation bound of the residual argument,
+
+        f(|u|) |u|^(N+1) / (N+1) sum_k |U_k|_2 |q_k|_F / (1 - |u| / r_k),
+
+    with r_k = |d_k|, alpha_k = |A_k|_2 and f(t) = prod_k (1 - t / r_k)
+    ^ -alpha_k, is at most TRUNCATION_SHARE tol over its lane's step count;
+    a rounding term is added.  Each step stops on its own bound, so a
+    lane's result does not depend on the other lanes of its stack.  A
+    lane's X(1) and err, shape (L,), are the ``chain_product`` of its step
+    sums and their bounds: err bounds the Frobenius norm of its error.
+
+    rhs(ts) takes the step starts as times s of shape (L, k), row l holding
+    lane l's starts in order and then 1.0, and returns dX/ds there, shape
+    (L, k, n, n).  It is called once, before any series term, so its own
+    checks (a pole test, say) come first; every step's first coefficient
+    must then match it, or ValueError is raised.  PoleProximityError is
+    raised when an arc runs into a pole, so that its steps stop making
+    progress.
     """
-    x0 = np.array(x0, dtype=complex)
-    if x0.ndim != 3 or x0.shape[1] != x0.shape[2]:
-        raise ValueError("initial value must be a stack of square matrices")
-    lanes, n = x0.shape[:2]
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (lanes,))
-    size = n * n
-    x1 = np.empty_like(x0)
-    err_out = np.zeros(lanes)
-    nodes = np.zeros((lanes, 5))  # every lane's stage nodes; a finished lane's end time
-    # the state of the live lanes, rows in the order of ``live``
-    live = np.arange(lanes)
-    x = x0.reshape(lanes, size)
-    t = np.zeros(lanes)
-    h = np.full(lanes, 0.05)
-    err_sum = np.zeros(lanes)
-    k = np.empty((lanes, 7, size), dtype=complex)
-    k[:, 0] = (rhs(np.zeros((lanes, 1)))[:, 0] @ x0).reshape(lanes, size)
-    norm_x = _norms(x)
-    while live.size:
-        h = np.minimum(h, 1.0 - t)
-        if (h < MIN_STEP).any():
-            raise PoleProximityError("path too close to singular locus")
-        nodes[live] = t[:, None] + h[:, None] * _DP_C
-        a = rhs(nodes)
-        if live.size < lanes:
-            a = a[live]
-        ha = h[:, None, None] * _DP_AE
-        for stage in range(1, 7):
-            y = x[:, None] + ha[:, stage:stage + 1, :stage] @ k[:, :stage]
-            k[:, stage] = (a[:, _DP_NODE[stage]] @ y.reshape(-1, n, n)).reshape(-1, size)
-        y = y[:, 0]  # the input of the last stage: the fifth-order solution
-        # near a blow-up these norms overflow; an overflowing norm shrinks
-        # the step like any non-finite value, so the warnings are noise
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            err = _norms((ha[:, 7:] @ k)[:, 0])  # each lane's |x5 - x4|
-            norm_y = _norms(y)
-            scale = np.maximum(np.maximum(norm_x, norm_y), 1.0)
-            rel = err / scale
-            factor = 0.9 * (tol / rel) ** 0.2  # inf for a zero error
-        finite = np.isfinite(err) & np.isfinite(scale)
-        accept = finite & (rel <= tol)
-        t = np.where(accept, t + h, t)
-        grow = np.minimum(np.maximum(factor, 0.2), 5.0)
-        h = h * np.where(accept, grow, np.where(finite, np.maximum(factor, 0.1), 0.1))
-        np.copyto(x, y, where=accept[:, None])
-        np.copyto(k[:, 0], k[:, 6], where=accept[:, None])
-        norm_x = np.where(accept, norm_y, norm_x)
-        err_sum = np.where(accept, err_sum + err, err_sum)
-        done = t >= 1.0
-        if done.any():
-            out = live[done]
-            x1[out] = x[done].reshape(-1, n, n)
-            err_out[out] = err_sum[done]
-            nodes[out] = t[done][:, None]
-            keep = ~done
-            live, x, k, t, h, err_sum, norm_x, tol = (
-                v[keep] for v in (live, x, k, t, h, err_sum, norm_x, tol)
-            )
-    return x1, err_out
+    hc, ho = np.asarray(hc, dtype=complex), np.asarray(ho, dtype=complex)
+    sweep = np.asarray(sweep, dtype=float)
+    u_mat, v_mat, owner = factors
+    lanes, m = hc.shape
+    n, rows = u_mat.shape
+    lane, depth, phi, angle, stuck = _arc_steps(hc, ho, sweep)
+    ts = np.ones((lanes, depth.max(initial=-1) + 1))
+    ts[lane, depth] = phi / np.abs(sweep[lane])
+    slope = rhs(ts)[lane, depth]
+    if stuck:
+        raise PoleProximityError("path too close to singular locus")
+    steps = lane.size
+    turn = 1j * np.sign(sweep[lane])
+    tau0 = np.exp(turn * phi)
+    u = tau0 * np.expm1(turn * angle)
+    hz = hc[lane] + tau0[:, None] * ho[lane]
+    w = u[:, None] * ho[lane] / hz  # u / d_k
+    if not np.isfinite(w).all():
+        raise PoleProximityError("path too close to singular locus")
+    residues = np.zeros((m, n, n), dtype=complex)
+    np.add.at(residues, owner, u_mat.T[:, :, None] * v_mat[:, None, :])
+    # u Y_1 = sum_k A_k u / d_k = u / (i theta tau0) dX/ds, to rounding;
+    # the pole terms lose digits as (|h_k(c)| + |h_k(o)|) / |h_k(z)|
+    gap = slope * (u / (1j * sweep[lane] * tau0))[:, None, None] - (w @ residues.reshape(m, n * n)).reshape(-1, n, n)
+    alpha = np.linalg.norm(residues, 2, axis=(1, 2)) if m else np.zeros(0)
+    aw = np.abs(w)
+    allowed = 1e-6 * np.sqrt(n) * ((aw * (np.abs(hc[lane]) + np.abs(ho[lane])) / np.abs(hz)) @ alpha)
+    if (np.linalg.norm(gap, axis=(1, 2)) > allowed).any():
+        raise ValueError("rhs disagrees with the Fuchsian data of its lanes")
+    f = np.exp(-np.log1p(-aw) @ alpha)
+    u_cols = np.linalg.norm(u_mat, axis=0)
+    weight = f * u_cols[:, None] / (1.0 - aw.T[owner])  # (R, steps)
+    target = TRUNCATION_SHARE * tol / np.bincount(lane, minlength=lanes)[lane]
+    sums, trunc, terms, z_norms = (np.empty((steps, n, n), dtype=complex), np.empty(steps), np.empty(steps), np.empty(steps))
+    size = max(1, _CHUNK // max(1, rows * n))
+    for lo in range(0, steps, size):
+        part = slice(lo, lo + size)
+        sums[part], trunc[part], terms[part], z_norms[part] = _taylor_sums(
+            u_mat, v_mat, u_cols, w[part].T[owner], weight[:, part], target[part]
+        )
+    # each coefficient is formed with relative error about (n + R + 3) eps,
+    # carried to the sum by at most f; adding N + 1 terms loses (N + 1) eps |S|_F
+    rounding = 2 * _EPS * ((n + rows + 3) * f * z_norms + (terms + 1) * (np.sqrt(n) + z_norms))
+    return chain_product(sums, trunc + rounding, lane, depth, lanes)
 
 
-def _norms(v):
-    """The 2-norm of each row of a complex (m, size) array, one row at a
-    time, so a lane's step decisions do not depend on the other lanes in
-    its stack."""
-    w = v.view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", w, w))
+def _taylor_sums(u_mat, v_mat, u_cols, w_rows, weight, target):
+    """The Taylor sums S = sum_j u^j Y_j of a batch of steps, each to the
+    first N whose truncation bound is at most its target (or MAX_TERMS).
+
+    w_rows, shape (R, B), holds u / d_k at each row of V; weight, shape
+    (R, B), the bound's factor f |U_r| / (1 - |u| / r_k) for each row.
+    The coefficients run on stacks laid out (row, step, column), so that
+    each product with U or V is one 2-D product over all steps.  Summing
+    the bound over rows instead of over hyperplanes can only raise it.
+    Returns (S, bound, N, a bound on sum_(j >= 1) |u^j Y_j|_F).
+    """
+    n, rows = u_mat.shape
+    steps = w_rows.shape[1]
+    w_rows = w_rows[:, :, None]
+    g = v_mat[:, None, :] * w_rows  # the scaled coefficients u^(j+1) q^(j), here j = 0
+    z = np.empty((n, steps, n), dtype=complex)
+    vz = np.empty_like(g)
+    z_flat, g_flat, vz_flat = z.reshape(n, steps * n), g.reshape(rows, steps * n), vz.reshape(rows, steps * n)
+    total = np.zeros_like(z)
+    total[np.arange(n), :, np.arange(n)] = 1.0
+    live = np.ones(steps, dtype=bool)
+    trunc, terms, z_norms = np.zeros(steps), np.zeros(steps), np.zeros(steps)
+    for j in range(MAX_TERMS + 1):
+        g_norms = np.sqrt(_row_sq(g))
+        bound = (weight * g_norms).sum(axis=0) / (j + 1)
+        np.copyto(trunc, bound, where=live)  # the bound of the sum up to u^j Y_j
+        live &= bound > target
+        if j == MAX_TERMS or not live.any():
+            break
+        terms += live
+        np.matmul(u_mat, g_flat, out=z_flat)
+        z *= live[:, None] / (j + 1)  # u^(j+1) Y_(j+1), zero once a step is done
+        total += z
+        z_norms += live * (u_cols @ g_norms) / (j + 1)
+        np.matmul(v_mat, z_flat, out=vz_flat)
+        np.subtract(vz, g, out=g)
+        g *= w_rows
+    return total.transpose(1, 0, 2), trunc, terms, z_norms
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def chain_product(mats, errs, chain, depth, count):
+    """The products of ``count`` chains of matrices, each with an error
+    bound; returns (products, bounds), shapes (count, n, n) and (count,).
+
+    Matrix i, shape (n, n), with a bound errs[i] on the Frobenius norm of
+    its error, is factor depth[i] of chain chain[i]; depths run 0, 1, ...
+    along a chain, and a chain's product has its last factor on the left.
+    The products are taken by depth for all chains at once.  A chain's
+    bound is the sum over its factors of |S_K ... S_(i+1)|_2 e_i
+    |S_(i-1) ... S_1|_2, from the telescoped difference of the products,
+    with the exact prefix norm bounded by the computed one plus the
+    running bound e <- |S|_2 e + e_S (|M|_2 + e) on its error.  e_i
+    includes the rounding of the product with the factor, and the 2-norms
+    are bounded through the Gram matrices.
+    """
+    order = np.argsort(depth, kind="stable")
+    mats, chain = np.ascontiguousarray(mats[order]), chain[order]
+    n = mats.shape[1]
+    bounds = np.searchsorted(depth[order], np.arange(depth.max(initial=-1) + 2))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    eye = np.eye(n, dtype=complex)
+    out = np.broadcast_to(eye, (count, n, n)).copy()
+    prefix = np.empty_like(mats)
+    for lo, hi in spans:
+        prefix[lo:hi] = out[chain[lo:hi]]
+        out[chain[lo:hi]] = mats[lo:hi] @ prefix[lo:hi]
+    suffix = np.broadcast_to(eye, (count, n, n)).copy()
+    after = np.empty_like(mats)
+    for lo, hi in reversed(spans):
+        after[lo:hi] = suffix[chain[lo:hi]]
+        suffix[chain[lo:hi]] = after[lo:hi] @ mats[lo:hi]
+    p_norm, a_norm, s_norm = (_norm2_bound(x) for x in (prefix, after, mats))
+    step_err = errs[order] + n * np.sqrt(n) * _EPS * s_norm
+    err, running = np.zeros(count), np.zeros(count)
+    for lo, hi in spans:
+        at = chain[lo:hi]
+        term = step_err[lo:hi] * (p_norm[lo:hi] + running[at])
+        err[at] += a_norm[lo:hi] * term
+        running[at] = s_norm[lo:hi] * running[at] + term
+    return out, err
+
+
+def _arc_steps(hc, ho, sweep):
+    """The steps of every lane, in order of depth and then lane: arrays
+    (lane, depth, phi, angle) of each step's lane, index along the lane,
+    start angle and angle, and whether some lane stopped making progress.
+    A step covers at most half the distance from its start exp(i phi) to
+    the nearest pole, or the rest of the sweep."""
+    poles = np.divide(-hc, ho, out=np.full_like(hc, np.inf), where=ho != 0)
+    total, turn = np.abs(sweep), np.sign(sweep)
+    phi = np.zeros(len(sweep))
+    live = np.flatnonzero(total > 0)
+    steps, stuck = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0))], False
+    while live.size and not stuck:
+        start = phi[live]
+        r = np.abs(np.exp(1j * turn[live] * start)[:, None] - poles[live]).min(axis=1, initial=np.inf)
+        rest = total[live] - start
+        last = r / 2 >= rest
+        angle = np.where(last, rest, r / 2)
+        steps.append((live, np.full(live.size, len(steps) - 1), start, angle))
+        phi[live] = start + angle
+        stuck = (~last & (phi[live] == start)).any()
+        live = live[~last]
+    return (*(np.concatenate(part) for part in zip(*steps)), stuck)
+
+
+def _row_sq(a):
+    """The squared 2-norms of the last-axis rows of a complex 3-D array."""
+    w = a.view(np.float64)
+    return np.einsum("ijk,ijk->ij", w, w)
+
+
+def _norm2_bound(x):
+    """An upper bound on the 2-norm of each matrix of a (B, n, n) stack: the
+    square root of the largest absolute row sum of its Gram matrix."""
+    gram = np.abs(np.conj(x.transpose(0, 2, 1)) @ x)
+    return np.sqrt(gram.sum(axis=2).max(axis=1))

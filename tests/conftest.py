@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded rational sampling, the
-exact commutator of two matrices over Q(i), one-lane transport, and the
-Jordan-Pochhammer residue grids built entry by entry."""
+exact commutator of two matrices over Q(i), the transport data of scalar
+Fuchsian systems, and the Jordan-Pochhammer residue grids built entry by
+entry."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational, ode_transport
+from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example deadline (shared CPUs vary in speed).
@@ -23,11 +24,22 @@ def commutator(a, b):
     return (a @ b) - (b @ a)
 
 
-def transport_one(rhs, x0, tol):
-    """``ode_transport`` on a stack of one lane: rhs takes 1-D times and
-    returns (k, n, n); returns the (n, n) X(1) and the lane's error."""
-    x1, err = ode_transport(lambda ts: rhs(ts[0])[None], np.array(x0, dtype=complex)[None], tol)
-    return x1[0], err[0]
+def scalar_lanes(a, poles, sweeps):
+    """``ode_transport``'s arguments but tol for the 1 x 1 system dX/dtau =
+    sum_k a_k / (tau - p_k) X on the arcs tau = exp(i theta s), s in [0, 1],
+    one lane per sweep theta: h_k(c) = -p_k and h_k(o) = 1, and A_k = a_k
+    as the rank factorization U = (a_1 ... a_m), V = (1 ... 1)^T."""
+    a, poles = np.asarray(a, dtype=complex), np.asarray(poles, dtype=complex)
+    sweeps = np.asarray(sweeps, dtype=float)
+
+    def rhs(ts):
+        tau = np.exp(1j * sweeps[:, None] * ts)
+        slope = (a / (tau[..., None] - poles)).sum(axis=-1) * 1j * sweeps[:, None] * tau
+        return slope[..., None, None]
+
+    hc = np.tile(-poles, (len(sweeps), 1))
+    factors = (a[None, :], np.ones((len(a), 1), dtype=complex), np.arange(len(a)))
+    return rhs, hc, np.ones_like(hc), sweeps, factors
 
 
 def jordan_pochhammer(params) -> dict:

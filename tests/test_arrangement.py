@@ -461,8 +461,9 @@ class TestDeletionRestriction:
     def test_separator_solves_no_kernel(self, monkeypatch):
         arr = braid(4)
         calls = []
+        original = arrmod.kernel_of_echelon
         monkeypatch.setattr(
-            "arrconn.arrangement.rank_kernel", lambda m: calls.append(m) or rank_kernel(m)
+            "arrconn.arrangement.kernel_of_echelon", lambda *a: calls.append(a) or original(*a)
         )
         for h in arr.hyperplanes:
             assert not deletion_restriction(arr, h.id).separator

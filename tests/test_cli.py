@@ -184,7 +184,7 @@ class TestLattice:
         path = tmp_path / "a5.json"
         path.write_text(json.dumps({"builtin": "A_n", "n": 5}))
         calls = []
-        for module, name in [(arrmod, "rank_kernel"), (nummod, "rank_kernel"), (arrmod, "flat_from_indices")]:
+        for module, name in [(arrmod, "kernel_of_echelon"), (nummod, "rank_kernel"), (arrmod, "flat_from_indices")]:
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
         code, out, _ = run(capsys, "lattice", str(path), "--json")
@@ -244,6 +244,21 @@ class TestRoundTrips:
         code, _, err = run(capsys, "recover", path, *(["--cap", "5"] if via == "flag" else []))
         assert code == 3
         assert "cap 5" in err
+
+    @pytest.mark.parametrize("change", ["renamed-id", "other-arrangement"])
+    def test_recover_refuses_a_non_braid_file_with_exit_2(self, capsys, lauricella_file, tmp_path, change):
+        obj = json.loads(open(lauricella_file).read())
+        first = obj["hyperplanes"][0]  # H_1_2, the form z_1 - z_2
+        if change == "renamed-id":
+            first["id"] = "H_9_9"
+            obj["residues"]["H_9_9"] = obj["residues"].pop("H_1_2")
+        else:
+            first["form"] = [["1", "0"], ["-2", "0"]]
+        path = tmp_path / "foreign.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "recover", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "braid" in err
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         out = tmp_path / "missing" / "c.json"
@@ -359,8 +374,10 @@ class TestNumericCommands:
             assert err.startswith("error:") and err.count("\n") == 1
 
     def test_holonomy_pole_proximity_is_one_line(self, capsys, lauricella_file, monkeypatch):
-        # a minimum step above the first step size fails the first step
-        monkeypatch.setattr("arrconn.numkernel.MIN_STEP", 1.0)
+        # a walk that reports a lane stopped short of a pole, as one that
+        # runs into a pole does, aborts the transport
+        steps = nummod._arc_steps
+        monkeypatch.setattr(nummod, "_arc_steps", lambda *args: (*steps(*args)[:4], True))
         code, _, err = run(capsys, "holonomy", lauricella_file)
         assert code == 1
         assert err == "error: path too close to singular locus\n"

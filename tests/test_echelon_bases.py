@@ -6,6 +6,7 @@ essential-and-irreducible predicate and the braid-arrangement check.
 """
 
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import arrconn.arrangement as arrangement_module
 import arrconn.numkernel as numkernel_module
 from arrconn.arrangement import Arrangement, Hyperplane, _matroid_components
 from arrconn.connection import StandardConnection, check_weight_constraints, euler_field
-from arrconn.errors import PreconditionError
+from arrconn.errors import InputError, PreconditionError
 from arrconn.lauricella import _check_braid, build_An, flat_to_partition, reduced_residues
 from arrconn.numkernel import (
     GR_ONE,
@@ -204,17 +205,24 @@ class TestCheckBraid:
 
     def test_refuses_a_permuted_braid_arrangement(self):
         planes = build_An(3).hyperplanes
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError):
             _check_braid(Arrangement(3, planes[::-1]))
 
-    def test_refuses_a_rescaled_braid_arrangement(self):
-        planes = list(build_An(3).hyperplanes)
-        planes[2] = Hyperplane(planes[2].id, tuple(GaussianRational(2) * c for c in planes[2].form))
-        with pytest.raises(PreconditionError):
+    def test_accepts_a_rescaled_braid_arrangement(self):
+        # a form is compared up to a nonzero factor over Q(i): the same hyperplane
+        for factor in (GaussianRational(2), GaussianRational(F(1, 3), 1), GaussianRational(0, -5)):
+            planes = list(build_An(3).hyperplanes)
+            planes[2] = Hyperplane(planes[2].id, tuple(factor * c for c in planes[2].form))
+            assert _check_braid(Arrangement(3, planes)) == 3
+
+    def test_refuses_another_form(self):
+        planes = list(build_An(3).hyperplanes)  # z_1 - 2 z_2 in place of z_1 - z_2
+        planes[0] = Hyperplane(planes[0].id, tuple(GaussianRational(k) * c for k, c in zip((1, 2, 1), planes[0].form)))
+        with pytest.raises(InputError):
             _check_braid(Arrangement(3, planes))
 
     def test_refuses_renamed_ids(self):
         planes = list(build_An(2).hyperplanes)
         planes[0] = Hyperplane("H_9_9", planes[0].form)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError):
             _check_braid(Arrangement(2, planes))

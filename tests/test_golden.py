@@ -5,9 +5,10 @@ process on A_2-A_5 Lauricella connection files: plain parameters, one
 residue doubled (not flat, so ``check`` and ``recover`` fail), complex
 parameters, and parameters whose numerators and denominators pass 2^63.
 Forms are also read from JSON: A_3 with its forms written out, the same
-file with one form scaled by 1/3 + i (no longer the braid builder's, so
-``recover`` refuses it), and ``lattice`` on a seeded essential
-irreducible arrangement with complex entries past 2^63.
+file with one form scaled by 1/3 + i (the same arrangement, so every
+command prints what it prints for the unscaled file), and ``lattice`` on
+a seeded essential irreducible arrangement with complex entries past
+2^63.
 The sha256 of every command's stdout, stderr and exit code, in order, is
 compared with a recorded digest per file, so any change to what these
 commands print shows here.  ``holonomy`` is left out: its floating-point
@@ -49,7 +50,7 @@ DIGESTS = {
     "A_5-complex": "71627928ec005b920aa8f3b128ad4832c1bf3ebf52c1e0fc16feacd47f001997",
     "A_5-big": "299ae06021293e5edb81c286b7381344eca1024fbbc63cf2997af76f98cf0c4b",
     "A_3-explicit": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
-    "A_3-explicit-scaled": "eb7750720e0f1669e261ee706927a50907fce595eff17a299c5a90b1381876c5",
+    "A_3-explicit-scaled": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
     "random-Qi": "f04d1d56e07fd19b8f7e4f230beea05f7ecb518952c8d703b371ad78725d5f25",
 }
 
@@ -146,6 +147,13 @@ def test_explicit_forms_match_recorded_digest(tmp_path, scaled):
     name = f"A_3-explicit{'-scaled' if scaled else ''}"
     got = output_digest(explicit_file(tmp_path, scaled))
     assert got == DIGESTS[name], f"{name}: {got}"
+
+
+def test_scaled_forms_recover_as_the_braid_forms(tmp_path):
+    # recover compares each form with the braid builder's up to a nonzero
+    # factor over Q(i), so scaling H_1_3 by 1/3 + i changes nothing
+    plain, scaled = (explicit_file(tmp_path, flag) for flag in (False, True))
+    assert output_digest(scaled, ("recover",)) == output_digest(plain, ("recover",))
 
 
 def test_random_arrangement_matches_recorded_digest(tmp_path):

@@ -476,9 +476,9 @@ class TestRestrictionsTorsionInduced:
     def test_induced_connection_solves_no_kernel(self, monkeypatch):
         conn = reduced_residues([Fraction(1, 10 + i) for i in range(5)])
         calls = []
-        original = numkernel_module.rank_kernel
+        original = numkernel_module.kernel_of_echelon
         monkeypatch.setattr(
-            "arrconn.arrangement.rank_kernel", lambda m: calls.append(m) or original(m)
+            "arrconn.arrangement.kernel_of_echelon", lambda *a: calls.append(a) or original(*a)
         )
         induced_connection(conn, "H_1_2")
         assert calls == []
@@ -487,10 +487,12 @@ class TestRestrictionsTorsionInduced:
         conn = reduced_residues([Fraction(1, 10 + i) for i in range(6)])  # A_5
         calls = []
         original = numkernel_module.rank_kernel
-        for module in ("numkernel", "arrangement", "connection"):
+        for module in ("numkernel", "connection"):
             monkeypatch.setattr(
                 f"arrconn.{module}.rank_kernel", lambda m: calls.append(m) or original(m)
             )
+        kernel = numkernel_module.kernel_of_echelon
+        monkeypatch.setattr("arrconn.arrangement.kernel_of_echelon", lambda *a: calls.append(a) or kernel(*a))
         check_torsion_free(conn)
         check_flat(conn)
         weights(conn)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arrconn.arrangement import ambient_flat, flat_from_indices
 from arrconn.connection import StandardConnection
-from arrconn.errors import InputError, PreconditionError
+from arrconn.errors import InputError
 from arrconn.lauricella import (
     ParameterVector,
     build_An,
@@ -174,7 +174,7 @@ class TestPartitionBijection:
         from arrconn.arrangement import Arrangement, Hyperplane
 
         arr = Arrangement(2, [Hyperplane("x", vec([1, 0]))])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError):
             flat_to_partition(arr, ambient_flat(arr))
 
 

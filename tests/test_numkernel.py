@@ -14,6 +14,7 @@ from arrconn.numkernel import (
     PoleProximityError,
     hermitian_signature,
     matrix_exp,
+    chain_product,
     ode_transport,
     parse_fraction,
     rank_kernel,
@@ -22,7 +23,7 @@ from arrconn.numkernel import (
     vec,
 )
 
-from conftest import commutator, random_rational, transport_one
+from conftest import commutator, random_rational, scalar_lanes
 
 
 G = GaussianRational
@@ -174,6 +175,24 @@ class TestMatrixExp:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_holonomy_run_never_imports_scipy(self, tmp_path):
+        # the README's holonomy example, from writing the file to the report
+        import arrconn
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arrconn.__file__)))
+        path = str(tmp_path / "conn.json")
+        code = (
+            "import sys\n"
+            "from arrconn.cli import main\n"
+            f"assert main(['lauricella', '--n', '2', '--a', '1/10,2/10,3/10', '--out', {path!r}]) == 0\n"
+            f"assert main(['holonomy', {path!r}, '--json', '--tol', '1e-8']) == 0\n"
+            "print('scipy' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert '"invariant_form_dim": 1' in out.stdout
+        assert out.stderr.strip() == "False"
+
     def test_inverse_product(self, rng):
         np_rng = np.random.default_rng(11)
         for _ in range(10):
@@ -185,195 +204,111 @@ class TestMatrixExp:
 
 
 class TestOdeTransport:
+    # two poles, one inside the unit circle: around the whole circle the
+    # transport is exp(2 pi i a_1) exactly
+    A, POLES = [0.3, -0.7], [0.5, 1.8 + 0.4j]
+
     def test_zero_rhs(self):
-        x0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        x1, err = transport_one(lambda ts: np.zeros((len(ts), 2, 2), dtype=complex), x0, tol=1e-10)
-        assert np.array_equal(x1, x0)
-        assert err == 0.0
+        # no residue: every step sum is the identity, exactly
+        _, hc, ho, sweeps, _ = scalar_lanes([0.0], [0.5], [2 * np.pi, -1.0])
+        factors = (np.zeros((2, 0), dtype=complex), np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=int))
+        x1, err = ode_transport(lambda ts: np.zeros(ts.shape + (2, 2), dtype=complex), hc, ho, sweeps, factors, 1e-10)
+        assert np.array_equal(x1, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert (err <= 1e-13).all()  # rounding terms only
 
     def test_scalar_circle(self):
-        # pullback of (1/4) dz/z along the unit circle is constant pi i / 2
-        rhs = lambda ts: np.full((len(ts), 1, 1), 0.5j * np.pi)
-        x1, err = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
-        assert abs(x1[0, 0] - 1j) < 1e-8
+        # (1/4) dtau/tau around the unit circle
+        x1, err = ode_transport(*scalar_lanes([0.25], [0.0], [2 * np.pi]), tol=1e-10)
+        assert abs(x1[0, 0, 0] - 1j) <= err[0] <= 1e-12
 
     def test_transport_then_reverse(self):
-        def make(sign):
-            def rhs(ts):
-                z = 2.0 + np.exp(2j * np.pi * (sign * ts))
-                v = sign * 2j * np.pi * np.exp(2j * np.pi * (sign * ts))
-                out = np.zeros((len(ts), 2, 2), dtype=complex)
-                out[:, 0, 0] = 0.3 * v / z
-                out[:, 0, 1] = 0.1
-                out[:, 1, 1] = -0.2 * v / z
-                return out
-
-            return rhs
-
-        x1, e1 = transport_one(make(1.0), np.eye(2, dtype=complex), tol=1e-10)
-        back = lambda ts: -make(1.0)(1.0 - ts)
-        x2, e2 = transport_one(back, x1, tol=1e-10)
-        assert np.linalg.norm(x2 - np.eye(2)) < 1e-8
+        x1, err = ode_transport(*scalar_lanes(self.A, self.POLES, [2 * np.pi, -2 * np.pi]), tol=1e-10)
+        exact = np.exp(0.6j * np.pi)
+        assert abs(x1[0, 0, 0] - exact) <= err[0] and abs(x1[1, 0, 0] - 1 / exact) <= err[1]
+        assert abs(x1[1, 0, 0] * x1[0, 0, 0] - 1) <= err[0] + err[1] * (1 + err[0])
 
     def test_pole_abort(self):
-        # essential singularity mid-interval: the solution blows up and the
-        # step size underflows
-        def rhs(ts):
-            return (1.0 / (ts - 0.5) ** 2).astype(complex).reshape(-1, 1, 1)
-
-        with pytest.raises(PoleProximityError):
-            transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
+        # the unit circle runs into the pole at -1, so its steps stop making progress
+        with pytest.raises(PoleProximityError, match="too close"):
+            ode_transport(*scalar_lanes([0.25], [-1.0], [2 * np.pi]), tol=1e-10)
 
     def test_pole_abort_warns_nothing(self):
-        # the overflow near the blow-up is handled by shrinking the step;
-        # only the abort reaches the caller
-        def rhs(ts):
-            return (1.0 / (ts - 0.5) ** 2).astype(complex).reshape(-1, 1, 1)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PoleProximityError):
-                transport_one(rhs, np.eye(1, dtype=complex), tol=1e-10)
+                ode_transport(*scalar_lanes([0.25], [-1.0], [2 * np.pi]), tol=1e-10)
 
     def test_error_estimate_scales(self):
-        rhs = lambda ts: np.full((len(ts), 1, 1), 2j * np.pi)
-        _, loose = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-6)
-        _, tight = transport_one(rhs, np.eye(1, dtype=complex), tol=1e-12)
-        assert tight <= loose + 1e-12
+        # a tighter tolerance gives a smaller bound, and both bounds cover
+        # the true error
+        lanes = scalar_lanes(self.A, self.POLES, [2 * np.pi])
+        bounds = []
+        for tol in (1e-6, 1e-12):
+            x1, err = ode_transport(*lanes, tol=tol)
+            assert abs(x1[0, 0, 0] - np.exp(0.6j * np.pi)) <= err[0]
+            bounds.append(err[0])
+        assert bounds[1] < bounds[0]
 
     def test_lanes_match_single_runs(self):
-        # three lanes with their own systems, starting values and tolerances
-        # take the steps each would take alone, and the steps of the
-        # one-matrix loop the lanes replaced
-        def make(c, d):
-            def rhs(ts):
-                z = 2.0 + np.exp(2j * np.pi * ts)
-                out = np.zeros((len(ts), 2, 2), dtype=complex)
-                out[:, 0, 0] = c * 2j * np.pi * np.exp(2j * np.pi * ts) / z
-                out[:, 0, 1] = d
-                out[:, 1, 0] = d * ts
-                out[:, 1, 1] = -c / z
-                return out
-
-            return rhs
-
-        systems = [make(0.3, 0.1), make(-1.7, 2.0), make(0.0, 0.0)]
-        starts = [np.eye(2, dtype=complex), np.array([[1, 2j], [0, 1]]), np.array([[0, 1], [1, 0]], dtype=complex)]
-        tols = [1e-10, 1e-6, 1e-8]
-        attempts = np.zeros(3, dtype=int)
-
-        def stacked(ts):
-            assert ((0.0 <= ts) & (ts <= 1.0)).all()  # a finished lane idles at t = 1
-            attempts[:] += ts[:, 0] < ts[:, -1]
-            return np.stack([rhs(row) for rhs, row in zip(systems, ts)])
-
-        x1, errs = ode_transport(stacked, np.stack(starts), tols)
-        assert x1.shape == (3, 2, 2) and errs.shape == (3,)
-        for lane, (rhs, x0, tol) in enumerate(zip(systems, starts, tols)):
-            alone, err = transport_one(rhs, x0, tol)
-            assert np.linalg.norm(x1[lane] - alone) <= 1e-13 * np.linalg.norm(alone)
-            assert abs(errs[lane] - err) <= 1e-9 * err
-            ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
-            assert attempts[lane] == ref_attempts
-            assert np.linalg.norm(x1[lane] - ref) <= 1e-13 * np.linalg.norm(ref)
-            assert abs(errs[lane] - ref_err) <= 1e-9 * ref_err
+        # each lane of a stack gives what it gives alone: it takes the same
+        # steps, and each step stops on its own bound
+        a, poles = self.A + [1.1j], self.POLES + [-0.2 - 1.1j]
+        sweeps = [2 * np.pi, -np.pi, 0.3, 4 * np.pi]
+        x1, errs = ode_transport(*scalar_lanes(a, poles, sweeps), tol=1e-9)
+        assert x1.shape == (4, 1, 1) and errs.shape == (4,)
+        for lane, sweep in enumerate(sweeps):
+            alone, err = ode_transport(*scalar_lanes(a, poles, [sweep]), tol=1e-9)
+            assert abs(x1[lane, 0, 0] - alone[0, 0, 0]) <= 1e-13 * abs(alone[0, 0, 0])
+            assert abs(errs[lane] - err[0]) <= 1e-9 * err[0]
 
     def test_finished_lanes_leave_without_moving_the_others(self):
-        # two lanes done after the same few steps, a short one and a long
-        # one: each takes the steps of its one-lane run and of the
-        # one-matrix loop, before and after the others finish
-        def zero(ts):
-            return np.zeros((len(ts), 2, 2), dtype=complex)
+        # lanes of no step, one step, and many (three turns past a pole
+        # 0.05 off the circle): the rhs rows after a lane's last start are
+        # padding, and every lane gives what it gives alone
+        a, poles = [0.3, 0.45], [0.5, -1.05]
+        sweeps = [0.0, 0.01, 2 * np.pi, 0.0, 6 * np.pi]
+        rhs, *data = scalar_lanes(a, poles, sweeps)
+        seen = []
+        x1, errs = ode_transport(lambda ts: seen.append(ts.copy()) or rhs(ts), *data, tol=1e-9)
+        (ts,) = seen
+        counts = (ts < 1.0).sum(axis=1)
+        assert counts[0] == counts[3] == 0 and counts[1] == 1 and 10 < counts[2] < counts[4]
+        assert (np.diff(ts, axis=1) >= 0).all()
+        assert all((row[count:] == 1.0).all() for row, count in zip(ts, counts))
+        for lane in (0, 3):
+            assert x1[lane, 0, 0] == 1.0 and errs[lane] == 0.0
+        for lane, sweep in enumerate(sweeps):
+            alone, err = ode_transport(*scalar_lanes(a, poles, [sweep]), tol=1e-9)
+            assert abs(x1[lane, 0, 0] - alone[0, 0, 0]) <= 1e-13 * abs(alone[0, 0, 0])
+            assert abs(errs[lane] - err[0]) <= 1e-9 * err[0]
 
-        def rotation(ts):
-            out = np.zeros((len(ts), 2, 2), dtype=complex)
-            out[:, 0, 1] = 0.5j * np.pi
-            out[:, 1, 0] = 0.5j * np.pi
-            return out
-
-        def oscillator(ts):
-            out = np.zeros((len(ts), 2, 2), dtype=complex)
-            out[:, 0, 1] = 1.0
-            out[:, 1, 0] = -(30.0 * np.pi) ** 2 * (1.0 + 0.5 * np.sin(7.0 * ts))
-            return out
-
-        systems = [oscillator, zero, rotation, zero]
-        starts = [np.eye(2, dtype=complex), np.array([[1, 2j], [0, 1]]), np.eye(2, dtype=complex), 3 * np.eye(2, dtype=complex)]
-        tols = [1e-10, 1e-8, 1e-9, 1e-6]
-
-        attempts = np.zeros(4, dtype=int)
-
-        def stacked(ts):
-            attempts[:] += ts[:, 0] < ts[:, -1]
-            return np.stack([rhs(row) for rhs, row in zip(systems, ts)])
-
-        x1, errs = ode_transport(stacked, np.stack(starts), tols)
-        assert attempts[1] == attempts[3] < 5 < attempts[2] and 10 * attempts[2] < attempts[0]
-        for lane, (rhs, x0, tol) in enumerate(zip(systems, starts, tols)):
-            alone_attempts = []
-
-            def alone_rhs(ts, rhs=rhs):
-                alone_attempts.append(ts[0] < ts[-1])
-                return rhs(ts)
-
-            alone, err = transport_one(alone_rhs, x0, tol)
-            assert attempts[lane] == sum(alone_attempts)
-            assert np.array_equal(x1[lane], alone) and errs[lane] == err
-            ref, ref_err, ref_attempts = serial_transport(rhs, x0, tol)
-            assert attempts[lane] == ref_attempts
-            # the lanes take norms and step factors in another order than
-            # the one-matrix loop: a few units of rounding of the solution
-            # per step, in the solution and in the error sum alike
-            rounding = 4 * np.finfo(float).eps * ref_attempts * np.linalg.norm(ref)
-            assert np.linalg.norm(x1[lane] - ref) <= rounding
-            assert abs(errs[lane] - ref_err) <= rounding
-
-    def test_one_lane_below_min_step_aborts_the_stack_silently(self):
-        def stacked(ts):
-            out = np.full(ts.shape + (1, 1), 0.5j * np.pi)
-            out[1, :, 0, 0] = 1.0 / (ts[1] - 0.5) ** 2
-            return out
-
+    def test_one_lane_into_a_pole_aborts_the_stack_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PoleProximityError):
-                ode_transport(stacked, np.ones((2, 1, 1), dtype=complex), 1e-10)
+                ode_transport(*scalar_lanes([0.25], [-1.0], [np.pi / 2, 2 * np.pi]), tol=1e-10)
+
+    def test_rhs_that_disagrees_with_the_lanes_is_refused(self):
+        rhs, *data = scalar_lanes(self.A, self.POLES, [2 * np.pi])
+        with pytest.raises(ValueError, match="disagrees"):
+            ode_transport(lambda ts: 2 * rhs(ts), *data, tol=1e-9)
 
 
-def serial_transport(rhs, x0, tol):
-    """The one-matrix Dormand-Prince loop that the lanes of ``ode_transport``
-    replaced, kept as its reference; returns (X(1), err_est, attempts)."""
-    from arrconn.numkernel import MIN_STEP, _DP_A, _DP_C, _DP_E, _DP_NODE
-
-    x = np.array(x0, dtype=complex)
-    n = x.shape[0]
-    t, h, err_total, attempts = 0.0, 0.05, 0.0, 0
-    k = np.empty((7, n * n), dtype=complex)
-    k[0] = (rhs(np.zeros(1))[0] @ x).ravel()
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        if h < MIN_STEP:
-            raise PoleProximityError("path too close to singular locus")
-        attempts += 1
-        a = rhs(t + h * _DP_C)
-        xf = x.ravel()
-        for stage in range(1, 7):
-            y = xf + (h * _DP_A[stage, :stage]) @ k[:stage]
-            k[stage] = (a[_DP_NODE[stage]] @ y.reshape(n, n)).ravel()
-        x5 = y.reshape(n, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.linalg.norm((h * _DP_E) @ k)
-            scale = max(np.linalg.norm(x), np.linalg.norm(x5), 1.0)
-        if not (np.isfinite(err) and np.isfinite(scale)):
-            h *= 0.1
-            continue
-        rel = err / scale
-        if rel <= tol:
-            t += h
-            x = x5
-            k[0] = k[6]
-            err_total += err
-            h *= 5.0 if rel == 0.0 else min(5.0, max(0.2, 0.9 * (tol / rel) ** 0.2))
-        else:
-            h *= max(0.1, 0.9 * (tol / rel) ** 0.2)
-    return x, err_total, attempts
+class TestChainProduct:
+    def test_bound_covers_perturbed_factors(self):
+        # chains of 3, 1 and 5 factors, each factor perturbed by a known
+        # Frobenius norm; the factors are given out of depth order
+        rng = np.random.default_rng(5)
+        chain = np.array([2, 0, 2, 1, 0, 2, 2, 0, 2])
+        depth = np.array([0, 0, 1, 0, 1, 2, 3, 2, 4])
+        exact = np.eye(3) + 0.6 * (rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3)))
+        noise = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+        errs = 10.0 ** rng.uniform(-9, -6, 9)
+        noisy = exact + noise * (errs / np.linalg.norm(noise, axis=(1, 2)))[:, None, None]
+        products, bounds = chain_product(noisy, errs, chain, depth, 4)
+        assert np.array_equal(products[3], np.eye(3)) and bounds[3] == 0.0
+        for k in range(3):
+            want = np.eye(3)
+            for i in sorted(np.flatnonzero(chain == k), key=lambda i: depth[i]):
+                want = exact[i] @ want
+            assert np.linalg.norm(products[k] - want) <= bounds[k] <= 1e-4 * np.linalg.norm(want)
