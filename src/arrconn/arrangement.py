@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -574,7 +575,16 @@ def _parse_entry(entry) -> GaussianRational:
 
 
 def _entry_to_json(value: GaussianRational):
-    return [str(value.re), str(value.im)]
+    return [_text(value.re), _text(value.im)]
+
+
+def _text(value) -> str:
+    """str(value); an integer in it longer than str writes (4300 digits by
+    default, the limit the JSON reader keeps too) is an InputError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(f"an exact value has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _integer_field(obj: dict, name: str) -> int:

@@ -214,22 +214,21 @@ def cmd_recover(args) -> int:
 def cmd_pk_exists(args) -> int:
     alpha = _parse_fraction_list(args.alpha)
     report = pkmod.pk_exists(alpha)
+    try:
+        angles = {f"{i},{j}": float(b) for (i, j), b in sorted(report.cone_angles.items())}
+    except OverflowError:
+        raise InputError("a cone angle is outside the double range") from None
     obj = {
         "verdict": "yes" if report.verdict else "no",
         "failed_condition": report.failed_condition,
-        "witness": [str(w) for w in report.witness] if report.witness else None,
-        "cone_angles": {
-            f"{i},{j}": float(b) for (i, j), b in sorted(report.cone_angles.items())
-        },
+        "witness": [arrmod._text(w) for w in report.witness] if report.witness else None,
+        "cone_angles": angles,
         "ambiguous": list(report.ambiguous),
     }
     lines = [f"verdict: {obj['verdict']}"]
     if report.failed_condition:
-        lines.append(f"failed condition: {report.failed_condition} (witness {report.witness})")
-    lines.append(
-        "cone angles / 2pi: "
-        + ", ".join(f"({i},{j})={float(b):.6g}" for (i, j), b in sorted(report.cone_angles.items()))
-    )
+        lines.append(f"failed condition: {report.failed_condition} (witness {arrmod._text(report.witness)})")
+    lines.append("cone angles / 2pi: " + ", ".join(f"({k})={b:.6g}" for k, b in angles.items()))
     _emit(obj, args.json, lines)
     return 0 if report.verdict else 1
 

@@ -294,6 +294,8 @@ def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
     chain = np.repeat(np.arange(len(loops)), sizes)
     depth = np.arange(len(chain)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     products, bounds = chain_product(mats, errs, chain, depth, len(loops))
+    if not (np.isfinite(products).all() and np.isfinite(bounds).all()):
+        raise ArrConnError("transport overflowed: a holonomy matrix or its error bound is not finite")
     out = [(t, float(err)) for t, err in zip(products, bounds)]
     return out[0] if single else out
 

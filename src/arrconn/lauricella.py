@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .arrangement import (
@@ -28,49 +29,12 @@ from .connection import (
     weights,
 )
 from .errors import InputError
-from .numkernel import ExactMatrix, GaussianRational, GR_ZERO, cleared, gaussian_ratio
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """Exact parameters a_1..a_{n+1}; the weight at infinity is derived."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(GaussianRational.coerce(e) for e in self.entries)
-        )
-        if len(self.entries) < 2:
-            raise InputError("parameter vector needs length n+1 >= 2")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def a_infinity(self) -> GaussianRational:
-        total = GR_ZERO
-        for e in self.entries:
-            total = total + e
-        return GaussianRational(2) - total
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+from .numkernel import ExactMatrix, GaussianRational, GR_ZERO, cleared, gaussian_ratio, vec
 
 
 def build_An(n: int) -> Arrangement:
     """Essential braid arrangement in C^n: z_i = z_j and z_i = 0."""
     return Arrangement._from_rows(n, *_braid_rows(n))
-
-
-def _coerce_params(a) -> ParameterVector:
-    if isinstance(a, ParameterVector):
-        return a
-    return ParameterVector(tuple(a))
 
 
 def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardConnection:
@@ -82,10 +46,12 @@ def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardCo
     with v = a_j e_i - a_i e_j, where e_{n+1} = -(1, ..., 1); it is written
     as numerators over the parameters' common denominator.
     """
-    params = _coerce_params(a)
-    n = params.n
+    params = vec(a)
+    if len(params) < 2:
+        raise InputError("parameter vector needs length n+1 >= 2")
+    n = len(params) - 1
     arr = arrangement if arrangement is not None else build_An(n)
-    *parts, d = cleared(params.entries)
+    *parts, d = cleared(params)
     numerators = ([], [])
     for hid in arr._ids:
         i, j = pair_of_id(hid)
@@ -98,8 +64,10 @@ def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardCo
 
 def full_residues(a) -> dict:
     """Unreduced (n+1)x(n+1) Jordan-Pochhammer matrices, keyed by (i, j)."""
-    params = _coerce_params(a)
-    m = params.n + 1
+    params = vec(a)
+    m = len(params)
+    if m < 2:
+        raise InputError("parameter vector needs length n+1 >= 2")
     out = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -154,12 +122,7 @@ def partition_to_flat(arr: Arrangement, partition) -> Flat:
     seen = sorted(x for b in blocks for x in b)
     if seen != list(range(1, n + 2)):
         raise InputError("blocks must partition {1..n+1}")
-    wanted = set()
-    for block in blocks:
-        for i in block:
-            for j in block:
-                if i < j:
-                    wanted.add(f"H_{i}_{j}")
+    wanted = {f"H_{i}_{j}" for block in blocks for i, j in combinations(block, 2)}
     indices = [k for k, hid in enumerate(arr._ids) if hid in wanted]
     return flat_from_indices(arr, indices)
 
@@ -174,7 +137,7 @@ def partition_is_irreducible(partition) -> bool:
 @dataclass(frozen=True)
 class RecoveryResult:
     ok: bool
-    parameters: Optional[ParameterVector]
+    parameters: Optional[tuple]  # GaussianRational a_1..a_{n+1}
     failure: Optional[str]
     ambiguous: bool
     traces: dict  # (i, j) -> GaussianRational
@@ -218,27 +181,15 @@ def recover_parameters(
     def b(i, j):
         return traces[(i, j)] if i < j else traces[(j, i)]
 
-    if n >= 3:
-        from itertools import combinations
-
-        for i, j, k, l in combinations(range(1, n + 2), 4):
-            first = b(i, j) + b(k, l)
-            if first != b(i, k) + b(j, l) or first != b(i, l) + b(j, k):
-                return RecoveryResult(
-                    False,
-                    None,
-                    "traces not of Lauricella form "
-                    f"(compatibility fails on {{{i},{j},{k},{l}}})",
-                    False,
-                    traces,
-                )
+    for i, j, k, l in combinations(range(1, n + 2), 4):  # none for n = 2
+        first = b(i, j) + b(k, l)
+        if first != b(i, k) + b(j, l) or first != b(i, l) + b(j, k):
+            failure = f"traces not of Lauricella form (compatibility fails on {{{i},{j},{k},{l}}})"
+            return RecoveryResult(False, None, failure, False, traces)
     half = GaussianRational(Fraction(1, 2))
-    params = []
-    for i in range(1, n + 2):
-        j, k = [x for x in range(1, n + 2) if x != i][:2]
-        params.append(half * (b(i, j) + b(i, k) - b(j, k)))
-    vector = ParameterVector(tuple(params))
-    want = reduced_residues(vector, arrangement=arr).integer
+    others = [[x for x in range(1, n + 2) if x != i][:2] for i in range(1, n + 2)]
+    params = tuple(half * (b(i, j) + b(i, k) - b(j, k)) for i, (j, k) in enumerate(others, 1))
+    want = reduced_residues(params, arrangement=arr).integer
     p, q = view.denominator, want.denominator
     if p != q or (view.re != want.re).any() or (view.im != want.im).any():  # both forms are canonical
         # A_k = B_k iff q N_k = p M_k, compared in Python ints, which cannot overflow
@@ -246,4 +197,4 @@ def recover_parameters(
         bad = sum((x.astype(object) * q != y.astype(object) * p).any(axis=(1, 2)) for x, y in pairs)
         hid = arr._ids[bad.argmax()]
         return RecoveryResult(False, None, f"non-Lauricella residues at {hid}", False, traces)
-    return RecoveryResult(True, vector, None, False, traces)
+    return RecoveryResult(True, params, None, False, traces)

@@ -613,7 +613,11 @@ def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
     alpha = np.linalg.norm(residues, 2, axis=(1, 2)) if m else np.zeros(0)
     aw = np.abs(w)
     allowed = 1e-6 * np.sqrt(n) * ((aw * (np.abs(hc[lane]) + np.abs(ho[lane])) / np.abs(hz)) @ alpha)
-    if (np.linalg.norm(gap, axis=(1, 2)) > allowed).any():
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # in units of allowed, so that the norm of a finite gap does not
+        # overflow; a gap that did overflow is left to the caller
+        excess = np.linalg.norm(gap / allowed[:, None, None], axis=(1, 2))
+    if (excess[np.isfinite(gap).all(axis=(1, 2))] > 1).any():
         raise ValueError("rhs disagrees with the Fuchsian data of its lanes")
     f = np.exp(-np.log1p(-aw) @ alpha)
     u_cols = np.linalg.norm(u_mat, axis=0)

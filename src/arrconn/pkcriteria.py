@@ -21,35 +21,12 @@ DEFAULT_TOL = 1e-9
 BOUNDARY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    """Angles divided by 2*pi; the associated weights are 1 - alpha."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 2:
-            raise InputError("angle vector needs length n+1 >= 2")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def weights(self) -> tuple:
-        return tuple(1 - x for x in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _entries(values) -> tuple:
-    """The entries of an angle or parameter vector, checked by AngleVector."""
-    return AngleVector(values).entries
+    """The entries of an angle or parameter vector, of length n+1 >= 2."""
+    entries = tuple(values)
+    if len(entries) < 2:
+        raise InputError("angle vector needs length n+1 >= 2")
+    return entries
 
 
 def frac(x):
@@ -256,13 +233,24 @@ def alpha0_from_angles(alpha):
 
 def fs_volumes(alpha0, n: int):
     """Total volumes of the singular Fubini-Study metric and of the unit
-    sphere of the cone: alpha0^(n-1) Vol(CP^(n-1)) and alpha0^n Vol(S^(2n-1))."""
+    sphere of the cone: alpha0^(n-1) Vol(CP^(n-1)) and alpha0^n Vol(S^(2n-1)),
+    the second being the first times 2 pi alpha0.  The first is a product
+    of doubles while every factor is one, else formed in log space; a
+    volume outside the double range is an InputError."""
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
-    alpha0 = float(alpha0)
     if alpha0 <= 0:
         raise PreconditionError("origin at infinite distance (alpha0 <= 0)")
-    base = math.pi ** (n - 1) / math.factorial(n - 1)
-    vol_fs = alpha0 ** (n - 1) * base
-    vol_sphere = alpha0**n * 2.0 * math.pi**n / math.factorial(n - 1)
-    return vol_fs, vol_sphere
+    try:
+        try:  # pi^(n-1) overflows from n = 622, before (n-1)! is built
+            vol_fs = float(alpha0) ** (n - 1) * (math.pi ** (n - 1) / math.factorial(n - 1))
+        except OverflowError:
+            x = Fraction(alpha0)
+            log_x = math.log(x.numerator) - math.log(x.denominator)
+            vol_fs = math.exp((n - 1) * (log_x + math.log(math.pi)) - math.lgamma(n))
+        volumes = (vol_fs, vol_fs * float(alpha0) * 2.0 * math.pi)
+        if math.inf in volumes:
+            raise OverflowError
+    except OverflowError:
+        raise InputError(f"the volumes for n = {n} are outside the double range") from None
+    return volumes

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrconn.arrangement as arrmod
 import arrconn.numkernel as nummod
@@ -316,6 +320,18 @@ class TestNumericCommands:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("lauricella", "--n", "0", "--a", "1"), "parameter vector needs length n+1 >= 2"),
+            (("pk-exists", "--alpha", "1"), "angle vector needs length n+1 >= 2"),
+            (("signature", "--a", "1"), "angle vector needs length n+1 >= 2"),
+        ],
+        ids=["lauricella", "pk-exists", "signature"],
+    )
+    def test_length_one_vector_names_the_rule(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("pk-exists", "--alpha", "1/0,1/2"),
@@ -381,6 +397,50 @@ class TestNumericCommands:
         code, _, err = run(capsys, "holonomy", lauricella_file)
         assert code == 1
         assert err == "error: path too close to singular locus\n"
+
+    @pytest.mark.parametrize("v", ["100", "1e3", "1e200"])
+    def test_holonomy_overflow_is_one_line(self, capsys, tmp_path, v):
+        # the residue diag(v, 0): a bound of inf at v = 100, an SVD that did
+        # not converge at 1e3, and an overflowing rhs check at 1e200
+        path = tmp_path / "large.json"
+        obj = {"dimension": 2, "hyperplanes": [{"id": "a", "form": [1, 0]}], "residues": {"a": [[v, 0], [0, 0]]}}
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "holonomy", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: transport overflowed: a holonomy matrix or its error bound is not finite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("volume", "--alpha0", "1e200", "--n", "3"), "the volumes for n = 3 are outside the double range"),
+            (("volume", "--alpha0", "1e400", "--n", "1"), "the volumes for n = 1 are outside the double range"),
+            (("volume", "--alpha", "1e400,1/2,1/3"), "the volumes for n = 2 are outside the double range"),
+            (("pk-exists", "--alpha", "1e400,1/2,1/3"), "a cone angle is outside the double range"),
+            (("lauricella", "--n", "1", "--a", "1e4300,1"), "an exact value has more than 4300 digits"),
+            (("lauricella", "--n", "1", "--a", "5e4299,5e4299", "--json"), "an exact value has more than 4300 digits"),
+            (("pk-exists", "--alpha", "8/5,8/5,8/5,1e-4300"), "an exact value has more than 4300 digits"),
+            (("pk-exists", "--alpha", "8/5,8/5,8/5,1e-4300", "--json"), "an exact value has more than 4300 digits"),
+        ],
+        ids=["volume-alpha0", "volume-alpha0-n-1", "volume-alpha", "pk-exists-angle",
+             "lauricella-entry", "lauricella-sum", "pk-exists-witness", "pk-exists-witness-json"],
+    )
+    def test_unprintable_value_exits_2(self, capsys, argv, message):
+        # a value to print is outside the double range, or has more digits
+        # than str writes and the JSON reader reads (10**4300 has 4301): an
+        # entry, a residue's a_1 + a_2, or the denominator of the fractional
+        # sum that witnesses the signature condition
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_volumes_past_the_factorial_limit(self, capsys):
+        # (171)! is not a double, but the volumes, about 1e-276, are
+        code, out, _ = run(capsys, "volume", "--alpha0", "1/2", "--n", "172", "--json")
+        obj = json.loads(out)
+        assert code == 0 and 0 < obj["vol_fs"] < obj["vol_sphere"] < 1e-270
+
+    def test_exact_signature_of_a_large_entry(self, capsys):
+        assert run(capsys, "signature", "--a", "1e400,1/2,1/3") == (
+            0, "signature (p,q) = (0,1), kernel 1, region degenerate\n", ""
+        )
 
     def test_holonomy_determinism(self, capsys, lauricella_file):
         args = ("holonomy", lauricella_file, "--json", "--seed", "3")
@@ -529,3 +589,44 @@ class TestCapValues:
         code, _, err = run(capsys, command, lauricella_file, "--cap", "0")
         assert code == 3
         assert "cap 0" in err
+
+
+# numeric CLI arguments: rationals, and decimals with exponents up to the
+# 4300 that the parser admits
+_rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+_decimal = st.builds(
+    lambda m, digits, e: f"{m}.{digits}e{e}", st.integers(-999, 999), st.integers(0, 999), st.integers(-4300, 4300)
+)
+_value = st.one_of(_rational, _decimal)
+
+
+def _vector(size=st.integers(1, 8)):
+    return size.flatmap(lambda k: st.lists(_value, min_size=k, max_size=k)).map(",".join)
+
+
+_argv = st.one_of(
+    st.tuples(st.just("volume"), _vector().map("--alpha={}".format)),
+    st.tuples(st.just("volume"), _value.map("--alpha0={}".format), st.integers(-2, 500).map("--n={}".format)),
+    st.tuples(st.just("pk-exists"), _vector().map("--alpha={}".format)),
+    st.tuples(st.just("signature"), _vector().map("--a={}".format)),
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just("lauricella"),
+            st.just(f"--n={n}"),
+            st.one_of(_vector(st.just(n + 1)), _vector()).map("--a={}".format),
+        )
+    ),
+)
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=300)
+    @given(argv=_argv, as_json=st.booleans())
+    def test_numeric_arguments_exit_cleanly(self, argv, as_json):
+        # every exit is 0, 1 or 2, never a traceback; exit 2 is one error line
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, *(["--json"] if as_json else [])])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arrconn.arrangement import Arrangement, Hyperplane, flat_from_indices
 from arrconn.connection import StandardConnection
-from arrconn.errors import InputError, PreconditionError
+from arrconn.errors import ArrConnError, InputError, PreconditionError
 from arrconn.holonomy import (
     Arc,
     central_loop_spectrum_check,
@@ -326,6 +326,26 @@ class TestResidueLimit:
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
         report = residue_limit_check(conn, "H_1_2", [0.2, 0.1, 0.05])
         assert report.strictly_decreasing, report.errors
+
+
+class TestOverflow:
+    # a residue diag(v, 0) on z1 = 0: from v = 100 on the transport overflows
+    # (a bound of inf at 100, matrices of inf or nan above)
+    @pytest.mark.parametrize("v", [100, 1000, 10**200], ids=["100", "1e3", "1e200"])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda conn: holonomy_report(conn),
+            lambda conn: central_loop_spectrum_check(conn, flat_from_indices(conn.arrangement, [0])),
+            lambda conn: residue_limit_check(conn, "a", [0.5, 0.25]),
+        ],
+        ids=["report", "central-spectrum", "residue-limit"],
+    )
+    def test_non_finite_transport_is_refused(self, v, check):
+        arr = Arrangement(2, [Hyperplane("a", vec([1, 0]))])
+        conn = StandardConnection(arr, {"a": ExactMatrix([[v, 0], [0, 0]])})
+        with pytest.raises(ArrConnError, match="transport overflowed"):
+            check(conn)
 
 
 class TestInvariantForms:

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arrconn.arrangement import ambient_flat, flat_from_indices
-from arrconn.connection import StandardConnection
+from arrconn.connection import StandardConnection, connection_to_json
 from arrconn.errors import InputError
 from arrconn.lauricella import (
-    ParameterVector,
     build_An,
     flat_to_partition,
     full_residues,
@@ -43,9 +42,35 @@ class TestBuilder:
         assert forms["H_1_3"] == vec([1, 0])
         assert forms["H_2_3"] == vec([0, 1])
 
-    def test_parameter_vector_infinity(self):
-        p = ParameterVector((F(1, 2), F(1, 2), F(1, 2)))
-        assert p.a_infinity == G(F(1, 2))
+
+class TestParameterContract:
+    """A parameter vector is any iterable of ints, Fractions or Gaussian
+    rationals of length n + 1 >= 2."""
+
+    @pytest.mark.parametrize("kind", [int, F, G])
+    @pytest.mark.parametrize("container", [list, tuple, iter], ids=["list", "tuple", "generator"])
+    def test_same_connection_for_any_iterable(self, kind, container):
+        values = (1, -2, 3, 5)
+        want = connection_to_json(reduced_residues(tuple(G(x) for x in values)))
+        assert connection_to_json(reduced_residues(container([kind(x) for x in values]))) == want
+
+    @pytest.mark.parametrize("build", [reduced_residues, full_residues])
+    def test_float_entry_is_refused(self, build):
+        with pytest.raises(TypeError):
+            build([F(1, 2), 0.5, F(1, 3)])
+
+    @pytest.mark.parametrize("build", [reduced_residues, full_residues])
+    @pytest.mark.parametrize("params", [[F(1, 2)], []], ids=["length-1", "empty"])
+    def test_short_vector_is_refused(self, build, params):
+        with pytest.raises(InputError, match=r"^parameter vector needs length n\+1 >= 2$"):
+            build(params)
+
+    def test_recovered_parameters_are_the_input(self):
+        a = (F(1, 10), F(-2, 7), G(F(3, 10), 1), F(1, 5))
+        want = tuple(G.coerce(x) for x in a)
+        result = recover_parameters(reduced_residues(a))
+        assert tuple(result.parameters) == want
+        assert [result.parameters[i] for i in range(len(a))] == list(want)
 
 
 class TestReducedResidues:

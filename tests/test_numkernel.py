@@ -288,6 +288,12 @@ class TestOdeTransport:
             with pytest.raises(PoleProximityError):
                 ode_transport(*scalar_lanes([0.25], [-1.0], [np.pi / 2, 2 * np.pi]), tol=1e-10)
 
+    def test_overflow_is_not_read_as_a_disagreement(self):
+        # at a = 1e200 the gap between rhs and the lanes' data is finite but
+        # its norm overflows; the non-finite result is left to the caller
+        x1, err = ode_transport(*scalar_lanes([1e200], [0.0], [2 * np.pi]), tol=1e-9)
+        assert not np.isfinite(err).any()
+
     def test_rhs_that_disagrees_with_the_lanes_is_refused(self):
         rhs, *data = scalar_lanes(self.A, self.POLES, [2 * np.pi])
         with pytest.raises(ValueError, match="disagrees"):

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from arrconn.errors import PreconditionError
+from arrconn.errors import InputError, PreconditionError
 from arrconn.lauricella import reduced_residues
 from arrconn.pkcriteria import (
-    AngleVector,
     alpha0_from_angles,
     frac,
     fs_volumes,
@@ -77,10 +76,23 @@ class TestPkExists:
         assert report.failed_condition != "non-integer"
         assert not report.ambiguous
 
-    def test_angle_vector_weights(self):
-        av = AngleVector((F(9, 10), F(9, 10), F(9, 10)))
-        assert av.weights == (F(1, 10), F(1, 10), F(1, 10))
-        assert pk_exists(av).verdict
+
+class TestAngleContract:
+    """An angle or parameter vector is any iterable of length n + 1 >= 2."""
+
+    CRITERIA = [pk_exists, subset_diagnostics, signature_formula, region_geometry, alpha0_from_angles]
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_same_answer_for_any_iterable(self, criterion):
+        values = (F(9, 10), F(4, 5), F(7, 10))
+        want = criterion(values)
+        assert criterion(list(values)) == want
+        assert criterion(x for x in values) == want
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_short_vector_is_refused(self, criterion):
+        with pytest.raises(InputError, match=r"^angle vector needs length n\+1 >= 2$"):
+            criterion([F(1, 2)])
 
 
 class TestSubsetDiagnostics:
@@ -208,6 +220,28 @@ class TestVolumes:
     def test_nonpositive_angle_refused(self):
         with pytest.raises(PreconditionError, match="infinite distance"):
             fs_volumes(0, 2)
+
+    @pytest.mark.parametrize(
+        "alpha0, n",
+        [(F(1, 2), 172), (F(80), 700), (F(5 * 10**30), 10), (F(350), 3000), (F(1, 10**4300), 1)],
+        ids=["factorial-past-double", "pi-power-past-double", "intermediate-overflow", "large-n", "tiny-alpha0"],
+    )
+    def test_volumes_where_a_double_product_overflows(self, alpha0, n):
+        # alpha0^k / (n-1)! exactly, then the powers of pi through their logs
+        def volume(k, factor):
+            ratio = alpha0**k / math.factorial(n - 1)
+            return factor * math.exp(math.log(ratio.numerator) - math.log(ratio.denominator) + k * math.log(math.pi))
+
+        vol_fs, vol_sphere = fs_volumes(alpha0, n)
+        assert math.isclose(vol_fs, volume(n - 1, 1.0), rel_tol=1e-9)
+        assert math.isclose(vol_sphere, volume(n, 2.0), rel_tol=1e-9)
+
+    # alpha0^2 is past the double range; alpha0^2 is a double but vol_fs is
+    # not; vol_fs is a double but vol_sphere is not
+    @pytest.mark.parametrize("alpha0", [F(10**200), F(10**154), F(10**150)], ids=["power", "product", "sphere"])
+    def test_volume_outside_the_double_range_refused(self, alpha0):
+        with pytest.raises(InputError, match="outside the double range"):
+            fs_volumes(alpha0, 3)
 
 
 class TestCriteriaEquivalence:
