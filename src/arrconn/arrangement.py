@@ -150,16 +150,21 @@ class Arrangement:
         """The flats covering the ambient flat, built once: no two forms are
         proportional, so one per hyperplane H, in order, with kernel basis
         e_j - (f_j / f_p) e_p (j != p; f the form of H, f_p its first nonzero)."""
-        return tuple(_covering_flats(self, [ambient_flat(self)], {}))
+        return tuple(_covering_flats(self, [ambient_flat(self)], {}, {}))
 
     @cached_property
     def complex_forms(self) -> np.ndarray:
         """The hyperplane forms as the rows of a complex (m, n) matrix;
         Python int true division rounds correctly, so each entry is
-        ``complex`` of the exact one."""
+        ``complex`` of the exact one.  An entry past the double range is
+        an InputError."""
         fr, fi = self._integer_forms
         rows = zip(fr.tolist(), fi.tolist(), self._denominators)
-        forms = np.array([complex(a / d, b / d) for re, im, d in rows for a, b in zip(re, im)], dtype=complex)
+        try:
+            forms = [complex(a / d, b / d) for re, im, d in rows for a, b in zip(re, im)]
+        except OverflowError:
+            raise InputError("a form entry is outside the double range") from None
+        forms = np.array(forms, dtype=complex)
         forms = forms.reshape(len(self), self.dimension)
         forms.flags.writeable = False
         return forms
@@ -176,8 +181,8 @@ class Arrangement:
     def essential_irreducible_restrictions(self) -> frozenset:
         """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
         irreducible, decided once per arrangement (no cap enters)."""
-        flats = enumerate(self.hyperplane_flats)
-        return frozenset(i0 for i0, flat in flats if _restricted(self, flat)[1].essential_irreducible)
+        restrictions = enumerate(_restricted(self, self.hyperplane_flats))
+        return frozenset(i0 for i0, (_, restricted) in restrictions if restricted.essential_irreducible)
 
     @cached_property
     def _decomposition(self) -> tuple:
@@ -239,23 +244,55 @@ def ambient_flat(arr: Arrangement) -> Flat:
     return Flat(containing=(), rows=rows, codim=0)
 
 
-def _integer_traces(arr: Arrangement, rows):
-    """The trace of every hyperplane on the span of Gaussian-integer
-    vectors given as rows (re, im, d), such as a flat's, in hyperplane
-    order, as one (re, im) pair of int lists: the rows of the product
-    F B^T of the integer forms and the vectors.  A trace is zero iff the
-    hyperplane contains the span; rescaling the vectors leaves alone
-    which traces are proportional."""
-    fr, fi = arr._integer_forms
-    n, k = arr.dimension, len(rows)
-    br = np.array([row[0] for row in rows], dtype=object).reshape(k, n).T
-    bi = np.array([row[1] for row in rows], dtype=object).reshape(k, n).T
-    return list(zip((fr @ br - fi @ bi).tolist(), (fr @ bi + fi @ br).tolist()))
+def _integer_traces(arr: Arrangement, bases):
+    """The trace of every hyperplane on the span of each of a list of sets
+    of Gaussian-integer vectors, all of one size k, given as rows (re, im,
+    d), such as flats' rows: (re, im) arrays of shape (m, len(bases), k),
+    one product F B^T of the integer forms and all the vectors.  A trace
+    is zero iff the hyperplane contains the span; rescaling the vectors
+    leaves alone which traces are proportional.
+
+    The arrays are int64 when a bound proves every trace and every key
+    (``_trace_keys``) exact, object arrays of Python ints otherwise: with
+    F and B the largest |re| or |im| of a form and of a vector, a trace
+    part is at most t = 2 n F B, a key part before its division at most
+    2 t^2, and 2 t^2 < 2^63 is the bound."""
+    n, k = arr.dimension, len(bases[0])
+    parts = [[row[p] for rows in bases for row in rows] for p in (0, 1)]
+    try:
+        vectors = np.array(parts, dtype=np.int64).reshape(2, -1, n)
+    except OverflowError:  # an entry past int64
+        vectors = np.array(parts, dtype=object).reshape(2, -1, n)
+    forms = np.stack(arr._integer_forms)
+    t = 2 * n * _largest(forms) * _largest(vectors)
+    dtype = np.int64 if 2 * t * t < 2**63 else object
+    (fr, fi), (br, bi) = forms.astype(dtype), vectors.astype(dtype).transpose(0, 2, 1)
+    shape = (len(fr), len(bases), k)
+    return (fr @ br - fi @ bi).reshape(shape), (fr @ bi + fi @ br).reshape(shape)
+
+
+def _largest(a: np.ndarray) -> int:
+    """The largest absolute value of an integer array's entries, 0 if none."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _trace_keys(re, im) -> np.ndarray:
+    """The primitive key (``_primitive_key``) of every trace along the last
+    axis of the (re, im) arrays, as one array of the same dtype whose last
+    axis holds the real parts and then the imaginary parts; a zero trace
+    has a zero key.  Each trace is multiplied by the conjugate of its
+    first nonzero entry u and divided by the gcd of its parts; where u is
+    real this is the key's sign change, as gcd(u x) = |u| gcd(x)."""
+    at = (*np.indices(re.shape[:-1], sparse=True), ((re != 0) | (im != 0)).argmax(axis=-1))
+    ur, ui = re[at][..., None], im[at][..., None]
+    keys = np.concatenate([ur * re + ui * im, ur * im - ui * re], axis=-1)
+    return keys // np.maximum(np.gcd.reduce(keys, axis=-1, keepdims=True), 1)
 
 
 def _containing(arr: Arrangement, rows) -> tuple:
     """Indices of the hyperplanes containing the span of the rows."""
-    return tuple(i for i, (re, im) in enumerate(_integer_traces(arr, rows)) if not (any(re) or any(im)))
+    re, im = _integer_traces(arr, [rows])
+    return tuple(np.flatnonzero(~((re != 0) | (im != 0)).any(axis=(1, 2))).tolist())
 
 
 def flat_from_basis(arr: Arrangement, basis) -> Flat:
@@ -276,11 +313,15 @@ def flat_from_indices(arr: Arrangement, indices) -> Flat:
 
 
 class Lattice:
-    """All intersections of members of an arrangement, canonicalized."""
+    """All intersections of members of an arrangement, canonicalized, in
+    order of codim and then of containing set, with the covers met while
+    building it: ``_below`` maps each flat's containing set to those of
+    the flats it covers."""
 
-    def __init__(self, arr: Arrangement, flats):
+    def __init__(self, arr: Arrangement, flats, below: dict):
         self.arrangement = arr
         self.flats = sorted(flats, key=lambda f: (f.codim, f.containing))
+        self._below = below
 
     def __len__(self):
         return len(self.flats)
@@ -289,45 +330,102 @@ class Lattice:
         return [f for f in self.flats if f.codim == c]
 
     @cached_property
+    def blocks(self) -> dict:
+        """Each flat's irreducible blocks, keyed by its containing set: the
+        matroid blocks of that set (what ``_blocks`` gives), as sorted index
+        tuples ordered by smallest member; the ambient flat has none.  They
+        are read from the covers, in codim order (``_cover_blocks``), with
+        no echelon form, once per lattice."""
+        flats = {f.containing: f for f in self.flats}
+        blocks = {}
+        for flat in self.flats:
+            key = flat.containing
+            blocks[key] = _cover_blocks(flat, self._below[key], blocks, flats) if flat.codim else ()
+        return blocks
+
+    @cached_property
     def irreducible(self) -> tuple:
-        """The irreducible flats in lattice order, tested once per lattice."""
-        return tuple(f for f in self.flats if is_irreducible_flat(self.arrangement, f))
+        """The irreducible flats, those of one block, in lattice order."""
+        return tuple(f for f in self.flats if len(self.blocks[f.containing]) == 1)
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
     """Breadth-first search from the ambient flat, one level of covering
-    flats (``_covering_flats``) at a time."""
+    flats (``_covering_flats``) at a time, recording every cover, from
+    which the lattice reads each flat's blocks (``Lattice.blocks``)."""
     start = ambient_flat(arr)
-    flats = {start.containing: start}
+    flats, below = {start.containing: start}, {}
     frontier = [start]
     while frontier:
-        frontier = _covering_flats(arr, frontier, flats)
-    return Lattice(arr, flats.values())
+        frontier = _covering_flats(arr, frontier, flats, below)
+    return Lattice(arr, flats.values(), below)
 
 
-def _covering_flats(arr: Arrangement, frontier, seen: dict) -> list:
-    """The flats covering those of the frontier that are not yet in
-    ``seen`` (a dict from containing sets to flats, updated), in order of
-    the frontier and then of the first member of each class.
+def _cover_blocks(flat: Flat, covered, blocks: dict, flats: dict) -> tuple:
+    """The blocks of a flat X, given the containing sets of the flats it
+    covers, whose blocks are known.  The groups of X are the classes of
+    containing(X) joined along every block of every flat X covers.  X is
+    reducible iff there are two groups or more, each the containing set of
+    a flat, with codims summing to codim X; then the groups are its
+    blocks, and otherwise containing(X) is its one block.
+
+    Matroid connectivity (Oxley, Matroid Theory, ch. 4) proves it.  A
+    block of a covered flat is connected, so it lies in one block of X:
+    groups refine blocks.  If X is reducible, each of its blocks is the
+    containing set of a flat Y of smaller codim, some flat that X covers
+    contains Y's hyperplanes, and Y's connected set lies in one of its
+    blocks: so the groups are the blocks, and they pass the test.  Closed
+    groups whose ranks (codims) sum to the rank of X split its matroid as
+    a direct sum, so an irreducible X fails the test."""
+    containing = flat.containing
+    group = {h: [h] for h in containing}  # each member's group, one list shared
+    for key in covered:
+        for block in blocks[key]:
+            first = group[block[0]]
+            for h in block[1:]:
+                other = group[h]
+                if other is not first:
+                    first += other
+                    for x in other:
+                        group[x] = first
+    groups, met = [], set()
+    for h in containing:  # so ordered by smallest member
+        if id(group[h]) not in met:
+            met.add(id(group[h]))
+            groups.append(tuple(sorted(group[h])))
+    if len(groups) > 1 and all(g in flats for g in groups):
+        if sum(flats[g].codim for g in groups) == flat.codim:
+            return tuple(groups)
+    return (containing,)
+
+
+def _covering_flats(arr: Arrangement, frontier, seen: dict, below: dict) -> list:
+    """The flats covering those of the frontier, all of one dimension,
+    that are not yet in ``seen`` (a dict from containing sets to flats,
+    updated), in order of the frontier and then of the first member of
+    each class.  Every cover met is recorded in ``below`` (a dict from a
+    flat's containing set to those of the flats it covers, updated), seen
+    or not.
 
     The flats covering F are the classes of proportional traces on F of
-    the hyperplanes not containing it (``_trace_classes``); a class's flat
-    contains F's hyperplanes and the class's sources.  Only a flat not
-    seen before gets rows: the kernel of the trace of the class's first
-    member, in F's frame, mapped back to C^n (``_trace_kernel``).
+    the hyperplanes not containing it, found for the whole frontier in one
+    batch (``_trace_classes``); a class's flat contains F's hyperplanes
+    and the class's sources.  Only a flat not seen before gets rows: the
+    kernel of the trace of the class's first member, in F's frame, mapped
+    back to C^n (``_trace_kernel``).
     """
+    if not frontier[0].rows:  # a point lies in every hyperplane
+        return []
+    tr, ti, classes = _trace_classes(arr, frontier)
     new = []
-    # one product for the whole level, sliced flat by flat
-    level = _integer_traces(arr, [row for flat in frontier for row in flat.rows])
-    hi = 0
-    for flat in frontier:
-        lo, hi = hi, hi + len(flat.rows)
-        traces = [(re[lo:hi], im[lo:hi]) for re, im in level]
-        for sources in _trace_classes(traces, flat.containing):
+    for f, flat in enumerate(frontier):
+        for sources in classes[f]:
             key = tuple(sorted(flat.containing + sources))
+            below.setdefault(key, []).append(flat.containing)
             if key in seen:
                 continue
-            rows = _trace_kernel(traces[sources[0]], flat.rows)
+            i = sources[0]
+            rows = _trace_kernel((tr[i, f].tolist(), ti[i, f].tolist()), flat.rows)
             seen[key] = Flat(key, rows, arr.dimension - len(rows))
             new.append(seen[key])
     return new
@@ -381,45 +479,56 @@ def _sub_arrangement(arr: Arrangement, indices) -> Arrangement:
     return Arrangement._from_rows(arr.dimension, [arr._ids[i] for i in indices], rows)
 
 
-def _trace_classes(traces, containing):
-    """Source tuples of the classes of proportional integer traces of the
-    hyperplanes outside ``containing``, in order of their first member;
-    traces are compared by their primitive keys."""
-    inside = set(containing)
-    merged = {}
-    for i, trace in enumerate(traces):
-        if i not in inside:
-            merged.setdefault(_primitive_key(*trace), []).append(i)
-    return [tuple(sources) for sources in merged.values()]
+def _trace_classes(arr: Arrangement, flats):
+    """The traces of every hyperplane on each of a list of flats, all of
+    one dimension k > 0, as the (re, im) arrays of shape (m, len(flats), k)
+    that ``_integer_traces`` gives, and for each flat the source tuples of
+    the classes of proportional traces of the hyperplanes not containing
+    it, in order of their first member; traces are compared by their keys
+    (``_trace_keys``)."""
+    tr, ti = _integer_traces(arr, [flat.rows for flat in flats])
+    classes = []
+    for keys, flat in zip(_trace_keys(tr, ti).transpose(1, 0, 2).tolist(), flats):
+        inside, merged = set(flat.containing), {}
+        for i, key in enumerate(keys):
+            if i not in inside:
+                merged.setdefault(tuple(key), []).append(i)
+        classes.append([tuple(sources) for sources in merged.values()])
+    return tr, ti, classes
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """Induced arrangement on a flat, in its kernel_basis coordinates."""
     _require_flat(arr, flat)
-    return _restricted(arr, flat)[1]
+    return _restricted(arr, [flat])[0][1]
 
 
-def _restricted(arr: Arrangement, flat: Flat):
-    """The classes of proportional traces on a flat (``_trace_classes``)
-    and the restriction they make, one hyperplane per class, with the id
-    and the trace of its first member; a flat that is a point is refused.
-    Coordinates are taken in the flat's kernel_basis frame: the trace is
-    t_j = T_j / (d mu_j), from the integer trace T on the rows (see
-    ``_trace_kernel``), stored over the lcm of the d mu_j."""
-    if flat.dim == 0:
+def _restricted(arr: Arrangement, flats) -> list:
+    """For each of a list of flats, all of one dimension, the classes of
+    proportional traces on it (``_trace_classes``, one batch for the
+    list) and the restriction they make, one hyperplane per class, with
+    the id and the trace of its first member; a flat that is a point is
+    refused.  Coordinates are taken in the flat's kernel_basis frame: the
+    trace is t_j = T_j / (d mu_j), from the integer trace T on the rows
+    (see ``_trace_kernel``), stored over the lcm of the d mu_j."""
+    if not flats:
+        return []
+    if flats[0].dim == 0:
         raise PreconditionError("restriction to a point undefined")
-    traces = _integer_traces(arr, flat.rows)
-    mus = [mu for _, _, mu in flat.rows]
-    lcm = math.lcm(*mus)
-    scale = [lcm // mu for mu in mus]
-    classes = _trace_classes(traces, flat.containing)
-    firsts, rows = [sources[0] for sources in classes], []
-    for i in firsts:
-        re, im = ([a * s for a, s in zip(part, scale)] for part in traces[i])
-        d = arr._denominators[i] * lcm
-        g = math.gcd(d, *re, *im)
-        rows.append(([a // g for a in re], [b // g for b in im], d // g))
-    return classes, Arrangement._from_rows(flat.dim, [arr._ids[i] for i in firsts], rows)
+    tr, ti, classes = _trace_classes(arr, flats)
+    out = []
+    for f, flat in enumerate(flats):
+        mus = [mu for _, _, mu in flat.rows]
+        lcm = math.lcm(*mus)
+        scale = [lcm // mu for mu in mus]
+        firsts, rows = [sources[0] for sources in classes[f]], []
+        for i in firsts:
+            re, im = ([a * s for a, s in zip(part[i, f].tolist(), scale)] for part in (tr, ti))
+            d = arr._denominators[i] * lcm
+            g = math.gcd(d, *re, *im)
+            rows.append(([a // g for a in re], [b // g for b in im], d // g))
+        out.append((classes[f], Arrangement._from_rows(flat.dim, [arr._ids[i] for i in firsts], rows)))
+    return out
 
 
 class _UnionFind:
@@ -485,18 +594,26 @@ def _blocks(arr: Arrangement, indices):
     return [tuple([indices[i] for i in group]) for group in groups], rank
 
 
+def _flat_blocks(arr: Arrangement, flat: Flat) -> list:
+    """The blocks of a flat's containing set: read from the arrangement's
+    lattice when it is built and holds the flat, from ``_blocks`` else."""
+    blocks = None if arr._lattice is None else arr._lattice.blocks.get(flat.containing)
+    return _blocks(arr, flat.containing)[0] if blocks is None else list(blocks)
+
+
 def irreducible_components(arr: Arrangement, flat: Flat):
     """Centers of the irreducible components of the localization at the
-    flat: one flat per block of its containing set (``_blocks``), which is
-    that flat's containing set, ordered by smallest hyperplane index."""
+    flat: one flat per block of its containing set (``_flat_blocks``),
+    which is that flat's containing set, ordered by smallest hyperplane
+    index."""
     _require_flat(arr, flat)
-    return [flat_from_indices(arr, block) for block in _blocks(arr, flat.containing)[0]]
+    return [flat_from_indices(arr, block) for block in _flat_blocks(arr, flat)]
 
 
 def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
-    """A flat is irreducible when its containing set is one matroid block;
-    the ambient flat (no hyperplanes, no blocks) is not."""
-    return len(_blocks(arr, flat.containing)[0]) == 1
+    """A flat is irreducible when its containing set is one matroid block
+    (``_flat_blocks``); the ambient flat (no hyperplanes, no blocks) is not."""
+    return len(_flat_blocks(arr, flat)) == 1
 
 
 def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:
@@ -524,7 +641,7 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     """
     i0 = arr.index_of(h0)
     deleted = _sub_arrangement(arr, [i for i in range(len(arr)) if i != i0])
-    classes, restricted = _restricted(arr, arr.hyperplane_flats[i0])
+    ((classes, restricted),) = _restricted(arr, [arr.hyperplane_flats[i0]])
     projection = {arr._ids[i]: hid for hid, sources in zip(restricted._ids, classes) for i in sources}
     separator = (i0,) in arr._decomposition[0]
     return DeletionRestriction(deleted, restricted, projection, separator)

@@ -71,10 +71,11 @@ def _default_cap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    """The lattice report.  Each flat's components are the matroid blocks
-    of its containing set, so no component flat is built; the rank and
-    essentiality are read from the last flat, the one of greatest codim,
-    which is the center, and its blocks are the decomposition."""
+    """The lattice report.  Each flat's components are the blocks the
+    lattice build gave its containing set, so no component flat is built;
+    the rank and essentiality are read from the last flat, the one of
+    greatest codim, which is the center, and its blocks are the
+    decomposition."""
     arr = arrmod.load_arrangement(args.file)
     lattice = arr.lattice(cap=_default_cap(args))
     center = lattice.flats[-1]
@@ -82,7 +83,7 @@ def cmd_lattice(args) -> int:
     flats = []
     for flat in lattice.flats:
         entry = _flat_json(arr, flat)
-        blocks = arrmod._blocks(arr, flat.containing)[0]
+        blocks = lattice.blocks[flat.containing]
         entry["irreducible"] = len(blocks) == 1
         entry["components"] = [[arr._ids[i] for i in b] for b in blocks]
         flats.append(entry)
@@ -262,6 +263,8 @@ def cmd_volume(args) -> int:
         if n < 1:
             raise InputError(f"--n must be >= 1, got {n}")
     vol_fs, vol_sphere = pkmod.fs_volumes(alpha0, n)
+    if not vol_sphere:  # alpha0 > 0, so the volumes, or alpha0 too, rounded to zero
+        raise InputError(f"the volumes for n = {n} are outside the double range")
     obj = {
         "alpha0": float(alpha0),
         "n": n,

@@ -142,9 +142,13 @@ class StandardConnection:
     @cached_property
     def numeric(self):
         """Complex forms (m, n) and residues (m, n*n), read-only; Python int true
-        division rounds correctly, so each entry is ``complex`` of the exact one."""
+        division rounds correctly, so each entry is ``complex`` of the exact one.
+        An entry past the double range is an InputError."""
         arr, view, d = self.arrangement, self.integer, self.integer.denominator
-        entries = [complex(a / d, b / d) for a, b in zip(view.re.ravel().tolist(), view.im.ravel().tolist())]
+        try:
+            entries = [complex(a / d, b / d) for a, b in zip(view.re.ravel().tolist(), view.im.ravel().tolist())]
+        except OverflowError:
+            raise InputError("a residue entry is outside the double range") from None
         residues = np.array(entries, dtype=complex).reshape(len(arr), arr.dimension**2)
         residues.flags.writeable = False
         return arr.complex_forms, residues
@@ -528,7 +532,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
     flat = arr.hyperplane_flats[i0]
-    classes, restricted = _restricted(arr, flat)
+    ((classes, restricted),) = _restricted(arr, [flat])
     traces = list(zip(restricted._ids, classes))
     residues = {}
     for hid, sources in traces:

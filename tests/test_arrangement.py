@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrconn.arrangement as arrmod
@@ -233,6 +234,104 @@ class TestComponentBlocks:
             assert entry["hyperplanes"] == [arr.hyperplanes[i].id for i in flat.containing]
             assert entry["components"] == [[arr.hyperplanes[i].id for i in c.containing] for c in components]
             assert entry["irreducible"] == (len(components) == 1)
+
+
+def moebius_beta(lattice) -> dict:
+    """Crapo's beta invariant of the localization at each flat, keyed by
+    containing set, read from the Moebius function of the lattice (codim
+    is the rank): beta(X) = (-1)^codim X sum_{Y <= X} mu(0, Y) codim Y.
+    It is nonzero iff the localization is connected, that is, the flat is
+    irreducible (Crapo, J. Combin. Theory 2, 1967)."""
+    flats = lattice.flats  # by codim, so every Y < X comes before X
+    sets = [frozenset(f.containing) for f in flats]
+    mu = []
+    for k, below in enumerate(sets):
+        mu.append(1 if k == 0 else -sum(mu[j] for j in range(k) if sets[j] < below))
+    return {
+        flat.containing: (-1) ** flat.codim * sum(mu[j] * flats[j].codim for j in range(k + 1) if sets[j] <= sets[k])
+        for k, flat in enumerate(flats)
+    }
+
+
+def assert_blocks_match_oracles(arr):
+    """Every flat's blocks, read from the covers, are the matroid blocks of
+    its containing set (``_blocks``), and it has one block iff its beta
+    invariant is nonzero."""
+    lattice = arr.lattice(cap=len(arr))
+    beta = moebius_beta(lattice)
+    for flat in lattice.flats:
+        blocks = list(lattice.blocks[flat.containing])
+        assert blocks == _blocks(arr, flat.containing)[0]
+        assert beta[flat.containing] >= 0
+        assert (beta[flat.containing] != 0) == (len(blocks) == 1)
+    assert lattice.irreducible == tuple(f for f in lattice.flats if beta[f.containing])
+
+
+class TestCoverBlocks:
+    """Blocks from the lower covers recorded during the build, against one
+    echelon form per flat and against the beta invariant."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_braid_blocks_match_oracles(self, n):
+        assert_blocks_match_oracles(braid(n))
+
+    @settings(max_examples=300)
+    @given(reducible_arrangements)
+    def test_blocks_match_oracles(self, arr):
+        assert_blocks_match_oracles(arr)
+
+    def test_group_that_is_not_a_flat(self):
+        # at the origin, h1 h2 h3 and h1 h4 h5 are dependent triples, which
+        # join h1..h5 into one group, and h6 lies on no line with two others,
+        # so it stays a group of its own; h1..h5 span C^3, so their group is
+        # not a flat, and the origin is irreducible
+        forms = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (1, 2, 3)]
+        arr = Arrangement(3, [Hyperplane(f"h{k + 1}", vec(f)) for k, f in enumerate(forms)])
+        assert_blocks_match_oracles(arr)
+        assert arr.lattice().blocks[tuple(range(6))] == (tuple(range(6)),)
+
+    def test_beta_of_small_matroids(self):
+        # a coloop, two coloops and three lines in a plane: 1, 0 and 1
+        assert moebius_beta(boolean(1).lattice())[(0,)] == 1
+        assert moebius_beta(boolean(2).lattice())[(0, 1)] == 0
+        assert moebius_beta(braid(2).lattice())[(0, 1, 2)] == 1
+
+    def test_cold_check_runs_no_echelon_on_lattice_flats(self, tmp_path, monkeypatch, capsys):
+        # the only echelon forms left are the certified decompositions of
+        # the arrangement and of its restrictions
+        path = tmp_path / "a5.json"
+        assert main(["lauricella", "--n", "5", "--a", "1/20,2/20,3/20,4/20,5/20,6/20", "--out", str(path)]) == 0
+        built, calls = [], []
+        real_build, real_blocks = arrmod.build_lattice, arrmod._blocks
+
+        def counting(arr, indices):
+            indices = tuple(indices)
+            calls.append((arr, indices, sys._getframe(1).f_code.co_name))
+            return real_blocks(arr, indices)
+
+        monkeypatch.setattr(arrmod, "build_lattice", lambda arr: built.append(real_build(arr)) or built[-1])
+        monkeypatch.setattr(arrmod, "_blocks", counting)
+        assert main(["check", str(path), "--json"]) == 0
+        capsys.readouterr()
+        (lattice,) = built
+        keys = {f.containing for f in lattice.flats}
+        on_flats = [c for c in calls if c[0] is lattice.arrangement and c[1] in keys and c[2] != "_decomposition"]
+        assert len(lattice) == 203 and calls and on_flats == []
+        assert {caller for _, _, caller in calls} == {"_decomposition"}
+
+    def test_components_of_a_flat_outside_a_lattice(self, monkeypatch):
+        # no lattice built: the blocks come from one echelon form
+        arr = braid(3)
+        flat = flat_from_indices(arr, [0, 5])
+        calls = []
+        real = arrmod._blocks
+        monkeypatch.setattr(arrmod, "_blocks", lambda a, i: calls.append(tuple(i)) or real(a, i))
+        assert [c.containing for c in irreducible_components(arr, flat)] == [(0,), (5,)]
+        assert calls == [(0, 5)] and not is_irreducible_flat(arr, flat)
+        arr.lattice()
+        calls.clear()
+        assert [c.containing for c in irreducible_components(arr, flat)] == [(0,), (5,)]
+        assert calls == []
 
 
 class TestRestrictionCache:

@@ -410,18 +410,40 @@ class TestNumericCommands:
         assert err == "error: transport overflowed: a holonomy matrix or its error bound is not finite\n"
 
     @pytest.mark.parametrize(
+        "form, residue, message",
+        [
+            ([1, 0], [["1e400", 0], [0, 0]], "a residue entry is outside the double range"),
+            (["1e400", 1], [[1, 0], [0, 0]], "a form entry is outside the double range"),
+        ],
+        ids=["residue", "form"],
+    )
+    def test_entry_past_the_double_range_exits_2(self, capsys, tmp_path, form, residue, message):
+        # the exact checks read such an entry; the numeric view cannot hold it
+        path = tmp_path / "huge.json"
+        obj = {"dimension": 2, "hyperplanes": [{"id": "a", "form": form}], "residues": {"a": residue}}
+        path.write_text(json.dumps(obj))
+        assert run(capsys, "holonomy", str(path)) == (2, "", f"error: {message}\n")
+        if form == [1, 0]:
+            code, out, _ = run(capsys, "check", str(path))
+            assert code == 0 and out.endswith("all checks passed\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (("volume", "--alpha0", "1e200", "--n", "3"), "the volumes for n = 3 are outside the double range"),
             (("volume", "--alpha0", "1e400", "--n", "1"), "the volumes for n = 1 are outside the double range"),
             (("volume", "--alpha", "1e400,1/2,1/3"), "the volumes for n = 2 are outside the double range"),
+            (("volume", "--alpha0", "1e-400", "--n", "1"), "the volumes for n = 1 are outside the double range"),
+            (("volume", "--alpha", "1,1e-400"), "the volumes for n = 1 are outside the double range"),
+            (("volume", "--alpha0", "1e-200", "--n", "3"), "the volumes for n = 3 are outside the double range"),
             (("pk-exists", "--alpha", "1e400,1/2,1/3"), "a cone angle is outside the double range"),
             (("lauricella", "--n", "1", "--a", "1e4300,1"), "an exact value has more than 4300 digits"),
             (("lauricella", "--n", "1", "--a", "5e4299,5e4299", "--json"), "an exact value has more than 4300 digits"),
             (("pk-exists", "--alpha", "8/5,8/5,8/5,1e-4300"), "an exact value has more than 4300 digits"),
             (("pk-exists", "--alpha", "8/5,8/5,8/5,1e-4300", "--json"), "an exact value has more than 4300 digits"),
         ],
-        ids=["volume-alpha0", "volume-alpha0-n-1", "volume-alpha", "pk-exists-angle",
+        ids=["volume-alpha0", "volume-alpha0-n-1", "volume-alpha", "volume-tiny-alpha0", "volume-tiny-alpha",
+             "volume-tiny-volumes", "pk-exists-angle",
              "lauricella-entry", "lauricella-sum", "pk-exists-witness", "pk-exists-witness-json"],
     )
     def test_unprintable_value_exits_2(self, capsys, argv, message):
@@ -597,7 +619,9 @@ _rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**6), 10**6), st.
 _decimal = st.builds(
     lambda m, digits, e: f"{m}.{digits}e{e}", st.integers(-999, 999), st.integers(0, 999), st.integers(-4300, 4300)
 )
-_value = st.one_of(_rational, _decimal)
+# positive values below the double range, down to the exponent the parser admits
+_tiny = st.builds(lambda m, e: f"{m}e-{e}", st.integers(1, 999), st.integers(330, 4300))
+_value = st.one_of(_rational, _decimal, _tiny)
 
 
 def _vector(size=st.integers(1, 8)):
@@ -630,3 +654,18 @@ class TestArgumentFuzz:
         assert code in (0, 1, 2)
         if code == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=200)
+    @given(alpha0=st.one_of(_tiny, _value.filter(lambda v: Fraction(v) > 0)), n=st.integers(1, 500), angles=st.booleans())
+    def test_positive_alpha0_is_never_printed_as_zero(self, alpha0, n, angles):
+        # --alpha=1,x has n = 1 and alpha0 = x; a value or volume that
+        # rounds to zero exits 2 with one line, as one past the top does
+        argv = ["volume", f"--alpha=1,{alpha0}"] if angles else ["volume", f"--alpha0={alpha0}", f"--n={n}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--json"])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            obj = json.loads(out.getvalue())
+            assert code == 0 and obj["alpha0"] > 0 and obj["vol_fs"] > 0 and obj["vol_sphere"] > 0

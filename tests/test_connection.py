@@ -402,9 +402,9 @@ class TestWeightConstraints:
         calls = []
         original = arrmod._restricted
 
-        def counting(arr, flat):
-            calls.append(flat)
-            return original(arr, flat)
+        def counting(arr, flats):
+            calls.extend(flats)
+            return original(arr, flats)
 
         monkeypatch.setattr(arrmod, "_restricted", counting)
         monkeypatch.setattr(connmod, "_restricted", counting)

@@ -13,21 +13,25 @@ import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrconn.arrangement as arrangement_module
 import arrconn.numkernel as numkernel_module
 from arrconn.arrangement import (
     Arrangement,
+    Flat,
     Hyperplane,
-    _integer_traces,
     _primitive_key,
     _restricted,
     _trace_classes,
+    _trace_keys,
     ambient_flat,
+    build_lattice,
     arrangement_to_json,
     deletion_restriction,
     flat_from_indices,
@@ -133,11 +137,12 @@ def ratio_restriction(arr, flat):
     """(id, form) of each hyperplane of the restriction to a flat, the
     form built entry by entry with ``gaussian_ratio`` from the class
     representative's integer trace: t_j = T_j / (d mu_j)."""
-    traces = _integer_traces(arr, flat.rows)
+    tr, ti, (classes,) = _trace_classes(arr, [flat])
     out = []
-    for sources in _trace_classes(traces, flat.containing):
+    for sources in classes:
         i, d = sources[0], arr._denominators[sources[0]]
-        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, (_, _, mu) in zip(*traces[i], flat.rows))
+        trace = zip(tr[i, 0].tolist(), ti[i, 0].tolist(), flat.rows)
+        form = tuple(gaussian_ratio(a, b, d * mu) for a, b, (_, _, mu) in trace)
         out.append((arr.ids()[i], form))
     return out
 
@@ -312,7 +317,7 @@ class TestPrimitiveKeys:
             if not flat.dim:  # a point lies in every hyperplane: no traces
                 assert fraction_traces(arr, flat) == []
                 continue
-            classes, restricted = _restricted(arr, flat)
+            ((classes, restricted),) = _restricted(arr, [flat])
             got = [(h.id, h.form, sources) for h, sources in zip(restricted.hyperplanes, classes, strict=True)]
             assert got == fraction_traces(arr, flat)
 
@@ -332,6 +337,94 @@ class TestPrimitiveKeys:
         other = tuple(G(Fraction(-7, 5), 3) * x for x in form)
         with pytest.raises(InputError, match="a and b are proportional"):
             Arrangement(3, [Hyperplane("a", form), Hyperplane("b", other)])
+
+
+# -- the int64 bound of the lattice's trace batches --------------------------------------------
+
+def python_traces(arr, bases):
+    """``_integer_traces`` entry by entry, on Python ints."""
+    fr, fi = (part.tolist() for part in arr._integer_forms)
+    shape = (len(arr), len(bases), len(bases[0]))
+    re, im = np.empty(shape, dtype=object), np.empty(shape, dtype=object)
+    for h, (ar, ai) in enumerate(zip(fr, fi)):
+        for f, rows in enumerate(bases):
+            for j, (br, bi, _) in enumerate(rows):
+                re[h, f, j] = sum(a * b - c * d for a, c, b, d in zip(ar, ai, br, bi))
+                im[h, f, j] = sum(a * d + c * b for a, c, b, d in zip(ar, ai, br, bi))
+    return re, im
+
+
+def _edge(n, step, other=1):
+    """The largest |entry| E of a form (or vector) such that, with every
+    vector (or form) entry at most ``other``, 2 t^2 < 2^63 for t = 2 n E
+    other (step 0), or the smallest past it (step 1)."""
+    return (2**31 - 1) // (2 * n * other) + step
+
+
+def _largest_form_part(arr) -> int:
+    return max(abs(x) for part in arr._integer_forms for x in part.ravel().tolist())
+
+
+_KEY_PARTS = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40), st.integers(-(2**70), 2**70))
+
+
+class TestTraceBound:
+    @settings(max_examples=60)
+    @given(small_arrangements(), st.integers(0, 1), st.booleans())
+    def test_int64_and_python_int_lattices_agree(self, arr, step, imaginary):
+        # a form (E, 1) or (E, i) puts the first level, traces on the
+        # ambient's unit rows, at the edge of the bound; deeper levels,
+        # with larger row entries, may fall past it
+        n = arr.dimension
+        edge = _edge(n, step)
+        form = vec([edge, G(0, 1) if imaginary else 1] + [0] * (n - 2))
+        edged = Arrangement(n, [*arr.hyperplanes, Hyperplane("edge", form)])
+        assert _largest_form_part(edged) == edge
+        dtypes, real = [], arrangement_module._integer_traces
+
+        def recording(a, bases):
+            out = real(a, bases)
+            dtypes.append(out[0].dtype)
+            return out
+
+        with mock.patch.object(arrangement_module, "_integer_traces", recording):
+            fast = build_lattice(edged)
+        with mock.patch.object(arrangement_module, "_integer_traces", python_traces):
+            slow = build_lattice(edged)
+        assert dtypes[0] == (np.int64 if step == 0 else object)
+        assert [(f.containing, f.rows, f.codim) for f in fast.flats] == [(f.containing, f.rows, f.codim) for f in slow.flats]
+        assert fast.blocks == slow.blocks
+
+    @settings(max_examples=60)
+    @given(small_arrangements().filter(len), st.integers(0, 1), st.booleans())
+    def test_traces_on_rows_at_the_edge(self, arr, step, imaginary):
+        # rows (E, 1) or (E, i) against the arrangement's own forms
+        n = arr.dimension
+        big = _edge(n, step, _largest_form_part(arr))
+        row = ([big] + [0 if imaginary else 1] + [0] * (n - 2), [0, 1 if imaginary else 0] + [0] * (n - 2), 1)
+        re, im = python_traces(arr, [(row,)])
+        traces = list(zip(re[:, 0].tolist(), im[:, 0].tolist()))
+        inside = tuple(i for i, (a, b) in enumerate(traces) if not (any(a) or any(b)))
+        tr, ti, (classes,) = _trace_classes(arr, [Flat(containing=inside, rows=(row,), codim=n - 1)])
+        assert tr.dtype == (np.int64 if step == 0 else object)
+        assert tr.tolist() == re.tolist() and ti.tolist() == im.tolist()
+        merged = {}
+        for i, (a, b) in enumerate(traces):
+            if i not in inside:
+                merged.setdefault(_primitive_key(a, b), []).append(i)
+        assert classes == [tuple(sources) for sources in merged.values()]
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[_KEY_PARTS] * (2 * k)), min_size=1, max_size=6)))
+    def test_batch_keys_are_primitive_keys(self, vectors):
+        # one array for the batch: int64 when every part is small, else Python ints
+        k = len(vectors[0]) // 2
+        parts = np.array(vectors, dtype=object)
+        small = all(abs(x) < 2**20 for v in vectors for x in v)
+        re, im = (parts[:, :k], parts[:, k:]) if not small else (parts[:, :k].astype(np.int64), parts[:, k:].astype(np.int64))
+        keys = _trace_keys(re, im).tolist()
+        for v, key in zip(vectors, keys):
+            expected = _primitive_key(list(v[:k]), list(v[k:])) if any(v) else (0,) * (2 * k)
+            assert tuple(key) == expected
 
 
 # -- the stored form of an arrangement -------------------------------------------------------
@@ -405,7 +498,7 @@ class TestStoredForm:
             path.write_text(json.dumps(arrangement_to_json(Arrangement(3, planes))))
             arr = load_arrangement(path)
         for flat in arr.hyperplane_flats:
-            r = _restricted(arr, flat)[1]
+            r = _restricted(arr, [flat])[0][1]
             r.essential_irreducible
             r.lattice()
             assert "hyperplanes" not in vars(r)
