@@ -35,6 +35,10 @@ DEFAULT_LATTICE_CAP = 20
 # the largest dimension, and builtin n, that a file may give; a larger one
 # is refused as it is read, before any hyperplane or array is built
 MAX_DIMENSION = 64
+# the most flats of a lattice level whose traces and keys are one batch of
+# arrays; a larger level is split, which bounds the build's memory (A_8's
+# largest level has 7,770 flats) at no cost in speed
+LEVEL_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -408,26 +412,28 @@ def _covering_flats(arr: Arrangement, frontier, seen: dict, below: dict) -> list
     or not.
 
     The flats covering F are the classes of proportional traces on F of
-    the hyperplanes not containing it, found for the whole frontier in one
-    batch (``_trace_classes``); a class's flat contains F's hyperplanes
-    and the class's sources.  Only a flat not seen before gets rows: the
-    kernel of the trace of the class's first member, in F's frame, mapped
-    back to C^n (``_trace_kernel``).
+    the hyperplanes not containing it, found in one batch for up to
+    LEVEL_BATCH flats of the frontier at a time (``_trace_classes``); a
+    class's flat contains F's hyperplanes and the class's sources.  Only a
+    flat not seen before gets rows: the kernel of the trace of the class's
+    first member, in F's frame, mapped back to C^n (``_trace_kernel``).
     """
     if not frontier[0].rows:  # a point lies in every hyperplane
         return []
-    tr, ti, classes = _trace_classes(arr, frontier)
     new = []
-    for f, flat in enumerate(frontier):
-        for sources in classes[f]:
-            key = tuple(sorted(flat.containing + sources))
-            below.setdefault(key, []).append(flat.containing)
-            if key in seen:
-                continue
-            i = sources[0]
-            rows = _trace_kernel((tr[i, f].tolist(), ti[i, f].tolist()), flat.rows)
-            seen[key] = Flat(key, rows, arr.dimension - len(rows))
-            new.append(seen[key])
+    for lo in range(0, len(frontier), LEVEL_BATCH):
+        batch = frontier[lo : lo + LEVEL_BATCH]
+        tr, ti, classes = _trace_classes(arr, batch)
+        for f, flat in enumerate(batch):
+            for sources in classes[f]:
+                key = tuple(sorted(flat.containing + sources))
+                below.setdefault(key, []).append(flat.containing)
+                if key in seen:
+                    continue
+                i = sources[0]
+                rows = _trace_kernel((tr[i, f].tolist(), ti[i, f].tolist()), flat.rows)
+                seen[key] = Flat(key, rows, arr.dimension - len(rows))
+                new.append(seen[key])
     return new
 
 
@@ -487,10 +493,10 @@ def _trace_classes(arr: Arrangement, flats):
     it, in order of their first member; traces are compared by their keys
     (``_trace_keys``)."""
     tr, ti = _integer_traces(arr, [flat.rows for flat in flats])
-    classes = []
-    for keys, flat in zip(_trace_keys(tr, ti).transpose(1, 0, 2).tolist(), flats):
+    keys, classes = _trace_keys(tr, ti), []
+    for f, flat in enumerate(flats):  # one flat's keys as lists at a time, not the batch's
         inside, merged = set(flat.containing), {}
-        for i, key in enumerate(keys):
+        for i, key in enumerate(keys[:, f].tolist()):
             if i not in inside:
                 merged.setdefault(tuple(key), []).append(i)
         classes.append([tuple(sources) for sources in merged.values()])

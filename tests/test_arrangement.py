@@ -102,6 +102,14 @@ class TestLattice:
             arr.lattice(cap=3)
         assert len(arr.lattice(cap=15)) == 203
 
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_levels_split_into_batches_give_the_same_lattice(self, monkeypatch, batch):
+        whole = braid(4).lattice()
+        monkeypatch.setattr(arrmod, "LEVEL_BATCH", batch)
+        split = braid(4).lattice()
+        assert [(f.containing, f.rows, f.codim) for f in split.flats] == [(f.containing, f.rows, f.codim) for f in whole.flats]
+        assert split.blocks == whole.blocks
+
     def test_irreducible_flats_cached_on_lattice(self):
         arr = braid(3)
         flats = irreducible_flats(arr)
