@@ -26,8 +26,10 @@ from .numkernel import (
     GaussianRational,
     _echelon_core,
     cleared,
+    cleared_pairs,
     gaussian_ratio,
     kernel_of_echelon,
+    MAX_EXPONENT,
     parse_fraction,
 )
 
@@ -194,13 +196,15 @@ class Arrangement:
         rank, computed once; ``irreducible_decomposition`` hands out
         copies of the blocks.
 
-        Rank additivity across the blocks is checked exactly and every
-        block is re-tested for connectivity; a failed check is an
-        internal error, not a report.
+        With two blocks or more, rank additivity is checked exactly and
+        every block re-tested for connectivity (a failure is an internal
+        error); one block's re-test would repeat the same echelon form.
         """
         if not len(self):
             raise PreconditionError("irreducible decomposition of an empty arrangement")
         blocks, total = _blocks(self, range(len(self)))
+        if len(blocks) == 1:
+            return tuple(blocks), total
         block_ranks = 0
         for block in blocks:
             sub_blocks, rank = _blocks(self, block)
@@ -354,12 +358,12 @@ class Lattice:
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
-    """Breadth-first search from the ambient flat, one level of covering
+    """Breadth-first search from the hyperplane flats, one level of covering
     flats (``_covering_flats``) at a time, recording every cover, from
     which the lattice reads each flat's blocks (``Lattice.blocks``)."""
-    start = ambient_flat(arr)
-    flats, below = {start.containing: start}, {}
-    frontier = [start]
+    start, frontier = ambient_flat(arr), list(arr.hyperplane_flats)
+    flats = {f.containing: f for f in [start, *frontier]}
+    below = {f.containing: [start.containing] for f in frontier}
     while frontier:
         frontier = _covering_flats(arr, frontier, flats, below)
     return Lattice(arr, flats.values(), below)
@@ -688,13 +692,29 @@ def pair_of_id(hyperplane_id: str):
 
 # -- JSON file format ---------------------------------------------------------
 
-def _parse_entry(entry) -> GaussianRational:
-    """A rational string, an int, or a [re, im] pair of those; never a bool or float."""
+def _read_entry(entry) -> tuple:
+    """A rational string, an int, or a [re, im] pair of those (never a bool or
+    float), as pairs (num, den), reduced or not, that ``cleared_pairs`` takes."""
     re, im = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
     for part in (re, im):
         if type(part) is not str and type(part) is not int:  # a bool is not an int here
             raise InputError(f"cannot parse coefficient {part!r}")
-    return GaussianRational(*(parse_fraction(p) if type(p) is str else p for p in (re, im)))
+    return _read_part(re), _read_part(im)
+
+
+def _read_part(part) -> tuple:
+    """int() reads "p" or "p/q", p an optional minus and ASCII digits, q ASCII
+    digits not all 0, each at most MAX_EXPONENT; others go to parse_fraction."""
+    if type(part) is int:
+        return part, 1
+    num, slash, den = part.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if part.isascii() and digits.isdigit() and len(digits) <= MAX_EXPONENT and (
+        not slash or den.isdigit() and len(den) <= MAX_EXPONENT and den.strip("0")
+    ):
+        return int(num), int(den) if slash else 1
+    value = parse_fraction(part)
+    return value.numerator, value.denominator
 
 
 def _entry_to_json(value: GaussianRational):
@@ -752,7 +772,7 @@ def arrangement_from_json(obj) -> Arrangement:
         try:
             if not isinstance(item["form"], list):
                 raise TypeError(f"form must be a list, got {item['form']!r}")
-            row = cleared([_parse_entry(e) for e in item["form"]])
+            row = cleared_pairs([_read_entry(e) for e in item["form"]])
             if type(item["id"]) is not str:
                 raise TypeError(f"id must be a string, got {item['id']!r}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input
-error, 3 resource cap exceeded.  The ARRCONN_CAP environment variable
-overrides the lattice cap.
+error, 3 resource cap exceeded, 141 (128 + SIGPIPE) stdout closed early,
+as by ``| head -1``, with no traceback.  The ARRCONN_CAP environment
+variable overrides the lattice cap.
 """
 
 from __future__ import annotations
@@ -405,7 +406,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:  # later writes, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except LatticeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

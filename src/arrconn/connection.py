@@ -27,7 +27,7 @@ from .arrangement import (
     arrangement_from_json,
     arrangement_to_json,
     _entry_to_json,
-    _parse_entry,
+    _read_entry,
     _read_json,
     _restricted,
     flat_from_indices,
@@ -48,6 +48,7 @@ from .numkernel import (
     GR_ONE,
     GR_ZERO,
     cleared,
+    cleared_pairs,
     coordinates_in_basis,
     gaussian_ratio,
     independent_subset,
@@ -639,7 +640,7 @@ def connection_from_json(obj) -> StandardConnection:
         try:
             if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
                 raise TypeError(f"must be a list of rows, each a list, got {grid!r}")
-            rows = [[_parse_entry(e) for e in row] for row in grid]
+            rows = [[_read_entry(e) for e in row] for row in grid]
             cols = len(rows[0]) if rows else 0
             if any(len(row) != cols for row in rows):
                 raise ValueError("ragged matrix")
@@ -650,7 +651,7 @@ def connection_from_json(obj) -> StandardConnection:
         grids[str(hid)] = rows
     _check_ids(arr, grids)
     entries = [e for hid in arr._ids for row in grids[hid] for e in row]
-    return StandardConnection._from_numerators(arr, *cleared(entries))
+    return StandardConnection._from_numerators(arr, *cleared_pairs(entries))
 
 
 def connection_to_json(conn: StandardConnection) -> dict:

@@ -293,14 +293,17 @@ def cleared(vector):
     entries' denominators, so that the vector is (re + i im) / d and
     gcd(d, re..., im...) = 1.  Entries may also be ints or Fractions."""
     vector = [GaussianRational.coerce(e) for e in vector]
-    d = math.lcm(*(x.denominator for e in vector for x in (e.re, e.im)))
-    if d == 1:
-        return [e.re.numerator for e in vector], [e.im.numerator for e in vector], 1
-    return (
-        [e.re.numerator * (d // e.re.denominator) for e in vector],
-        [e.im.numerator * (d // e.im.denominator) for e in vector],
-        d,
-    )
+    return cleared_pairs([((e.re.numerator, e.re.denominator), (e.im.numerator, e.im.denominator)) for e in vector])
+
+
+def cleared_pairs(entries):
+    """``cleared`` of entries given as integer pairs ((a, b), (c, e)) for
+    a/b + i c/e, b, e > 0, not necessarily reduced: each numerator times
+    d // den, then the common factors of d and the numerators divided out."""
+    d = math.lcm(*(den for entry in entries for _, den in entry))
+    re, im = ([a * (d // b) for a, b in (entry[k] for entry in entries)] for k in (0, 1))
+    g = math.gcd(d, *re, *im)
+    return [a // g for a in re], [b // g for b in im], d // g
 
 
 def gaussian_ratio(re: int, im: int, d: int) -> GaussianRational:

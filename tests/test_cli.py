@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -199,6 +202,22 @@ class TestLattice:
         _, out1, _ = run(capsys, "lattice", a2_file, "--json")
         _, out2, _ = run(capsys, "lattice", a2_file, "--json")
         assert out1 == out2
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # the reader closes its end after one line, as `| head -1` does; the
+        # ~300 kB report is far past what the pipe buffers, so writes fail
+        import arrconn
+
+        path = tmp_path / "a6.json"
+        path.write_text(json.dumps({"builtin": "A_n", "n": 6}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arrconn.__file__)))
+        argv = [sys.executable, "-m", "arrconn.cli", "lattice", str(path), "--cap", "40", "--json"]
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestCheck:
