@@ -323,7 +323,8 @@ def cmd_holonomy(args) -> int:
     }
     lines = [
         f"basepoint: {np.array2string(report.basepoint.real, precision=4)}",
-        f"meridians transported: {len(report.matrices)} (max err {report.max_err:.3e})",
+        *([f"meridians transported: {len(report.matrices)} (max err {report.max_err:.3e})"] if report.matrices
+          else ["meridians transported: 0", f"central loop transported (err {report.central_error:.3e})"]),
         f"invariant form space dimension: {len(report.invariant_form_basis)}",
     ]
     if report.signature:

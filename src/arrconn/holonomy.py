@@ -8,9 +8,10 @@ generated group, and the Burnside irreducibility test.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from .numkernel import (
     hermitian_signature,
     matrix_exp,
     ode_transport,
+    step_plan,
 )
 
 CLOSURE_TOL = 1e-12
@@ -140,6 +142,7 @@ class GeneratorSet:
     basepoint: np.ndarray
     meridians: tuple  # MeridianData, one per hyperplane in order
     central: LoopPath  # scaling loop around the origin
+    plans: dict = field(default_factory=dict, compare=False, repr=False)  # StepPlan per loop selection
 
 
 def _draw_basepoint(arr: Arrangement, seed: int) -> np.ndarray:
@@ -207,8 +210,12 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
 
     Seeds whose loops come out with degenerate clearance are skipped
     deterministically; if every one of 50 basepoints gives degenerate
-    loops, PreconditionError names the worst clearance of the last.
+    loops, PreconditionError names the worst clearance of the last.  A set
+    is kept on the arrangement per seed, arrays read-only; a refusal is not.
     """
+    kept = vars(arr).setdefault("_generator_loops", {})
+    if seed in kept:
+        return kept[seed]
     if not len(arr):
         raise PreconditionError("generator loops need a nonempty arrangement")
     for attempt in range(50):
@@ -217,12 +224,14 @@ def generator_loops(arr: Arrangement, seed: int = 0) -> GeneratorSet:
         central = make_loop(
             arr, p, (Arc(np.zeros(arr.dimension, dtype=complex), p, 2.0 * np.pi),)
         )
-        candidate = GeneratorSet(p, meridians, central)
-        worst = min(
-            [m.loop.clearance for m in meridians] + [central.clearance]
-        )
+        loops = [m.loop for m in meridians] + [central]
+        worst = min(loop.clearance for loop in loops)
         if worst > 1e-6 * np.linalg.norm(p):
-            return candidate
+            ends = [x for loop in loops for piece in loop.pieces for x in (piece.center, piece.offset)]
+            for a in [p, *(m.direction for m in meridians), *ends]:  # p is each loop's basepoint too
+                a.flags.writeable = False
+            kept[seed] = GeneratorSet(p, meridians, central)
+            return kept[seed]
     raise PreconditionError(
         f"no basepoint with non-degenerate generator loops in 50 draws "
         f"(worst loop clearance {worst:.3g}, need > 1e-6 |p|)"
@@ -253,17 +262,24 @@ def residue_factors(conn: StandardConnection) -> tuple:
     return u, v, np.array(owner, dtype=int)
 
 
-def transport_pieces(conn: StandardConnection, pieces, tol: float = 1e-8):
+def piece_plan(arr: Arrangement, pieces):
+    """The ``step_plan`` of the pieces' arcs on the hyperplanes of arr."""
+    forms = arr.complex_forms
+    center, offset = (np.array([getattr(piece, k) for piece in pieces]) @ forms.T for k in ("center", "offset"))
+    return step_plan(center, offset, [piece.sweep for piece in pieces])
+
+
+def transport_pieces(conn: StandardConnection, pieces, tol: float = 1e-8, plan=None):
     """The transport of each piece from the identity, as the lanes of one
     ``ode_transport`` call: a Taylor-series walk on the piece's complex
     line, with the residues in the exact rank factorization of
-    ``residue_factors``.  Returns (matrices, bounds), shapes (P, n, n) and
-    (P,); each bound covers the Frobenius norm of its matrix's error, and
-    the truncation of each piece stays below TRUNCATION_SHARE tol."""
+    ``residue_factors``, and plan, if given, their kept ``piece_plan``.
+    Returns (matrices, bounds), shapes (P, n, n) and (P,); each bound covers
+    the Frobenius norm of its matrix's error, and the truncation of each
+    piece stays below TRUNCATION_SHARE tol."""
     n = conn.dimension
     if not pieces:
         return np.zeros((0, n, n), dtype=complex), np.zeros(0)
-    forms = conn.numeric[0]
     center = np.array([piece.center for piece in pieces])
     offset = np.array([piece.offset for piece in pieces])
     sweep = np.array([piece.sweep for piece in pieces])
@@ -273,23 +289,24 @@ def transport_pieces(conn: StandardConnection, pieces, tol: float = 1e-8):
         e = np.exp(turn * ts)[..., None]
         return connection_form(conn, center[:, None] + e * offset[:, None], turn[..., None] * e * offset[:, None])
 
-    return ode_transport(rhs, center @ forms.T, offset @ forms.T, sweep, residue_factors(conn), tol)
+    plan = piece_plan(conn.arrangement, pieces) if plan is None else plan
+    return ode_transport(rhs, plan, residue_factors(conn), tol)
 
 
-def holonomy(conn: StandardConnection, loops, tol: float = 1e-8):
+def holonomy(conn: StandardConnection, loops, tol: float = 1e-8, plan=None):
     """Fundamental-solution transport around a loop; returns (T, err).
 
     Given a list of loops, returns a list of (T, err).  Every piece of
     every loop is one lane of a single ``transport_pieces`` call, started
-    from the identity; tol bounds the series truncation, and the cost
-    hardly depends on it.  A loop's T is the ``chain_product`` of its
-    piece matrices, the last piece on the left, and err bounds the
+    from the identity, with plan; tol bounds the series truncation, and
+    the cost hardly depends on it.  A loop's T is the ``chain_product`` of
+    its piece matrices, the last piece on the left, and err bounds the
     Frobenius norm of the error of T: the sum over pieces P of |the
     later pieces|_2 e_P |the earlier pieces|_2.
     """
     single = isinstance(loops, LoopPath)
     loops = [loops] if single else list(loops)
-    mats, errs = transport_pieces(conn, [piece for loop in loops for piece in loop.pieces], tol)
+    mats, errs = transport_pieces(conn, [piece for loop in loops for piece in loop.pieces], tol, plan)
     sizes = [len(loop.pieces) for loop in loops]
     chain = np.repeat(np.arange(len(loops)), sizes)
     depth = np.arange(len(chain)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -387,10 +404,11 @@ def residue_limit_check(
 
 # -- invariant forms ---------------------------------------------------------------
 
+@functools.cache
 def _hermitian_basis(n: int) -> np.ndarray:
     """(n^2, n^2) matrix whose columns are the row-major vecs of a real
     basis of the Hermitian n x n matrices: E_ii, then E_ij + E_ji and
-    i(E_ij - E_ji) for i < j."""
+    i(E_ij - E_ji) for i < j.  Built once per n, read-only."""
     basis = np.zeros((n * n, n * n), dtype=complex)
     diag = np.arange(n)
     basis[diag * (n + 1), diag] = 1.0
@@ -399,6 +417,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
     basis[i * n + j, k] = basis[j * n + i, k] = 1.0
     basis[i * n + j, k + 1] = 1.0j
     basis[j * n + i, k + 1] = -1.0j
+    basis.flags.writeable = False
     return basis
 
 
@@ -568,7 +587,10 @@ def holonomy_report(
     gen = generator_loops(conn.arrangement, seed=seed)
     meridians = gen.meridians if loops in ("meridians", "all") else ()
     central = [gen.central] if loops in ("central", "all") else []
-    transported = holonomy(conn, [data.loop for data in meridians] + central, tol=tol)
+    selected = [data.loop for data in meridians] + central
+    if loops not in gen.plans:
+        gen.plans[loops] = piece_plan(conn.arrangement, [piece for loop in selected for piece in loop.pieces])
+    transported = holonomy(conn, selected, tol=tol, plan=gen.plans[loops])
     ids = [data.hyperplane_id for data in meridians]
     matrices = [t for t, _ in transported[:len(ids)]]
     errors = [err for _, err in transported[:len(ids)]]

@@ -13,6 +13,7 @@ arcs, with its error bounds, used for holonomy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -550,27 +551,56 @@ _EPS = np.finfo(float).eps
 _CHUNK = 1 << 16
 
 
+StepPlan = namedtuple("StepPlan", "lane depth ts ratio w spread count stuck")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def step_plan(hc, ho, sweep) -> StepPlan:
+    """The steps of ``ode_transport`` on a stack of L arcs; they depend on
+    the arcs alone, so one plan serves every connection on them.
+
+    Lane l is the arc z(s) = c + exp(i theta s) o, s in [0, 1]: hc and ho,
+    shape (L, m), hold h_k(c) and h_k(o), and sweep, shape (L,), theta.
+    With tau = exp(i theta s) it lies on the line c + tau o, with poles
+    tau_k = -h_k(c) / h_k(o) (none where h_k(o) = 0).  A lane steps from
+    tau0 by u, of angle at most half the distance to the nearest pole, so
+    the series at tau0 converges on the step; d_k = tau0 - tau_k.  In the
+    plan, all read-only, step i is step depth[i] of lane[i], of count[i]
+    steps; ts is the argument of ``rhs``; ratio = u / (i theta tau0); w =
+    u / d_k, shape (steps, m); spread = |w| (|h_k(c)| + |h_k(o)|) /
+    |h_k(z)|; stuck, whether a lane runs into a pole.
+    """
+    hc, ho = np.asarray(hc, dtype=complex), np.asarray(ho, dtype=complex)
+    sweep = np.asarray(sweep, dtype=float)
+    lane, depth, phi, angle, stuck = _arc_steps(hc, ho, sweep)
+    ts = np.ones((len(hc), depth.max(initial=-1) + 1))
+    ts[lane, depth] = phi / np.abs(sweep[lane])
+    turn = 1j * np.sign(sweep[lane])
+    tau0 = np.exp(turn * phi)
+    u = tau0 * np.expm1(turn * angle)
+    hz = hc[lane] + tau0[:, None] * ho[lane]
+    w = u[:, None] * ho[lane] / hz
+    spread = np.abs(w) * (np.abs(hc[lane]) + np.abs(ho[lane])) / np.abs(hz)
+    arrays = (lane, depth, ts, u / (1j * sweep[lane] * tau0), w, spread, np.bincount(lane, minlength=len(hc))[lane])
+    for a in arrays:
+        a.flags.writeable = False
+    return StepPlan(*arrays, bool(stuck or not np.isfinite(w).all()))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflowing bound stays inf
-def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
+def ode_transport(rhs, plan, factors, tol=1e-10):
     """Fundamental solutions of a Fuchsian system along a stack of L arcs, by
     Taylor series on each arc's complex line; returns (X(1), err).
 
-    Lane l is the arc z(s) = c + exp(i theta s) o, s in [0, 1], of the
-    connection sum_k A_k dh_k / h_k.  With tau = exp(i theta s) it lies on
-    the line c + tau o, where the system is dX/dtau = sum_k A_k / (tau -
-    tau_k) X with poles tau_k = -h_k(c) / h_k(o); a hyperplane with
-    h_k(o) = 0 drops out.  hc and ho, shape (L, m), hold h_k(c) and h_k(o);
-    sweep, shape (L,), holds theta; factors is (U, V, owner), an exact rank
-    factorization of the residues: A_k is U[:, owner == k] @ V[owner == k],
-    with U of shape (n, R), V of shape (R, n) and owner of shape (R,).
-
-    Each lane walks along its arc in steps of angle at most half the
-    distance from the step start to the nearest pole, so the series at the
-    start converges on the whole step.  At a start tau0, with d_k = tau0 -
-    tau_k, Y_0 = I and q_k = 0, the Taylor coefficients of X(tau0 + u)
-    follow q_k <- (V_k Y_j - q_k) / d_k and Y_{j+1} = sum_k U_k q_k /
-    (j + 1), for every step of every lane in one batch.  A step stops
-    adding terms once the truncation bound of the residual argument,
+    plan is the ``step_plan`` of the arcs, for the connection sum_k A_k
+    dh_k / h_k, which on the line of a lane is dX/dtau = sum_k A_k / (tau -
+    tau_k) X; factors is (U, V, owner), an exact rank factorization of the
+    residues: A_k is U[:, owner == k] @ V[owner == k], with U of shape (n,
+    R), V of shape (R, n) and owner of shape (R,).  At a step start, with
+    Y_0 = I and q_k = 0, the Taylor coefficients of X(tau0 + u) follow q_k
+    <- (V_k Y_j - q_k) / d_k and Y_{j+1} = sum_k U_k q_k / (j + 1), for
+    every step of every lane in one batch.  A step stops adding terms once
+    the truncation bound of the residual argument,
 
         f(|u|) |u|^(N+1) / (N+1) sum_k |U_k|_2 |q_k|_F / (1 - |u| / r_k),
 
@@ -589,33 +619,20 @@ def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
     raised when an arc runs into a pole, so that its steps stop making
     progress.
     """
-    hc, ho = np.asarray(hc, dtype=complex), np.asarray(ho, dtype=complex)
-    sweep = np.asarray(sweep, dtype=float)
     u_mat, v_mat, owner = factors
-    lanes, m = hc.shape
-    n, rows = u_mat.shape
-    lane, depth, phi, angle, stuck = _arc_steps(hc, ho, sweep)
-    ts = np.ones((lanes, depth.max(initial=-1) + 1))
-    ts[lane, depth] = phi / np.abs(sweep[lane])
-    slope = rhs(ts)[lane, depth]
-    if stuck:
-        raise PoleProximityError("path too close to singular locus")
-    steps = lane.size
-    turn = 1j * np.sign(sweep[lane])
-    tau0 = np.exp(turn * phi)
-    u = tau0 * np.expm1(turn * angle)
-    hz = hc[lane] + tau0[:, None] * ho[lane]
-    w = u[:, None] * ho[lane] / hz  # u / d_k
-    if not np.isfinite(w).all():
+    lane, w = plan.lane, plan.w
+    (lanes, _), (steps, m), (n, rows) = plan.ts.shape, w.shape, u_mat.shape
+    slope = rhs(plan.ts)[lane, plan.depth]
+    if plan.stuck:
         raise PoleProximityError("path too close to singular locus")
     residues = np.zeros((m, n, n), dtype=complex)
     np.add.at(residues, owner, u_mat.T[:, :, None] * v_mat[:, None, :])
     # u Y_1 = sum_k A_k u / d_k = u / (i theta tau0) dX/ds, to rounding;
     # the pole terms lose digits as (|h_k(c)| + |h_k(o)|) / |h_k(z)|
-    gap = slope * (u / (1j * sweep[lane] * tau0))[:, None, None] - (w @ residues.reshape(m, n * n)).reshape(-1, n, n)
+    gap = slope * plan.ratio[:, None, None] - (w @ residues.reshape(m, n * n)).reshape(-1, n, n)
     alpha = np.linalg.norm(residues, 2, axis=(1, 2)) if m else np.zeros(0)
     aw = np.abs(w)
-    allowed = 1e-6 * np.sqrt(n) * ((aw * (np.abs(hc[lane]) + np.abs(ho[lane])) / np.abs(hz)) @ alpha)
+    allowed = 1e-6 * np.sqrt(n) * (plan.spread @ alpha)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # in units of allowed, so that the norm of a finite gap does not
         # overflow; a gap that did overflow is left to the caller
@@ -625,7 +642,7 @@ def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
     f = np.exp(-np.log1p(-aw) @ alpha)
     u_cols = np.linalg.norm(u_mat, axis=0)
     weight = f * u_cols[:, None] / (1.0 - aw.T[owner])  # (R, steps)
-    target = TRUNCATION_SHARE * tol / np.bincount(lane, minlength=lanes)[lane]
+    target = TRUNCATION_SHARE * tol / plan.count
     sums, trunc, terms, z_norms = (np.empty((steps, n, n), dtype=complex), np.empty(steps), np.empty(steps), np.empty(steps))
     size = max(1, _CHUNK // max(1, rows * n))
     for lo in range(0, steps, size):
@@ -636,7 +653,7 @@ def ode_transport(rhs, hc, ho, sweep, factors, tol=1e-10):
     # each coefficient is formed with relative error about (n + R + 3) eps,
     # carried to the sum by at most f; adding N + 1 terms loses (N + 1) eps |S|_F
     rounding = 2 * _EPS * ((n + rows + 3) * f * z_norms + (terms + 1) * (np.sqrt(n) + z_norms))
-    return chain_product(sums, trunc + rounding, lane, depth, lanes)
+    return chain_product(sums, trunc + rounding, lane, plan.depth, lanes)
 
 
 def _taylor_sums(u_mat, v_mat, u_cols, w_rows, weight, target):

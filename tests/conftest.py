@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
+from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational, step_plan
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example deadline (shared CPUs vary in speed).
@@ -27,8 +27,9 @@ def commutator(a, b):
 def scalar_lanes(a, poles, sweeps):
     """``ode_transport``'s arguments but tol for the 1 x 1 system dX/dtau =
     sum_k a_k / (tau - p_k) X on the arcs tau = exp(i theta s), s in [0, 1],
-    one lane per sweep theta: h_k(c) = -p_k and h_k(o) = 1, and A_k = a_k
-    as the rank factorization U = (a_1 ... a_m), V = (1 ... 1)^T."""
+    one lane per sweep theta: the ``step_plan`` of h_k(c) = -p_k and
+    h_k(o) = 1, and A_k = a_k as the rank factorization U = (a_1 ... a_m),
+    V = (1 ... 1)^T."""
     a, poles = np.asarray(a, dtype=complex), np.asarray(poles, dtype=complex)
     sweeps = np.asarray(sweeps, dtype=float)
 
@@ -39,7 +40,7 @@ def scalar_lanes(a, poles, sweeps):
 
     hc = np.tile(-poles, (len(sweeps), 1))
     factors = (a[None, :], np.ones((len(a), 1), dtype=complex), np.arange(len(a)))
-    return rhs, hc, np.ones_like(hc), sweeps, factors
+    return rhs, step_plan(hc, np.ones_like(hc), sweeps), factors
 
 
 def jordan_pochhammer(params) -> dict:

@@ -417,6 +417,14 @@ class TestNumericCommands:
         assert code == 1
         assert err == "error: path too close to singular locus\n"
 
+    def test_holonomy_central_loop_error_has_its_own_line(self, capsys, lauricella_file):
+        # with no meridian transported, the error is the central loop's
+        code, out, _ = run(capsys, "holonomy", lauricella_file, "--loops", "central")
+        _, js, _ = run(capsys, "holonomy", lauricella_file, "--loops", "central", "--json")
+        err = json.loads(js)["central"]["err"]
+        assert code == 0 and json.loads(js)["generators"] == []
+        assert out.splitlines()[1:3] == ["meridians transported: 0", f"central loop transported (err {err:.3e})"]
+
     @pytest.mark.parametrize("v", ["100", "1e3", "1e200"])
     def test_holonomy_overflow_is_one_line(self, capsys, tmp_path, v):
         # the residue diag(v, 0): a bound of inf at v = 100, an SVD that did

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,7 @@ from arrconn.holonomy import (
     residue_limit_check,
     transport_pieces,
 )
-from arrconn.lauricella import reduced_residues
+from arrconn.lauricella import build_An, reduced_residues
 from arrconn.numkernel import (
     ExactMatrix,
     PoleProximityError,
@@ -223,9 +224,9 @@ class TestBatchedTransport:
         conn = reduced_residues(a)
         calls = []
 
-        def counting(rhs, hc, *rest):
-            calls.append(len(hc))
-            return ode_transport(rhs, hc, *rest)
+        def counting(rhs, plan, *rest):
+            calls.append(len(plan.ts))
+            return ode_transport(rhs, plan, *rest)
 
         monkeypatch.setattr(hol, "ode_transport", counting)
         report = holonomy_report(conn, tol=1e-8)
@@ -596,3 +597,103 @@ class TestTracerContract:
         for _ in range(2):
             holonomy_report(conn, tol=1e-8)
         assert len(evals) == 2 and evals[0] == evals[1] > 0
+
+
+def leaves(x):
+    """The arrays and plain values of a report, loop set or step plan, in
+    field order."""
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from leaves(getattr(x, f.name))
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from leaves(y)
+    elif isinstance(x, dict):
+        for key in sorted(x):
+            yield key
+            yield from leaves(x[key])
+    else:
+        yield x
+
+
+def bits(x):
+    """Every leaf of x to the bit: arrays by dtype, shape and bytes, the
+    rest by type and repr (exact for floats)."""
+    return [
+        (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v).__name__, repr(v))
+        for v in leaves(x)
+    ]
+
+
+def counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(name) or real(*a))
+
+
+class TestKeptLoops:
+    """The generator loops and their step plans are built once per
+    arrangement and seed, and kept on the arrangement."""
+
+    A2 = [F(1, 10), F(2, 10), F(3, 10)]
+    SHARED = {}  # one arrangement per n, reused by every example
+
+    def test_report_arrays_are_read_only(self):
+        conn = reduced_residues(self.A2)
+        first = holonomy_report(conn, tol=1e-8)
+        with pytest.raises(ValueError):
+            first.basepoint[0] += 0.5
+        assert bits(holonomy_report(conn, tol=1e-8)) == bits(first)
+        for loops in ("meridians", "central"):
+            holonomy_report(conn, tol=1e-8, loops=loops)
+        gen = generator_loops(conn.arrangement, seed=0)
+        assert sorted(gen.plans) == ["all", "central", "meridians"]
+        arrays = [v for v in leaves(gen) if isinstance(v, np.ndarray)]
+        assert len(arrays) > 40 and not any(a.flags.writeable for a in arrays)
+
+    def test_second_report_builds_no_geometry(self, monkeypatch):
+        import arrconn.holonomy as hol
+        import arrconn.numkernel as nk
+
+        arr = build_An(3)
+        holonomy_report(reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(1, 7)], arr), tol=1e-8)
+        calls, evals = [], []
+        for module, name in [(hol, "_draw_basepoint"), (hol, "meridian"), (hol, "loop_clearance"), (nk, "_arc_steps")]:
+            counting(monkeypatch, module, name, calls)
+
+        def traced(rhs, *args):
+            calls.append("ode_transport")
+            return nk.ode_transport(lambda ts: evals.append(ts.shape) or rhs(ts), *args)
+
+        monkeypatch.setattr(hol, "ode_transport", traced)
+        holonomy_report(reduced_residues([F(2, 9), F(-1, 5), F(3, 11), F(1, 4)], arr), tol=1e-8)
+        assert calls == ["ode_transport"] and len(evals) == 1
+        calls.clear()
+        holonomy_report(reduced_residues([F(2, 9), F(-1, 5), F(3, 11), F(1, 4)], arr), tol=1e-8, seed=1)
+        assert calls.count("meridian") == len(arr) and calls.count("_arc_steps") == 1
+        assert calls.count("_draw_basepoint") >= 1 and calls.count("loop_clearance") > len(arr)
+
+    def test_refusal_is_not_kept(self, monkeypatch):
+        import arrconn.holonomy as hol
+
+        arr, real = build_An(2), hol._draw_basepoint
+        point = np.array([0.3 + 1e-9, 0.3], dtype=complex)  # 1e-9 off H_1_2 on every draw
+        monkeypatch.setattr(hol, "_draw_basepoint", lambda arr, seed: point)
+        with pytest.raises(PreconditionError, match="clearance"):
+            generator_loops(arr)
+        monkeypatch.setattr(hol, "_draw_basepoint", real)
+        assert bits(generator_loops(arr)) == bits(generator_loops(build_An(2)))
+
+    @settings(max_examples=8)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(st.fractions(-1, 1, max_denominator=13), min_size=n + 1, max_size=n + 1)
+        ),
+        st.permutations([(seed, loops) for seed in (0, 1) for loops in ("all", "meridians", "central")]),
+    )
+    def test_kept_loops_give_what_fresh_ones_give(self, a, order):
+        n = len(a) - 1
+        arr = self.SHARED.setdefault(n, build_An(n))
+        for seed, loops in order:
+            kept = holonomy_report(reduced_residues(a, arr), tol=1e-8, loops=loops, seed=seed)
+            fresh = holonomy_report(reduced_residues(a), tol=1e-8, loops=loops, seed=seed)
+            assert bits(kept) == bits(fresh)

@@ -210,9 +210,9 @@ class TestOdeTransport:
 
     def test_zero_rhs(self):
         # no residue: every step sum is the identity, exactly
-        _, hc, ho, sweeps, _ = scalar_lanes([0.0], [0.5], [2 * np.pi, -1.0])
+        _, plan, _ = scalar_lanes([0.0], [0.5], [2 * np.pi, -1.0])
         factors = (np.zeros((2, 0), dtype=complex), np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=int))
-        x1, err = ode_transport(lambda ts: np.zeros(ts.shape + (2, 2), dtype=complex), hc, ho, sweeps, factors, 1e-10)
+        x1, err = ode_transport(lambda ts: np.zeros(ts.shape + (2, 2), dtype=complex), plan, factors, 1e-10)
         assert np.array_equal(x1, np.broadcast_to(np.eye(2), (2, 2, 2)))
         assert (err <= 1e-13).all()  # rounding terms only
 
