@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -157,6 +158,17 @@ class Arrangement:
         proportional, so one per hyperplane H, in order, with kernel basis
         e_j - (f_j / f_p) e_p (j != p; f the form of H, f_p its first nonzero)."""
         return tuple(_covering_flats(self, [ambient_flat(self)], {}, {}))
+
+    @cached_property
+    def _braid_dimension(self) -> int:
+        """n, when the ids are those of ``_braid_rows(n)`` and each form's primitive
+        key is its row (its own key).  Decided once; a refusal is not kept."""
+        ids, rows = _braid_rows(self.dimension)
+        fr, fi = self._integer_forms
+        keys = [_primitive_key(re, im) for re, im in zip(fr.tolist(), fi.tolist())]
+        if self._ids != tuple(ids) or keys != [(*re, *im) for re, im, _ in rows]:
+            raise InputError("arrangement is not the braid arrangement A_n, up to scaling of its forms")
+        return self.dimension
 
     @cached_property
     def complex_forms(self) -> np.ndarray:
@@ -334,8 +346,22 @@ class Lattice:
     def __len__(self):
         return len(self.flats)
 
-    def of_codim(self, c: int):
-        return [f for f in self.flats if f.codim == c]
+    def of_codim(self, c: int) -> tuple:
+        return self._by_codim.get(c, ())
+
+    @cached_property
+    def _by_codim(self) -> dict:
+        return {c: tuple(flats) for c, flats in groupby(self.flats, key=lambda f: f.codim)}
+
+    @cached_property
+    def codim2_incidence(self) -> np.ndarray:
+        """The 0/1 matrix of ``_incidence`` for ``of_codim(2)``, built once."""
+        return _incidence(self.of_codim(2), len(self.arrangement))
+
+    @cached_property
+    def irreducible_incidence(self) -> np.ndarray:
+        """The 0/1 matrix of ``_incidence`` for ``irreducible``, built once."""
+        return _incidence(self.irreducible, len(self.arrangement))
 
     @cached_property
     def blocks(self) -> dict:
@@ -355,6 +381,15 @@ class Lattice:
     def irreducible(self) -> tuple:
         """The irreducible flats, those of one block, in lattice order."""
         return tuple(f for f in self.flats if len(self.blocks[f.containing]) == 1)
+
+
+def _incidence(flats, m: int) -> np.ndarray:
+    """The read-only 0/1 matrix whose row k marks the hyperplanes containing flats[k]."""
+    incidence = np.zeros((len(flats), m), dtype=np.int64)
+    which = [k for k, flat in enumerate(flats) for _ in flat.containing]
+    incidence[which, [i for flat in flats for i in flat.containing]] = 1
+    incidence.flags.writeable = False
+    return incidence
 
 
 def build_lattice(arr: Arrangement) -> Lattice:

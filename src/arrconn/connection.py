@@ -160,14 +160,6 @@ class StandardConnection:
         return self.numeric[1][self.arrangement.index_of(hyperplane_id)].reshape(n, n)
 
 
-def _incidence(flats, m: int, dtype) -> np.ndarray:
-    """The 0/1 matrix whose row k marks the hyperplanes containing flats[k]."""
-    incidence = np.zeros((len(flats), m), dtype=dtype)
-    which = [k for k, flat in enumerate(flats) for _ in flat.containing]
-    incidence[which, [i for flat in flats for i in flat.containing]] = 1
-    return incidence
-
-
 # -- basic criteria -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -212,6 +204,8 @@ def residue_at_flat(conn: StandardConnection, flat: Flat) -> ExactMatrix:
 def weight_at_flat(conn: StandardConnection, flat: Flat) -> GaussianRational:
     """The weight of a flat, tr ``residue_at_flat`` / codim: the sum of the
     stored trace numerators of the hyperplanes containing it over d codim."""
+    if not flat.codim:
+        raise PreconditionError("the ambient flat has no weight: its codimension is 0")
     view = conn.integer
     re, im = view.traces()[list(flat.containing)].sum(axis=0).tolist()
     d = view.denominator * flat.codim
@@ -228,15 +222,16 @@ def check_flat(conn: StandardConnection, cap: Optional[int] = None) -> FlatnessR
     Decided on the integer view: with N = d A, [N_L, N_H] = d^2 [A_L, A_H],
     so every (L, H) pair is stacked and tested with one batched set of
     Gaussian-integer products; when every imaginary part is zero, only the
-    real one.  The N_L are one product of the 0/1 flat-by-hyperplane
+    real one.  The N_L are one product of the lattice's 0/1 flat-by-hyperplane
     incidence matrix with the stacked N_H.  Violations are listed flat by
     flat in lattice order, hyperplanes in ``containing`` order."""
     arr = conn.arrangement
-    flats = arr.lattice(cap=cap).of_codim(2)
+    lattice = arr.lattice(cap=cap)
+    flats = lattice.of_codim(2)
     if not flats:
         return FlatnessReport(True, ())
     view = conn.integer
-    incidence = _incidence(flats, len(arr), view.re.dtype)
+    incidence = lattice.codim2_incidence
     which, above = np.nonzero(incidence)  # the flat and the hyperplane of each pair
 
     def pair_stacks(part):
@@ -265,12 +260,20 @@ class WeightReport:
     zero_flats: tuple
 
 
+def _weight_sums(conn: StandardConnection, cap: Optional[int] = None) -> tuple:
+    """The irreducible flats, in lattice order, and the (re, im) numerators of
+    their weights over d codim: one product of the lattice's incidence matrix
+    with the stored trace numerators.  A weight is zero iff its row is."""
+    lattice = conn.arrangement.lattice(cap=cap)
+    return lattice.irreducible, lattice.irreducible_incidence @ conn.integer.traces()
+
+
 def weights(conn: StandardConnection, cap: Optional[int] = None) -> WeightReport:
-    """Weight of every irreducible flat, in lattice order, from one incidence
-    product with the stored trace numerators; the verdict lists zero weights."""
-    view, flats = conn.integer, irreducible_flats(conn.arrangement, cap=cap)
-    sums = (_incidence(flats, len(conn.arrangement), view.re.dtype) @ view.traces()).tolist()
-    table = {f: gaussian_ratio(re, im, view.denominator * f.codim) for f, (re, im) in zip(flats, sums)}
+    """Weight of every irreducible flat, in lattice order, from
+    ``_weight_sums``; the verdict lists zero weights."""
+    flats, sums = _weight_sums(conn, cap)
+    d = conn.integer.denominator
+    table = {f: gaussian_ratio(re, im, d * f.codim) for f, (re, im) in zip(flats, sums.tolist())}
     zero = tuple(flat for flat, w in table.items() if not w)
     return WeightReport(table, not zero, zero)
 
@@ -576,7 +579,7 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     Which H0 qualify depends on the arrangement alone and is read from
     ``Arrangement.essential_irreducible_restrictions``, decided once per
     arrangement; each call does only the residue-trace work, on products of
-    the codimension-two incidence matrix with the stored trace numerators."""
+    the lattice's codimension-two incidence matrix with the trace numerators."""
     arr = conn.arrangement
     n = arr.dimension
     if n < 2:
@@ -584,7 +587,7 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     if not arr.essential_irreducible:
         raise PreconditionError("weight constraints assume an essential irreducible arrangement")
     traces, d = conn.integer.traces(), conn.integer.denominator
-    incidence = _incidence(arr.lattice(cap=cap).of_codim(2), len(arr), traces.dtype)
+    incidence = arr.lattice(cap=cap).codim2_incidence
     # rhs = (sum of tr A_H, H transversal to H0, + sum of tr A_L / 2, L deeper on H0) / (n - 1);
     # over 2 (n - 1), L counts tr A_L and H0 ∩ H counts 2 tr A_H = 2 (tr A_L - tr A_H0)
     sums = incidence @ traces

@@ -8,33 +8,64 @@ torsion-free connection on the arrangement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Optional
+
+import numpy as np
 
 from .arrangement import (
     Arrangement,
     Flat,
     _UnionFind,
     _braid_rows,
-    _primitive_key,
     flat_from_indices,
     pair_of_id,
 )
 from .connection import (
     StandardConnection,
+    _weight_sums,
     check_flat,
     check_torsion_free,
-    weights,
 )
 from .errors import InputError
-from .numkernel import ExactMatrix, GaussianRational, GR_ZERO, cleared, gaussian_ratio, vec
+from .numkernel import ExactMatrix, GR_ZERO, cleared, gaussian_ratio, vec
 
 
 def build_An(n: int) -> Arrangement:
     """Essential braid arrangement in C^n: z_i = z_j and z_i = 0."""
     return Arrangement._from_rows(n, *_braid_rows(n))
+
+
+@functools.cache
+def _lauricella_template(n: int) -> tuple:
+    """The Lauricella constants of A_n, read-only: the row of each pair, (i, j) -> k in
+    ``_braid_rows(n)`` order; int8 C (m, n, n + 1) and F (m, n), A_k = (C_k a) (x) F_k;
+    the rows of the pairs ij, kl, ik, jl, il, jk of each 4-subset, and of ij,
+    ik, jk for each i, j < k its two smallest others (none for n = 1)."""
+    points = range(1, n + 2)
+    row_of = {pair: k for k, pair in enumerate(combinations(points, 2))}
+    m, (i, j) = len(row_of), (np.array(list(row_of)) - 1).T  # the pairs, 0-based
+    C, F = np.zeros((m, n + 1, n + 1), dtype=np.int8), np.zeros((m, n + 1), dtype=np.int8)
+    C[range(m), i, j] = F[range(m), i] = 1
+    C[range(m), j, i] = F[range(m), j] = -1
+    C, F = C[:, :n] - C[:, n:], F[:, :n]  # e_{n+1} = -(1, ..., 1) and z_{n+1} = 0
+    row = {**row_of, **{(j, i): k for (i, j), k in row_of.items()}}
+    quads = [[row[i, j], row[k, l], row[i, k], row[j, l], row[i, l], row[j, k]] for i, j, k, l in combinations(points, 4)]
+    others = [[x for x in points if x != i][:2] for i in points] if n > 1 else []
+    solve = [[row[i, j], row[i, k], row[j, k]] for i, (j, k) in zip(points, others)]
+    arrays = [C, F] + [np.array(r, dtype=np.intp).reshape(-1, w).T for r, w in ((quads, 6), (solve, 3))]
+    for array in arrays:
+        array.flags.writeable = False
+    return (MappingProxyType(row_of), *arrays)
+
+
+def _numerators(C: np.ndarray, F: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(m, n, n, 2): the (C_k p) (x) F_k of a template for both columns (real
+    and imaginary parts) of the (n + 1, 2) array p, on p's dtype."""
+    return (C @ p)[:, :, None, :] * F[:, None, :, None]
 
 
 def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardConnection:
@@ -44,22 +75,25 @@ def reduced_residues(a, arrangement: Optional[Arrangement] = None) -> StandardCo
     and (j,j), -a_j and -a_i off it.  Residue at H_{i,n+1}: column i filled
     with a_i except the diagonal entry a_i + a_{n+1}.  So each is v (x) dh
     with v = a_j e_i - a_i e_j, where e_{n+1} = -(1, ..., 1); it is written
-    as numerators over the parameters' common denominator.
+    as numerators over the parameters' common denominator, from the template
+    of n, in int64 when |C_k p| <= 2 max |p| < 2^63 and in Python ints else.
     """
     params = vec(a)
     if len(params) < 2:
         raise InputError("parameter vector needs length n+1 >= 2")
     n = len(params) - 1
     arr = arrangement if arrangement is not None else build_An(n)
-    *parts, d = cleared(params)
-    numerators = ([], [])
-    for hid in arr._ids:
-        i, j = pair_of_id(hid)
-        form = [(k == i - 1) - (k == j - 1) for k in range(n)]  # z_i - z_j, with z_{n+1} = 0
-        for p, out in zip(parts, numerators):
-            v = [p[j - 1] * (k == i - 1) - p[i - 1] * ((k == j - 1) - (j > n)) for k in range(n)]
-            out += [x * f for x in v for f in form]
-    return StandardConnection._from_numerators(arr, *numerators, d)
+    if arr.dimension != n:
+        raise InputError(f"expected n+1 = {arr.dimension + 1} parameters, got {n + 1}")
+    row_of, C, F, _, _ = _lauricella_template(n)
+    rows = [row_of.get(pair_of_id(hid)) for hid in arr._ids]
+    if None in rows:
+        raise InputError(f"hyperplane ids must be H_i_j with 1 <= i < j <= {n + 1}")
+    re, im, d = cleared(params)
+    dtype = np.int64 if max(map(abs, re + im)) < 2**62 else object
+    numerators = _numerators(C, F, np.array([re, im], dtype=dtype).T)[rows]
+    re, im = (numerators[..., part].ravel().tolist() for part in (0, 1))
+    return StandardConnection._from_numerators(arr, re, im, d)
 
 
 def full_residues(a) -> dict:
@@ -91,21 +125,9 @@ def _canonical_partition(blocks) -> Partition:
     return tuple(blocks)
 
 
-def _check_braid(arr: Arrangement) -> int:
-    """The dimension n, when the ids are those of ``build_An(n)`` and each
-    form is a nonzero multiple of the builder's: its primitive key is the
-    builder's row, which is its own key."""
-    ids, rows = _braid_rows(arr.dimension)
-    fr, fi = arr._integer_forms
-    keys = [_primitive_key(re, im) for re, im in zip(fr.tolist(), fi.tolist())]
-    if arr._ids != tuple(ids) or keys != [(*re, *im) for re, im, _ in rows]:
-        raise InputError("arrangement is not the braid arrangement A_n, up to scaling of its forms")
-    return arr.dimension
-
-
 def flat_to_partition(arr: Arrangement, flat: Flat) -> Partition:
     """Partition of {1..n+1} generated by i ~ j when the flat lies in H_{i,j}."""
-    n = _check_braid(arr)
+    n = arr._braid_dimension
     uf = _UnionFind(n + 2)  # 1-based
     for idx in flat.containing:
         uf.union(*pair_of_id(arr._ids[idx]))
@@ -117,7 +139,7 @@ def flat_to_partition(arr: Arrangement, flat: Flat) -> Partition:
 
 def partition_to_flat(arr: Arrangement, partition) -> Flat:
     """Inverse correspondence: intersect all H_{i,j} with i, j in one block."""
-    n = _check_braid(arr)
+    n = arr._braid_dimension
     blocks = _canonical_partition(partition)
     seen = sorted(x for b in blocks for x in b)
     if seen != list(range(1, n + 2)):
@@ -159,13 +181,15 @@ def recover_parameters(
     residue equality with the candidates' connection is then verified
     exactly.  For n = 1 the split of the single trace is not determined
     and the result is flagged ambiguous.  ``cap`` is the lattice cap of
-    the input checks.
+    the input checks.  The rest runs on the trace numerators t and the
+    template of n: a_i = q_i / 2d, q_i = t_ij + t_ik - t_jk, and A_k = N_k / d
+    is the candidates' residue iff 2 N_k = (C_k q) (x) F_k.
     """
     arr = conn.arrangement
-    n = _check_braid(arr)
-    view = conn.integer
-    ratios = [gaussian_ratio(re, im, view.denominator) for re, im in view.traces().tolist()]
-    traces = {pair_of_id(hid): t for hid, t in zip(arr._ids, ratios)}
+    n = arr._braid_dimension
+    (row_of, C, F, quads, solve), view = _lauricella_template(n), conn.integer
+    t = view.traces()
+    traces = dict(zip(row_of, (gaussian_ratio(re, im, view.denominator) for re, im in t.tolist())))
 
     if n == 1:
         return RecoveryResult(False, None, "n = 1: only a_1 + a_2 is determined", True, traces)
@@ -175,26 +199,18 @@ def recover_parameters(
             return RecoveryResult(False, None, "input is not torsion free", False, traces)
         if not check_flat(conn, cap=cap).ok:
             return RecoveryResult(False, None, "input is not flat", False, traces)
-        if not weights(conn, cap=cap).ok:
+        if not _weight_sums(conn, cap)[1].any(axis=1).all():
             return RecoveryResult(False, None, "input has zero weights", False, traces)
 
-    def b(i, j):
-        return traces[(i, j)] if i < j else traces[(j, i)]
-
-    for i, j, k, l in combinations(range(1, n + 2), 4):  # none for n = 2
-        first = b(i, j) + b(k, l)
-        if first != b(i, k) + b(j, l) or first != b(i, l) + b(j, k):
-            failure = f"traces not of Lauricella form (compatibility fails on {{{i},{j},{k},{l}}})"
-            return RecoveryResult(False, None, failure, False, traces)
-    half = GaussianRational(Fraction(1, 2))
-    others = [[x for x in range(1, n + 2) if x != i][:2] for i in range(1, n + 2)]
-    params = tuple(half * (b(i, j) + b(i, k) - b(j, k)) for i, (j, k) in enumerate(others, 1))
-    want = reduced_residues(params, arrangement=arr).integer
-    p, q = view.denominator, want.denominator
-    if p != q or (view.re != want.re).any() or (view.im != want.im).any():  # both forms are canonical
-        # A_k = B_k iff q N_k = p M_k, compared in Python ints, which cannot overflow
-        pairs = ((view.re, want.re), (view.im, want.im))
-        bad = sum((x.astype(object) * q != y.astype(object) * p).any(axis=(1, 2)) for x, y in pairs)
-        hid = arr._ids[bad.argmax()]
-        return RecoveryResult(False, None, f"non-Lauricella residues at {hid}", False, traces)
+    ij, kl, ik, jl, il, jk = (t[r] for r in quads)  # none for n = 2
+    bad = ((ij + kl != ik + jl) | (ij + kl != il + jk)).any(axis=1)
+    if bad.any():
+        i, j, k, l = list(combinations(range(1, n + 2), 4))[bad.argmax()]
+        failure = f"traces not of Lauricella form (compatibility fails on {{{i},{j},{k},{l}}})"
+        return RecoveryResult(False, None, failure, False, traces)
+    q = t[solve[0]] + t[solve[1]] - t[solve[2]]
+    params = tuple(gaussian_ratio(re, im, 2 * view.denominator) for re, im in q.tolist())
+    bad = (2 * np.stack([view.re, view.im], axis=-1) != _numerators(C, F, q)).any(axis=(1, 2, 3))
+    if bad.any():
+        return RecoveryResult(False, None, f"non-Lauricella residues at {arr._ids[bad.argmax()]}", False, traces)
     return RecoveryResult(True, params, None, False, traces)

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -529,6 +531,34 @@ class TestRepeatedCalls:
         assert first[3][2].startswith("usage: arrconn lauricella")
         assert outcomes() == first
         assert arrconn.cli.build_parser() is arrconn.cli.build_parser()
+
+
+    def test_checks_on_fresh_files_keep_no_memory(self, capsys, tmp_path):
+        # each fresh arrangement's lattice, and what is kept on it, dies with
+        # the call; a module-level cache keyed by call would grow here
+        paths = []
+        for k in range(36):
+            path = tmp_path / f"a{k}.json"
+            main(["lauricella", "--n", str(3 + k % 3), "--a", ",".join(f"1/{10 + k + i}" for i in range(4 + k % 3)),
+                  "--out", str(path)])
+            paths.append(str(path))
+
+        def check(batch):
+            for path in batch:
+                assert main(["check", path, "--json"]) == 0
+            capsys.readouterr()
+
+        check(paths[:6])  # warm-up: what is built once per process or per n
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            check(paths[6:])
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024, grown
 
 
 class TestSizeBound:

@@ -18,7 +18,7 @@ import arrconn.numkernel as numkernel_module
 from arrconn.arrangement import Arrangement, Hyperplane, _matroid_components
 from arrconn.connection import StandardConnection, check_weight_constraints, euler_field
 from arrconn.errors import InputError, PreconditionError
-from arrconn.lauricella import _check_braid, build_An, flat_to_partition, reduced_residues
+from arrconn.lauricella import build_An, flat_to_partition, reduced_residues
 from arrconn.numkernel import (
     GR_ONE,
     GR_ZERO,
@@ -200,29 +200,40 @@ class TestEssentialIrreducible:
 class TestCheckBraid:
     def test_accepts_the_builder_output(self):
         arr = build_An(3)
-        assert _check_braid(arr) == 3
+        assert arr._braid_dimension == 3
         assert flat_to_partition(arr, arr.lattice().flats[0]) == ((1,), (2,), (3,), (4,))
 
     def test_refuses_a_permuted_braid_arrangement(self):
         planes = build_An(3).hyperplanes
         with pytest.raises(InputError):
-            _check_braid(Arrangement(3, planes[::-1]))
+            Arrangement(3, planes[::-1])._braid_dimension
 
     def test_accepts_a_rescaled_braid_arrangement(self):
         # a form is compared up to a nonzero factor over Q(i): the same hyperplane
         for factor in (GaussianRational(2), GaussianRational(F(1, 3), 1), GaussianRational(0, -5)):
             planes = list(build_An(3).hyperplanes)
             planes[2] = Hyperplane(planes[2].id, tuple(factor * c for c in planes[2].form))
-            assert _check_braid(Arrangement(3, planes)) == 3
+            assert Arrangement(3, planes)._braid_dimension == 3
 
     def test_refuses_another_form(self):
         planes = list(build_An(3).hyperplanes)  # z_1 - 2 z_2 in place of z_1 - z_2
         planes[0] = Hyperplane(planes[0].id, tuple(GaussianRational(k) * c for k, c in zip((1, 2, 1), planes[0].form)))
         with pytest.raises(InputError):
-            _check_braid(Arrangement(3, planes))
+            Arrangement(3, planes)._braid_dimension
+
+    def test_kept_on_the_arrangement_and_a_refusal_is_not(self):
+        arr = build_An(3)
+        assert "_braid_dimension" not in vars(arr)
+        flat_to_partition(arr, arr.lattice().flats[-1])
+        assert vars(arr)["_braid_dimension"] == 3
+        permuted = Arrangement(3, arr.hyperplanes[::-1])
+        for _ in range(2):
+            with pytest.raises(InputError):
+                permuted._braid_dimension
+        assert "_braid_dimension" not in vars(permuted)
 
     def test_refuses_renamed_ids(self):
         planes = list(build_An(2).hyperplanes)
         planes[0] = Hyperplane("H_9_9", planes[0].form)
         with pytest.raises(InputError):
-            _check_braid(Arrangement(2, planes))
+            Arrangement(2, planes)._braid_dimension

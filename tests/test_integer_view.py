@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arrconn.arrangement as arrangement_module
 import arrconn.connection as connection_module
+import arrconn.lauricella as lauricella_module
 from arrconn.arrangement import Arrangement, Hyperplane, pair_of_id
 from arrconn.connection import (
     FlatnessReport,
@@ -30,7 +32,7 @@ from arrconn.connection import (
     weight_at_flat,
     weights,
 )
-from arrconn.lauricella import build_An, recover_parameters, reduced_residues
+from arrconn.lauricella import _lauricella_template, build_An, flat_to_partition, recover_parameters, reduced_residues
 from arrconn.numkernel import GR_ZERO, ExactMatrix, GaussianRational
 from conftest import commutator, jordan_pochhammer, random_params_nonzero_subsets, random_rational
 from test_arrangement import small_arrangements
@@ -194,6 +196,99 @@ def _rows_from_matrix_traces(conn):
     return tuple(rows)
 
 
+_CALLS = {
+    "check_flat": check_flat,
+    "weights": weights,
+    "check_weight_constraints": check_weight_constraints,
+    "recover_parameters": recover_parameters,
+    "partitions": lambda conn: [flat_to_partition(conn.arrangement, f) for f in conn.arrangement.lattice().of_codim(2)],
+}
+
+
+@st.composite
+def interleaved_calls(draw):
+    """Parameters on A_3-A_5, optionally one residue index to double, and
+    calls of the checks that read the lattice's kept data, in a drawn order."""
+    n = draw(st.integers(3, 5))
+    params = draw(st.lists(_gauss(_PARAMS), min_size=n + 1, max_size=n + 1))
+    doubled = draw(st.none() | st.integers(0, n * (n + 1) // 2 - 1))
+    return n, params, doubled, draw(st.lists(st.sampled_from(sorted(_CALLS)), min_size=1, max_size=6))
+
+
+class TestKeptData:
+    """What the checks read from the lattice, and the braid check, is kept on
+    the lattice or the arrangement: read-only, built once, equal to a fresh build."""
+
+    def test_read_only(self):
+        lattice = build_An(3).lattice()
+        rows, *arrays = _lauricella_template(3)
+        for array in (lattice.codim2_incidence, lattice.irreducible_incidence, *arrays):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        with pytest.raises(TypeError):
+            lattice.of_codim(2)[0] = lattice.flats[0]
+        with pytest.raises(TypeError):
+            rows[(1, 2)] = 1
+
+    def test_second_calls_build_no_incidence(self, monkeypatch):
+        built = []
+        original = arrangement_module._incidence
+
+        def counting(flats, m):
+            built.append(len(flats))
+            return original(flats, m)
+
+        monkeypatch.setattr(arrangement_module, "_incidence", counting)
+        arr = build_An(4)
+        for a in ([F(1, 7), F(2, 9), F(-3, 11), F(4, 13), F(1, 3)], [F(1, 5)] * 5):
+            conn = reduced_residues(a, arrangement=arr)
+            for _ in range(2):
+                check_flat(conn)
+                weights(conn)
+                check_weight_constraints(conn)
+                recover_parameters(conn)
+            assert built == [len(arr.lattice().of_codim(2)), len(arr.lattice().irreducible)]
+
+    def test_recovery_calls_no_builder_and_no_weight_table(self, monkeypatch):
+        conn = reduced_residues([F(1, 7), F(2, 9), F(-3, 11), F(4, 13), F(1, 3)], arrangement=_braid(4))
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lauricella_module, "reduced_residues", counting("reduced_residues", reduced_residues))
+        monkeypatch.setattr(connection_module, "weights", counting("weights", weights))
+        made = counting("_from_numerators", StandardConnection._from_numerators)
+        monkeypatch.setattr(StandardConnection, "_from_numerators", staticmethod(made))
+        assert recover_parameters(conn).ok
+        assert calls == []
+
+    @settings(max_examples=40)
+    @given(interleaved_calls())
+    def test_shared_arrangement_matches_a_fresh_one(self, drawn):
+        n, params, doubled, calls = drawn
+
+        def connection(arr):
+            conn = reduced_residues(params, arrangement=arr)
+            if doubled is None:
+                return conn
+            bad = arr._ids[doubled]
+            return StandardConnection(arr, {hid: m.scale(2) if hid == bad else m for hid, m in conn.residues.items()})
+
+        shared = connection(_braid(n))
+        for name in calls:
+            assert _CALLS[name](shared) == _CALLS[name](connection(build_An(n)))
+        kept, fresh = shared.arrangement.lattice(), build_An(n).lattice()
+        for c in range(n + 1):
+            assert kept.of_codim(c) == tuple(f for f in fresh.flats if f.codim == c)
+        m = len(shared.arrangement)
+        assert np.array_equal(kept.codim2_incidence, arrangement_module._incidence(fresh.of_codim(2), m))
+        assert np.array_equal(kept.irreducible_incidence, arrangement_module._incidence(fresh.irreducible, m))
+
+
 class TestIntegerView:
     def test_built_once_per_connection(self, monkeypatch):
         built = []
@@ -212,11 +307,11 @@ class TestIntegerView:
         check_weight_constraints(conn)
         weight_at_flat(conn, conn.arrangement.lattice().flats[-1])
         assert built == [conn.integer]
-        recover_parameters(conn)  # builds the candidate connection, and nothing else
-        assert len(built) == 2 and built[0] is conn.integer
+        recover_parameters(conn)  # builds no connection
+        assert len(built) == 1 and built[0] is conn.integer
         other = StandardConnection(conn.arrangement, dict(conn.residues))
         check_flat(other)
-        assert len(built) == 3 and built[2] is other.integer
+        assert len(built) == 2 and built[1] is other.integer
 
     def test_arrays_read_only(self):
         view = reduced_residues([F(1, 3), F(1, 5), F(1, 7)]).integer

@@ -1,14 +1,22 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrconn.arrangement import ambient_flat, flat_from_indices
-from arrconn.connection import StandardConnection, connection_to_json
+from arrconn.arrangement import Arrangement, Hyperplane, ambient_flat, flat_from_indices, pair_of_id
+from arrconn.connection import (
+    StandardConnection,
+    check_flat,
+    check_torsion_free,
+    connection_to_json,
+    weights,
+)
 from arrconn.errors import InputError
 from arrconn.lauricella import (
+    RecoveryResult,
     build_An,
     flat_to_partition,
     full_residues,
@@ -20,7 +28,9 @@ from arrconn.lauricella import (
 from arrconn.numkernel import (
     ExactMatrix,
     GaussianRational,
+    cleared,
     coordinates_in_basis,
+    gaussian_ratio,
     vec,
 )
 from conftest import commutator, random_params_nonzero_subsets, random_rational_vector
@@ -64,6 +74,17 @@ class TestParameterContract:
     def test_short_vector_is_refused(self, build, params):
         with pytest.raises(InputError, match=r"^parameter vector needs length n\+1 >= 2$"):
             build(params)
+
+    @pytest.mark.parametrize("params", [[F(1, 3), F(1, 5)], [1, 2, 3, 4]], ids=["short", "long"])
+    def test_count_must_fit_the_arrangement(self, params):
+        with pytest.raises(InputError, match=rf"^expected n\+1 = 3 parameters, got {len(params)}$"):
+            reduced_residues(params, arrangement=build_An(2))
+
+    @pytest.mark.parametrize("hid", ["H_1_4", "H_2_1", "H_2_2"])
+    def test_ids_outside_the_braid_pairs_are_refused(self, hid):
+        arr = Arrangement(2, [Hyperplane(hid, vec([1, 0]))])
+        with pytest.raises(InputError, match=r"^hyperplane ids must be H_i_j with 1 <= i < j <= 3$"):
+            reduced_residues([1, 2, 3], arrangement=arr)
 
     def test_recovered_parameters_are_the_input(self):
         a = (F(1, 10), F(-2, 7), G(F(3, 10), 1), F(1, 5))
@@ -335,3 +356,138 @@ def test_four_subset_equalities_force_pair_sums(case):
         j, k = [x for x in points if x != i][:2]
         a.append(G(F(1, 2)) * (b(i, j) + b(i, k) - b(j, k)))
     assert all(a[i - 1] + a[j - 1] == t for (i, j), t in table.items())
+
+
+# -- the Fraction paths that the integer template replaced, kept as oracles ------------
+
+_braid = cache(build_An)  # one arrangement, and one lattice, per n across examples
+_EDGES = (2**61, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1)  # |C_k p| <= 2 max |p|
+
+
+def loop_reduced_residues(a, arr) -> StandardConnection:
+    """The reduced residues on ``arr`` built one entry at a time, as
+    ``reduced_residues`` did before the per-n template."""
+    *parts, d = cleared(vec(a))
+    n = arr.dimension
+    numerators = ([], [])
+    for hid in arr._ids:
+        i, j = pair_of_id(hid)
+        form = [(k == i - 1) - (k == j - 1) for k in range(n)]  # z_i - z_j, with z_{n+1} = 0
+        for p, out in zip(parts, numerators):
+            v = [p[j - 1] * (k == i - 1) - p[i - 1] * ((k == j - 1) - (j > n)) for k in range(n)]
+            out += [x * f for x in v for f in form]
+    return StandardConnection._from_numerators(arr, *numerators, d)
+
+
+def fraction_recover_parameters(conn, verify_input=True, cap=None) -> RecoveryResult:
+    """Recovery on Gaussian-rational traces, as ``recover_parameters`` ran
+    before the integer path: the 4-subset loop, a_i = 1/2 (b_ij + b_ik -
+    b_jk), the weight table's verdict, and a candidate connection from
+    ``loop_reduced_residues`` compared with the input."""
+    arr = conn.arrangement
+    n = arr._braid_dimension
+    view = conn.integer
+    ratios = [gaussian_ratio(re, im, view.denominator) for re, im in view.traces().tolist()]
+    traces = {pair_of_id(hid): t for hid, t in zip(arr._ids, ratios)}
+    if n == 1:
+        return RecoveryResult(False, None, "n = 1: only a_1 + a_2 is determined", True, traces)
+    if verify_input:
+        if not check_torsion_free(conn).ok:
+            return RecoveryResult(False, None, "input is not torsion free", False, traces)
+        if not check_flat(conn, cap=cap).ok:
+            return RecoveryResult(False, None, "input is not flat", False, traces)
+        if not weights(conn, cap=cap).ok:
+            return RecoveryResult(False, None, "input has zero weights", False, traces)
+
+    def b(i, j):
+        return traces[(i, j)] if i < j else traces[(j, i)]
+
+    for i, j, k, l in combinations(range(1, n + 2), 4):
+        first = b(i, j) + b(k, l)
+        if first != b(i, k) + b(j, l) or first != b(i, l) + b(j, k):
+            failure = f"traces not of Lauricella form (compatibility fails on {{{i},{j},{k},{l}}})"
+            return RecoveryResult(False, None, failure, False, traces)
+    half = G(F(1, 2))
+    others = [[x for x in range(1, n + 2) if x != i][:2] for i in range(1, n + 2)]
+    params = tuple(half * (b(i, j) + b(i, k) - b(j, k)) for i, (j, k) in enumerate(others, 1))
+    want = loop_reduced_residues(params, arr).integer
+    p, q = view.denominator, want.denominator
+    pairs = ((view.re, want.re), (view.im, want.im))
+    bad = sum((x.astype(object) * q != y.astype(object) * p).any(axis=(1, 2)) for x, y in pairs)
+    if bad.any():
+        return RecoveryResult(False, None, f"non-Lauricella residues at {arr._ids[bad.argmax()]}", False, traces)
+    return RecoveryResult(True, params, None, False, traces)
+
+
+def _form(conn) -> tuple:
+    view = conn.integer
+    return view.denominator, view.re.dtype, view.im.dtype, view.re.shape, view.re.tolist(), view.im.tolist()
+
+
+_small = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+_large = st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+_edge = st.sampled_from(_EDGES).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
+@st.composite
+def parameter_vectors(draw):
+    """a_1..a_{n+1} for A_1-A_5: real or complex, small, or mixed with large
+    ones and integers at the int64 edges of the template's arithmetic."""
+    n = draw(st.integers(1, 5))
+    part = draw(st.sampled_from((_small, st.one_of(_small, _large, _edge))))
+    im = draw(st.sampled_from((st.just(0), part)))
+    return draw(st.lists(st.builds(G, part, im), min_size=n + 1, max_size=n + 1))
+
+
+@st.composite
+def recovery_cases(draw):
+    """A Lauricella connection on a shared A_n, verified as it is, with
+    a_2 = -a_1 (a zero weight) or with one residue doubled, or unverified
+    with one trace shifted or one off-diagonal entry changed, which keeps
+    every trace."""
+    params = draw(parameter_vectors())
+    kind = draw(st.sampled_from(("plain", "zero-weight", "doubled", "shifted", "off-diagonal")))
+    if kind == "zero-weight":
+        params[1] = -params[0]
+    conn = reduced_residues(params, arrangement=_braid(len(params) - 1))
+    n = conn.dimension
+    verify = kind in ("plain", "zero-weight", "doubled")
+    if kind in ("plain", "zero-weight") or n == 1:
+        return conn, verify
+    hid = draw(st.sampled_from(conn.arrangement._ids))
+    m = [list(row) for row in conn.residue(hid).entries]
+    if kind == "doubled":
+        m = [[2 * x for x in row] for row in m]
+    else:
+        r = c = draw(st.integers(0, n - 1))
+        if kind == "off-diagonal":
+            c = (r + draw(st.integers(1, n - 1))) % n
+        m[r][c] = m[r][c] + draw(st.builds(G, _small.filter(bool), _small))
+    return StandardConnection(conn.arrangement, {**conn.residues, hid: ExactMatrix(m)}), verify
+
+
+class TestFractionOracles:
+    @settings(max_examples=150)
+    @given(recovery_cases())
+    def test_recovery_matches_the_fraction_path(self, case):
+        conn, verify = case
+        got = recover_parameters(conn, verify_input=verify)
+        assert got == fraction_recover_parameters(conn, verify_input=verify)
+        assert repr(got) == repr(fraction_recover_parameters(conn, verify_input=verify))
+
+    @settings(max_examples=150)
+    @given(parameter_vectors(), st.randoms(use_true_random=False))
+    def test_builder_matches_the_entry_loop(self, params, rnd):
+        arr = _braid(len(params) - 1)
+        planes = list(arr.hyperplanes)
+        rnd.shuffle(planes)
+        for target in (arr, Arrangement(arr.dimension, planes)):
+            assert _form(reduced_residues(params, arrangement=target)) == _form(loop_reduced_residues(params, target))
+
+    @pytest.mark.parametrize("edge", _EDGES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_builder_at_the_int64_edge(self, edge, sign):
+        # a_i + a_{n+1} is the largest numerator the template forms
+        for n in (1, 3):
+            params = [sign * edge] * (n + 1)
+            assert _form(reduced_residues(params)) == _form(loop_reduced_residues(params, build_An(n)))
