@@ -30,6 +30,7 @@ from .numkernel import (
     cleared_pairs,
     gaussian_ratio,
     kernel_of_echelon,
+    lowest_terms,
     MAX_EXPONENT,
     parse_fraction,
 )
@@ -404,6 +405,26 @@ def build_lattice(arr: Arrangement) -> Lattice:
     return Lattice(arr, flats.values(), below)
 
 
+def _components(items, links) -> tuple:
+    """The classes of a sorted sequence of items joined along each link (a
+    nonempty sequence of items), as sorted tuples ordered by smallest member."""
+    group = {h: [h] for h in items}  # each member's group, one list shared
+    for link in links:
+        first = group[link[0]]
+        for h in link[1:]:
+            other = group[h]
+            if other is not first:
+                first += other
+                for x in other:
+                    group[x] = first
+    groups, met = [], set()
+    for h in items:  # so ordered by smallest member
+        if id(group[h]) not in met:
+            met.add(id(group[h]))
+            groups.append(tuple(sorted(group[h])))
+    return tuple(groups)
+
+
 def _cover_blocks(flat: Flat, covered, blocks: dict, flats: dict) -> tuple:
     """The blocks of a flat X, given the containing sets of the flats it
     covers, whose blocks are known.  The groups of X are the classes of
@@ -421,24 +442,10 @@ def _cover_blocks(flat: Flat, covered, blocks: dict, flats: dict) -> tuple:
     groups whose ranks (codims) sum to the rank of X split its matroid as
     a direct sum, so an irreducible X fails the test."""
     containing = flat.containing
-    group = {h: [h] for h in containing}  # each member's group, one list shared
-    for key in covered:
-        for block in blocks[key]:
-            first = group[block[0]]
-            for h in block[1:]:
-                other = group[h]
-                if other is not first:
-                    first += other
-                    for x in other:
-                        group[x] = first
-    groups, met = [], set()
-    for h in containing:  # so ordered by smallest member
-        if id(group[h]) not in met:
-            met.add(id(group[h]))
-            groups.append(tuple(sorted(group[h])))
+    groups = _components(containing, [block for key in covered for block in blocks[key]])
     if len(groups) > 1 and all(g in flats for g in groups):
         if sum(flats[g].codim for g in groups) == flat.codim:
-            return tuple(groups)
+            return groups
     return (containing,)
 
 
@@ -505,9 +512,7 @@ def _trace_kernel(trace, rows) -> tuple:
         cr, ci = tr[j] * pr + ti[j] * pi, ti[j] * pr - tr[j] * pi
         re = [norm * a - cr * u + ci * v for a, u, v in zip(xr, yr, yi)]
         im = [norm * b - cr * v - ci * u for b, u, v in zip(xi, yr, yi)]
-        d = norm * mu
-        g = math.gcd(d, *re, *im)
-        out.append(([a // g for a in re], [b // g for b in im], d // g))
+        out.append(lowest_terms(re, im, norm * mu))
     return tuple(out)
 
 
@@ -569,27 +574,9 @@ def _restricted(arr: Arrangement, flats) -> list:
         firsts, rows = [sources[0] for sources in classes[f]], []
         for i in firsts:
             re, im = ([a * s for a, s in zip(part[i, f].tolist(), scale)] for part in (tr, ti))
-            d = arr._denominators[i] * lcm
-            g = math.gcd(d, *re, *im)
-            rows.append(([a // g for a in re], [b // g for b in im], d // g))
+            rows.append(lowest_terms(re, im, arr._denominators[i] * lcm))
         out.append((classes[f], Arrangement._from_rows(flat.dim, [arr._ids[i] for i in firsts], rows)))
     return out
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def _matroid_components(re, im):
@@ -606,17 +593,9 @@ def _matroid_components(re, im):
     its matroid alone, so each form may be replaced by its cleared
     multiple.
     """
-    m = len(re)
-    uf = _UnionFind(m)
     rows, pivots = _echelon_core(list(zip(re.T.tolist(), im.T.tolist())))
-    for (re, im), p in zip(rows, pivots):
-        for i in range(m):
-            if re[i] or im[i]:
-                uf.union(p, i)
-    groups = {}  # filled in index order, so ordered by smallest member
-    for i in range(m):
-        groups.setdefault(uf.find(i), []).append(i)
-    return list(groups.values()), len(pivots)
+    links = [[i for i, (a, b) in enumerate(zip(xr, xi)) if a or b] for xr, xi in rows]
+    return [list(group) for group in _components(range(len(re)), links)], len(pivots)
 
 
 def irreducible_decomposition(arr: Arrangement):
@@ -639,26 +618,18 @@ def _blocks(arr: Arrangement, indices):
     return [tuple([indices[i] for i in group]) for group in groups], rank
 
 
-def _flat_blocks(arr: Arrangement, flat: Flat) -> list:
-    """The blocks of a flat's containing set: read from the arrangement's
-    lattice when it is built and holds the flat, from ``_blocks`` else."""
-    blocks = None if arr._lattice is None else arr._lattice.blocks.get(flat.containing)
-    return _blocks(arr, flat.containing)[0] if blocks is None else list(blocks)
-
-
 def irreducible_components(arr: Arrangement, flat: Flat):
     """Centers of the irreducible components of the localization at the
-    flat: one flat per block of its containing set (``_flat_blocks``),
-    which is that flat's containing set, ordered by smallest hyperplane
-    index."""
+    flat: one flat per block of its containing set (``_blocks``), which is
+    that flat's containing set, ordered by smallest hyperplane index."""
     _require_flat(arr, flat)
-    return [flat_from_indices(arr, block) for block in _flat_blocks(arr, flat)]
+    return [flat_from_indices(arr, block) for block in _blocks(arr, flat.containing)[0]]
 
 
 def is_irreducible_flat(arr: Arrangement, flat: Flat) -> bool:
     """A flat is irreducible when its containing set is one matroid block
-    (``_flat_blocks``); the ambient flat (no hyperplanes, no blocks) is not."""
-    return len(_flat_blocks(arr, flat)) == 1
+    (``_blocks``); the ambient flat (no hyperplanes, no blocks) is not."""
+    return len(_blocks(arr, flat.containing)[0]) == 1
 
 
 def irreducible_flats(arr: Arrangement, cap: Optional[int] = None) -> tuple:
@@ -805,12 +776,17 @@ def arrangement_from_json(obj) -> Arrangement:
     rows = []
     for item in raw:
         try:
+            if not isinstance(item, dict):
+                raise TypeError(f"must be an object, got {item!r}")
+            for name in ("id", "form"):
+                if name not in item:
+                    raise ValueError(f"missing field {name!r}")
             if not isinstance(item["form"], list):
                 raise TypeError(f"form must be a list, got {item['form']!r}")
             row = cleared_pairs([_read_entry(e) for e in item["form"]])
             if type(item["id"]) is not str:
                 raise TypeError(f"id must be a string, got {item['id']!r}")
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad hyperplane entry: {exc}") from None
         if not (any(row[0]) or any(row[1])):
             raise InputError(f"hyperplane {item['id']} has a zero form")

@@ -11,9 +11,7 @@ matrices) and ``numeric`` (complex arrays) are read-only views of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
@@ -52,6 +50,7 @@ from .numkernel import (
     coordinates_in_basis,
     gaussian_ratio,
     independent_subset,
+    lowest_terms,
     rank_kernel,
     row_echelon,
     same_span,
@@ -114,9 +113,7 @@ class StandardConnection:
         """The connection with residues (re + i im) / d, for int lists of the
         n x n grids in hyperplane order.  Every stored form is made here: common
         factors of d and the numerators are divided out, and the bound picks the dtype."""
-        g = math.gcd(d, *re, *im)
-        if g > 1:
-            d, re, im = d // g, [x // g for x in re], [x // g for x in im]
+        re, im, d = lowest_terms(re, im, d)
         n, m = arrangement.dimension, len(arrangement)
         big = max(map(abs, re + im), default=0)
         form_big = max((abs(x) for forms in arrangement._integer_forms for x in forms.flat), default=0)
@@ -208,8 +205,7 @@ def weight_at_flat(conn: StandardConnection, flat: Flat) -> GaussianRational:
         raise PreconditionError("the ambient flat has no weight: its codimension is 0")
     view = conn.integer
     re, im = view.traces()[list(flat.containing)].sum(axis=0).tolist()
-    d = view.denominator * flat.codim
-    return GaussianRational(Fraction(re, d), Fraction(im, d))
+    return gaussian_ratio(re, im, view.denominator * flat.codim)
 
 
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,10 +287,10 @@ def hyperplane_normal(conn: StandardConnection, hyperplane_id: str) -> ExactVect
     not a semi-simple rank-one matrix killing H."""
     form = conn.arrangement.form(conn.arrangement.index_of(hyperplane_id))
     a = conn.residue(hyperplane_id)
-    j0 = next((j for j, c in enumerate(form) if c), None)
-    normal = tuple(e / form[j0] for e in a.column(j0))
-    if not any(normal):
+    if a.is_zero():
         raise NormalDataError(hyperplane_id, "residue is zero")
+    j0 = next(j for j, c in enumerate(form) if c)
+    normal = tuple(e / form[j0] for e in a.column(j0))
     for j, c in enumerate(form):
         if a.column(j) != tuple(c * x for x in normal):
             raise NormalDataError(hyperplane_id, "residue is not dh (x) n_H (rank != 1 or kernel != H)")
@@ -307,22 +303,23 @@ def normal_data(conn: StandardConnection, cap: Optional[int] = None) -> NormalFr
     """Normal vectors of all hyperplanes and the spans L-perp of every
     irreducible flat (greedy independent normals, hyperplane order)."""
     ids = conn.arrangement._ids
-    normals = {hid: hyperplane_normal(conn, hid) for hid in ids}
-    perp = {}
-    for flat in irreducible_flats(conn.arrangement, cap=cap):
-        vectors = [normals[ids[i]] for i in flat.containing]
-        chosen = independent_subset(vectors)
-        perp[flat] = tuple(vectors[k] for k in chosen)
-    return NormalFrame(normals, perp)
+    normals = [hyperplane_normal(conn, hid) for hid in ids]
+    perp = {flat: _perp_basis(normals, flat) for flat in irreducible_flats(conn.arrangement, cap=cap)}
+    return NormalFrame(dict(zip(ids, normals)), perp)
 
 
 def flat_perp_basis(conn: StandardConnection, flat: Flat) -> tuple:
     """Greedy basis of span{n_H : H contains the flat} (any flat, not only
     irreducible ones)."""
-    arr = conn.arrangement
-    vectors = [hyperplane_normal(conn, arr._ids[i]) for i in flat.containing]
-    chosen = independent_subset(vectors)
-    return tuple(vectors[k] for k in chosen)
+    ids = conn.arrangement._ids
+    return _perp_basis({i: hyperplane_normal(conn, ids[i]) for i in flat.containing}, flat)
+
+
+def _perp_basis(normals, flat: Flat) -> tuple:
+    """The greedy independent subset, in hyperplane order, of the normals
+    (indexed by hyperplane) of the hyperplanes containing the flat."""
+    vectors = [normals[i] for i in flat.containing]
+    return tuple(vectors[k] for k in independent_subset(vectors))
 
 
 # -- direct sum decomposition at a flat ----------------------------------------
@@ -481,6 +478,8 @@ def quotient_connection(
     The residues are the restrictions of the A_H (H containing L) to
     L-perp, written in the chosen basis; traces are preserved.
     """
+    if not flat.codim:
+        raise PreconditionError("the ambient flat has no quotient connection: its codimension is 0")
     arr = conn.arrangement
     default = flat_perp_basis(conn, flat)
     if basis is None:

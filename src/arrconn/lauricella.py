@@ -19,8 +19,8 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     Flat,
-    _UnionFind,
     _braid_rows,
+    _components,
     flat_from_indices,
     pair_of_id,
 )
@@ -119,30 +119,17 @@ def full_residues(a) -> dict:
 Partition = tuple  # tuple of tuples, blocks sorted by least element
 
 
-def _canonical_partition(blocks) -> Partition:
-    blocks = [tuple(sorted(b)) for b in blocks]
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
-
-
 def flat_to_partition(arr: Arrangement, flat: Flat) -> Partition:
     """Partition of {1..n+1} generated by i ~ j when the flat lies in H_{i,j}."""
     n = arr._braid_dimension
-    uf = _UnionFind(n + 2)  # 1-based
-    for idx in flat.containing:
-        uf.union(*pair_of_id(arr._ids[idx]))
-    groups = {}
-    for x in range(1, n + 2):
-        groups.setdefault(uf.find(x), []).append(x)
-    return _canonical_partition(groups.values())
+    return _components(range(1, n + 2), [pair_of_id(arr._ids[k]) for k in flat.containing])
 
 
 def partition_to_flat(arr: Arrangement, partition) -> Flat:
     """Inverse correspondence: intersect all H_{i,j} with i, j in one block."""
     n = arr._braid_dimension
-    blocks = _canonical_partition(partition)
-    seen = sorted(x for b in blocks for x in b)
-    if seen != list(range(1, n + 2)):
+    blocks = [sorted(block) for block in partition]
+    if not all(blocks) or sorted(x for b in blocks for x in b) != list(range(1, n + 2)):
         raise InputError("blocks must partition {1..n+1}")
     wanted = {f"H_{i}_{j}" for block in blocks for i, j in combinations(block, 2)}
     indices = [k for k, hid in enumerate(arr._ids) if hid in wanted]

@@ -303,7 +303,16 @@ def cleared_pairs(entries):
     d // den, then the common factors of d and the numerators divided out."""
     d = math.lcm(*(den for entry in entries for _, den in entry))
     re, im = ([a * (d // b) for a, b in (entry[k] for entry in entries)] for k in (0, 1))
+    return lowest_terms(re, im, d)
+
+
+def lowest_terms(re, im, d) -> tuple:
+    """(re + i im) / d, for int lists re and im and a positive int d, as
+    (re, im, d) with gcd(d, re..., im...) divided out; the input itself
+    when that gcd is 1."""
     g = math.gcd(d, *re, *im)
+    if g == 1:
+        return re, im, d
     return [a // g for a in re], [b // g for b in im], d // g
 
 

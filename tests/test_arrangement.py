@@ -328,18 +328,51 @@ class TestCoverBlocks:
         assert {caller for _, _, caller in calls} == {"_decomposition"}
 
     def test_components_of_a_flat_outside_a_lattice(self, monkeypatch):
-        # no lattice built: the blocks come from one echelon form
+        # the blocks come from one echelon form, a lattice built or not
         arr = braid(3)
         flat = flat_from_indices(arr, [0, 5])
         calls = []
         real = arrmod._blocks
         monkeypatch.setattr(arrmod, "_blocks", lambda a, i: calls.append(tuple(i)) or real(a, i))
-        assert [c.containing for c in irreducible_components(arr, flat)] == [(0,), (5,)]
+        before = [c.containing for c in irreducible_components(arr, flat)]
+        assert before == [(0,), (5,)]
         assert calls == [(0, 5)] and not is_irreducible_flat(arr, flat)
         arr.lattice()
         calls.clear()
-        assert [c.containing for c in irreducible_components(arr, flat)] == [(0,), (5,)]
-        assert calls == []
+        assert [c.containing for c in irreducible_components(arr, flat)] == before
+        assert calls == [(0, 5)] and list(arr.lattice().blocks[flat.containing]) == before
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_components_match_a_search_oracle(self, data):
+        items = sorted(data.draw(st.sets(st.integers(-5, 30), max_size=12)))
+        links = []
+        if items:  # repeated members, singletons and members out of order
+            links = data.draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=5), max_size=8))
+        assert arrmod._components(items, links) == search_components(items, links)
+
+
+def search_components(items, links) -> tuple:
+    """The classes of the items joined along each link, by breadth-first
+    search over the graph joining every two members of a link."""
+    neighbours = {h: set() for h in items}
+    for link in links:
+        for h in link:
+            neighbours[h].update(link)
+    seen, classes = set(), []
+    for h in items:
+        if h in seen:
+            continue
+        seen.add(h)
+        queue, members = [h], []
+        while queue:
+            x = queue.pop(0)
+            members.append(x)
+            for y in sorted(neighbours[x] - seen):
+                seen.add(y)
+                queue.append(y)
+        classes.append(tuple(sorted(members)))
+    return tuple(classes)
 
 
 class TestRestrictionCache:

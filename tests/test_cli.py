@@ -133,6 +133,21 @@ class TestLattice:
             assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (1, "must be an object, got 1"),
+            ("h", "must be an object, got 'h'"),
+            ({"form": [1, 0]}, "missing field 'id'"),
+            ({"id": "h"}, "missing field 'form'"),
+        ],
+        ids=["int", "string", "no-id", "no-form"],
+    )
+    def test_malformed_hyperplane_entry_says_what_is_wrong(self, capsys, tmp_path, entry, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2, "hyperplanes": [entry]}))
+        assert run(capsys, "lattice", str(path)) == (2, "", f"error: bad hyperplane entry: {message}\n")
+
+    @pytest.mark.parametrize(
         "obj",
         [
             {"dimension": "abc", "hyperplanes": []},

@@ -198,6 +198,30 @@ class TestNormalData:
         with pytest.raises(NormalDataError):
             hyperplane_normal(conn, "h")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda conn, flat: hyperplane_normal(conn, "h"),
+            lambda conn, flat: normal_data(conn),
+            lambda conn, flat: euler_field(conn),
+            lambda conn, flat: decomposition_at_flat(conn, flat),
+            lambda conn, flat: quotient_connection(conn, flat),
+        ],
+        ids=["hyperplane_normal", "normal_data", "euler_field", "decomposition_at_flat", "quotient_connection"],
+    )
+    def test_residue_zero_on_the_first_column_is_not_zero(self, call):
+        # the residue's column at the form's first nonzero coordinate is
+        # zero, the residue is not
+        arr = Arrangement(2, [Hyperplane("h", vec([1, 0]))])
+        conn = StandardConnection(arr, {"h": ExactMatrix([[0, 1], [0, 0]])})
+        flat = flat_from_indices(arr, [0])
+        message = r"^residue at h: residue is not dh \(x\) n_H \(rank != 1 or kernel != H\)$"
+        with pytest.raises(NormalDataError, match=message):
+            call(conn, flat)
+        zero = StandardConnection(arr, {"h": ExactMatrix([[0, 0], [0, 0]])})
+        with pytest.raises(NormalDataError, match=r"^residue at h: residue is zero$"):
+            call(zero, flat)
+
     def test_perp_spans(self):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
         frame = normal_data(conn)
@@ -288,6 +312,12 @@ class TestDerivedConnections:
         q = quotient_connection(conn, origin, basis=std)
         for h in arr.hyperplanes:
             assert q.connection.residue(h.id) == conn.residue(h.id)
+
+    def test_quotient_at_the_ambient_flat_is_refused(self):
+        conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
+        message = r"^the ambient flat has no quotient connection: its codimension is 0$"
+        with pytest.raises(PreconditionError, match=message):
+            quotient_connection(conn, ambient_flat(conn.arrangement))
 
     def test_quotient_preserves_traces_and_criteria(self, rng):
         a = random_params_nonzero_subsets(rng, 4)

@@ -8,7 +8,9 @@ Forms are also read from JSON: A_3 with its forms written out, the same
 file with one form scaled by 1/3 + i (the same arrangement, so every
 command prints what it prints for the unscaled file), and ``lattice`` on
 a seeded essential irreducible arrangement with complex entries past
-2^63.
+2^63.  ``lattice`` and ``check`` also run on two reducible arrangements
+with written-out forms: A_2 + A_1 in a basis that mixes the blocks, and a
+block of four generic planes with a coloop.
 The sha256 of every command's stdout, stderr and exit code, in order, is
 compared with a recorded digest per file, so any change to what these
 commands print shows here.  ``holonomy`` is left out: its floating-point
@@ -27,7 +29,7 @@ import pytest
 
 from arrconn.cli import main
 from arrconn.lauricella import build_An
-from arrconn.numkernel import GaussianRational
+from arrconn.numkernel import ExactMatrix, GaussianRational
 from conftest import jordan_pochhammer
 
 VARIANTS = ("plain", "doubled", "complex", "big")
@@ -52,6 +54,8 @@ DIGESTS = {
     "A_3-explicit": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
     "A_3-explicit-scaled": "b0672ab81b73df5fd326992d457361d91cd918603ef96cb840f51133d40bc6d6",
     "random-Qi": "f04d1d56e07fd19b8f7e4f230beea05f7ecb518952c8d703b371ad78725d5f25",
+    "A2+A1": "19082e258849ce5cfec2bda9d53e5a78e9e587e01253effa183b9cf3efcb411d",
+    "coloop": "1481a45482d1c181f7dadd729e8a1dd48699397a8207eea9e67dc0b324a9f896",
 }
 
 COMMANDS = ("lattice", "check", "recover")
@@ -122,6 +126,43 @@ def random_arrangement_file(directory):
     return path
 
 
+def reducible_file(directory, name: str):
+    """A connection file on a reducible arrangement, forms written out.
+
+    ``A2+A1``: A_2 in (x1, x2) with its Lauricella residues and A_1 in x3
+    with residue (1/5 + i/7) E_33, a flat torsion-free direct sum, taken to
+    the coordinates y of x = P y for a unimodular P that mixes the blocks:
+    each form f becomes f P and each residue A becomes P^-1 A P.
+
+    ``coloop``: in C^4, the four generic planes x1, x2, x3, x1 + x2 + x3
+    (one block) and the coloop x1 + i x2 + 2/3 x4, with residue n (x) f at
+    the form f for a fixed n: torsion free, not flat."""
+    if name == "A2+A1":
+        P = ExactMatrix([[1, 2, 0], [0, 1, 1], [1, 2, 1]])
+        inverse = ExactMatrix([[-1, -2, 2], [1, 1, -1], [-1, 0, 1]])
+        assert P @ inverse == ExactMatrix.identity(3)
+        block = jordan_pochhammer(parameters(2, "plain"))
+        residues = {hid: ExactMatrix([[*row, 0] for row in m.entries] + [[0, 0, 0]]) for hid, m in block.items()}
+        residues["z"] = ExactMatrix([[0, 0, 0], [0, 0, 0], [0, 0, GaussianRational(F(1, 5), F(1, 7))]])
+        forms = {h.id: h.form + (0,) for h in build_An(2).hyperplanes}
+        forms["z"] = (0, 0, 1)
+        forms = {hid: (ExactMatrix([f]) @ P).entries[0] for hid, f in forms.items()}
+        residues = {hid: inverse @ m @ P for hid, m in residues.items()}
+    else:
+        i = GaussianRational(0, 1)
+        forms = {"g1": (1, 0, 0, 0), "g2": (0, 1, 0, 0), "g3": (0, 0, 1, 0), "g4": (1, 1, 1, 0), "c": (1, i, 0, F(2, 3))}
+        normals = {"g1": (1, 0, 2, 0), "g2": (0, 3, 0, 1), "g3": (1, 1, 1, 0), "g4": (0, 0, 1, 1), "c": (0, 0, 0, 1)}
+        residues = {hid: ExactMatrix([[a * b for b in forms[hid]] for a in normals[hid]]) for hid in forms}
+    obj = {
+        "dimension": len(next(iter(forms.values()))),
+        "hyperplanes": [{"id": hid, "form": [_entry(GaussianRational.coerce(c)) for c in f]} for hid, f in forms.items()],
+        "residues": {hid: [[_entry(e) for e in row] for row in m.entries] for hid, m in residues.items()},
+    }
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def output_digest(path, commands=COMMANDS) -> str:
     digest = hashlib.sha256()
     for command in commands:
@@ -159,3 +200,9 @@ def test_scaled_forms_recover_as_the_braid_forms(tmp_path):
 def test_random_arrangement_matches_recorded_digest(tmp_path):
     got = output_digest(random_arrangement_file(tmp_path), commands=("lattice",))
     assert got == DIGESTS["random-Qi"], f"random-Qi: {got}"
+
+
+@pytest.mark.parametrize("name", ["A2+A1", "coloop"])
+def test_reducible_arrangements_match_recorded_digest(tmp_path, name):
+    got = output_digest(reducible_file(tmp_path, name), commands=("lattice", "check"))
+    assert got == DIGESTS[name], f"{name}: {got}"

@@ -216,6 +216,12 @@ class TestPartitionBijection:
         with pytest.raises(InputError):
             partition_to_flat(arr, [(1, 2)])
 
+    def test_rejects_an_empty_block(self):
+        arr = build_An(2)
+        with pytest.raises(InputError, match=r"^blocks must partition \{1..n\+1\}$"):
+            partition_to_flat(arr, [(3, 1, 2), ()])
+        assert partition_to_flat(arr, [(3, 1, 2)]) == flat_from_indices(arr, [0, 1, 2])
+
     def test_rejects_foreign_arrangement(self):
         from arrconn.arrangement import Arrangement, Hyperplane
 
