@@ -118,6 +118,7 @@ class Arrangement:
         arr.dimension, arr._ids, arr._lattice = dimension, ids, None
         arr._integer_forms = tuple(np.array([r[k] for r in rows], object).reshape(-1, dimension) for k in (0, 1))
         arr._denominators = tuple(d for _, _, d in rows)
+        arr._form_big = _largest(np.stack(arr._integer_forms))  # the largest |re| or |im| of a form
         return arr
 
     def __len__(self):
@@ -199,9 +200,17 @@ class Arrangement:
     @cached_property
     def essential_irreducible_restrictions(self) -> frozenset:
         """Indices i0 whose restriction A^{H_i0} is nonempty, essential and
-        irreducible, decided once per arrangement (no cap enters)."""
-        restrictions = enumerate(_restricted(self, self.hyperplane_flats))
-        return frozenset(i0 for i0, (_, restricted) in restrictions if restricted.essential_irreducible)
+        irreducible, decided once per arrangement (no cap enters), with no
+        restriction built: its forms (``_restricted``) are the traces on
+        H_i0's rows of its classes' first members, times a nonzero rational
+        per form and lcm // mu_j > 0 per coordinate, so the traces' matroid
+        (the contraction at H_i0) has the same rank and blocks."""
+        if not len(self):
+            return frozenset()
+        tr, ti, classes = _trace_classes(self, self.hyperplane_flats)
+        firsts = [[sources[0] for sources in flat_classes] for flat_classes in classes]
+        parts = [_matroid_components(tr[f, i0], ti[f, i0]) for i0, f in enumerate(firsts)]
+        return frozenset(i0 for i0, (blocks, rank) in enumerate(parts) if rank == self.dimension - 1 and len(blocks) == 1)
 
     @cached_property
     def _decomposition(self) -> tuple:
@@ -284,10 +293,9 @@ def _integer_traces(arr: Arrangement, bases):
         vectors = np.array(parts, dtype=np.int64).reshape(2, -1, n)
     except OverflowError:  # an entry past int64
         vectors = np.array(parts, dtype=object).reshape(2, -1, n)
-    forms = np.stack(arr._integer_forms)
-    t = 2 * n * _largest(forms) * _largest(vectors)
+    t = 2 * n * arr._form_big * _largest(vectors)
     dtype = np.int64 if 2 * t * t < 2**63 else object
-    (fr, fi), (br, bi) = forms.astype(dtype), vectors.astype(dtype).transpose(0, 2, 1)
+    (fr, fi), (br, bi) = np.stack(arr._integer_forms).astype(dtype), vectors.astype(dtype).transpose(0, 2, 1)
     shape = (len(fr), len(bases), k)
     return (fr @ br - fi @ bi).reshape(shape), (fr @ bi + fi @ br).reshape(shape)
 
@@ -530,12 +538,14 @@ def _sub_arrangement(arr: Arrangement, indices) -> Arrangement:
 
 
 def _trace_classes(arr: Arrangement, flats):
-    """The traces of every hyperplane on each of a list of flats, all of
-    one dimension k > 0, as the (re, im) arrays of shape (m, len(flats), k)
+    """The traces of every hyperplane on each of a nonempty list of flats,
+    all of one dimension k, as the (re, im) arrays of shape (m, len(flats), k)
     that ``_integer_traces`` gives, and for each flat the source tuples of
     the classes of proportional traces of the hyperplanes not containing
     it, in order of their first member; traces are compared by their keys
-    (``_trace_keys``)."""
+    (``_trace_keys``).  A point has no traces, and is refused."""
+    if not flats[0].dim:
+        raise PreconditionError("restriction to a point undefined")
     tr, ti = _integer_traces(arr, [flat.rows for flat in flats])
     keys, classes = _trace_keys(tr, ti), []
     for f, flat in enumerate(flats):  # one flat's keys as lists at a time, not the batch's
@@ -550,33 +560,26 @@ def _trace_classes(arr: Arrangement, flats):
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """Induced arrangement on a flat, in its kernel_basis coordinates."""
     _require_flat(arr, flat)
-    return _restricted(arr, [flat])[0][1]
+    return _restricted(arr, flat)[0]
 
 
-def _restricted(arr: Arrangement, flats) -> list:
-    """For each of a list of flats, all of one dimension, the classes of
-    proportional traces on it (``_trace_classes``, one batch for the
-    list) and the restriction they make, one hyperplane per class, with
-    the id and the trace of its first member; a flat that is a point is
-    refused.  Coordinates are taken in the flat's kernel_basis frame: the
-    trace is t_j = T_j / (d mu_j), from the integer trace T on the rows
-    (see ``_trace_kernel``), stored over the lcm of the d mu_j."""
-    if not flats:
-        return []
-    if flats[0].dim == 0:
-        raise PreconditionError("restriction to a point undefined")
-    tr, ti, classes = _trace_classes(arr, flats)
-    out = []
-    for f, flat in enumerate(flats):
-        mus = [mu for _, _, mu in flat.rows]
-        lcm = math.lcm(*mus)
-        scale = [lcm // mu for mu in mus]
-        firsts, rows = [sources[0] for sources in classes[f]], []
-        for i in firsts:
-            re, im = ([a * s for a, s in zip(part[i, f].tolist(), scale)] for part in (tr, ti))
-            rows.append(lowest_terms(re, im, arr._denominators[i] * lcm))
-        out.append((classes[f], Arrangement._from_rows(flat.dim, [arr._ids[i] for i in firsts], rows)))
-    return out
+def _restricted(arr: Arrangement, flat: Flat) -> tuple:
+    """The restriction to a flat, one hyperplane per class of proportional
+    traces on it (``_trace_classes``) with the id and the trace of the
+    class's first member, and the (trace id, sources) pair of each class.
+    Coordinates are taken in the flat's kernel_basis frame: the trace is
+    t_j = T_j / (d mu_j), from the integer trace T on the rows (see
+    ``_trace_kernel``), stored over the lcm of the d mu_j."""
+    tr, ti, (classes,) = _trace_classes(arr, [flat])
+    mus = [mu for _, _, mu in flat.rows]
+    lcm = math.lcm(*mus)
+    scale = [lcm // mu for mu in mus]
+    firsts, rows = [sources[0] for sources in classes], []
+    for i in firsts:
+        re, im = ([a * s for a, s in zip(part[i, 0].tolist(), scale)] for part in (tr, ti))
+        rows.append(lowest_terms(re, im, arr._denominators[i] * lcm))
+    ids = [arr._ids[i] for i in firsts]
+    return Arrangement._from_rows(flat.dim, ids, rows), list(zip(ids, classes))
 
 
 def _matroid_components(re, im):
@@ -657,8 +660,8 @@ def deletion_restriction(arr: Arrangement, h0: str) -> DeletionRestriction:
     """
     i0 = arr.index_of(h0)
     deleted = _sub_arrangement(arr, [i for i in range(len(arr)) if i != i0])
-    ((classes, restricted),) = _restricted(arr, [arr.hyperplane_flats[i0]])
-    projection = {arr._ids[i]: hid for hid, sources in zip(restricted._ids, classes) for i in sources}
+    restricted, traces = _restricted(arr, arr.hyperplane_flats[i0])
+    projection = {arr._ids[i]: hid for hid, sources in traces for i in sources}
     separator = (i0,) in arr._decomposition[0]
     return DeletionRestriction(deleted, restricted, projection, separator)
 

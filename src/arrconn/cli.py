@@ -174,6 +174,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_lauricella(args) -> int:
+    if args.n > arrmod.MAX_DIMENSION:
+        raise InputError(f"--n must be at most {arrmod.MAX_DIMENSION}, got {args.n}")
     a = _parse_fraction_list(args.a)
     if len(a) != args.n + 1:
         raise InputError(f"expected n+1 = {args.n + 1} parameters, got {len(a)}")

@@ -116,8 +116,7 @@ class StandardConnection:
         re, im, d = lowest_terms(re, im, d)
         n, m = arrangement.dimension, len(arrangement)
         big = max(map(abs, re + im), default=0)
-        form_big = max((abs(x) for forms in arrangement._integer_forms for x in forms.flat), default=0)
-        fits = 4 * n * m * big**2 < 2**62 and 4 * form_big * max(big, 1) < 2**62
+        fits = 4 * n * m * big**2 < 2**62 and 4 * arrangement._form_big * max(big, 1) < 2**62
         re, im = (np.array(part, dtype=np.int64 if fits else object).reshape(m, n, n) for part in (re, im))
         re.flags.writeable = im.flags.writeable = False
         conn = cls.__new__(cls)
@@ -535,8 +534,7 @@ def induced_connection(conn: StandardConnection, h0: str) -> InducedConnection:
             f"residue at {h0} is zero: the tangent bundle of H0 is not parallel"
         )
     flat = arr.hyperplane_flats[i0]
-    ((classes, restricted),) = _restricted(arr, [flat])
-    traces = list(zip(restricted._ids, classes))
+    restricted, traces = _restricted(arr, flat)
     residues = {}
     for hid, sources in traces:
         # the codimension-two flat H0 ∩ H_s contains exactly H0 and the
@@ -592,18 +590,17 @@ def check_weight_constraints(conn: StandardConnection, cap: Optional[int] = None
     sums = incidence @ traces
     pairs = (incidence.sum(axis=1) == 2)[:, None]
     rhs = incidence.T @ np.where(pairs, 2 * sums, sums) - 2 * (incidence.T @ pairs) * traces
-    lhs = gaussian_ratio(*traces.sum(axis=0).tolist(), d * n)
-    rows = []
-    for i0, (h0, (re, im)) in enumerate(zip(arr._ids, rhs.tolist())):
-        valid = i0 in arr.essential_irreducible_restrictions
-        r = gaussian_ratio(re, im, 2 * (n - 1) * d) if valid else GR_ZERO
-        rows.append(WeightConstraintRow(h0, lhs, r, lhs - r if valid else GR_ZERO, valid))
-    valid_rows = [r for r in rows if r.restriction_essential_irreducible]
-    return WeightConstraintReport(
-        tuple(rows),
-        bool(valid_rows),
-        all(not r.residual for r in valid_rows) if valid_rows else False,
+    # lhs = (sum of tr A_H) / n, so lhs - rhs is (2 (n - 1) sum - n rhs) over 2 n (n - 1) d
+    total = traces.sum(axis=0)
+    lhs = gaussian_ratio(*total.tolist(), d * n)
+    residuals = 2 * (n - 1) * total - n * rhs
+    valid = [i0 in arr.essential_irreducible_restrictions for i0 in range(len(arr))]
+    rows = tuple(
+        WeightConstraintRow(h0, lhs, gaussian_ratio(*r, 2 * (n - 1) * d), gaussian_ratio(*s, 2 * n * (n - 1) * d), True)
+        if ok else WeightConstraintRow(h0, lhs, GR_ZERO, GR_ZERO, False)
+        for h0, ok, r, s in zip(arr._ids, valid, rhs.tolist(), residuals.tolist())
     )
+    return WeightConstraintReport(rows, any(valid), any(valid) and not residuals[valid].any())
 
 
 # -- non-resonance --------------------------------------------------------------

@@ -607,6 +607,21 @@ class TestSizeBound:
         field = "n" if "builtin" in obj else "dimension"
         assert err == f"error: field {field!r} must be at most {arrmod.MAX_DIMENSION}\n"
 
+    @pytest.mark.parametrize("a", ["1/10", "abc"], ids=["parameters", "bad-parameters"])
+    def test_lauricella_n_above_the_bound_exits_2_at_once(self, capsys, monkeypatch, a):
+        # refused before --a is read or the braid arrangement is built
+        import arrconn.lauricella as laumod
+
+        def refuse(n):
+            raise AssertionError("braid arrangement built")
+
+        monkeypatch.setattr(laumod, "build_An", refuse)
+        n = arrmod.MAX_DIMENSION + 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lauricella", "--n", str(n), "--a", ",".join([a] * (n + 1)))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: --n must be at most {arrmod.MAX_DIMENSION}, got {n}\n")
+
     def test_largest_builtin_is_read(self):
         n = arrmod.MAX_DIMENSION
         arr = arrmod.arrangement_from_json({"builtin": "A_n", "n": str(n)})
@@ -741,3 +756,67 @@ class TestArgumentFuzz:
         else:
             obj = json.loads(out.getvalue())
             assert code == 0 and obj["alpha0"] > 0 and obj["vol_fs"] > 0 and obj["vol_sphere"] > 0
+
+
+# structural fuzz of the JSON loaders: a valid A_2 connection document,
+# forms written out or builtin, with one to three nodes deleted or swapped
+# for a JSON value of another kind
+_swap = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(st.text(max_size=6), st.sampled_from(["", "1/0", "-1/2", "1e400", "H_1_2", "A_n"])),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "form", "n", "builtin"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _documents():
+    from arrconn.connection import connection_to_json
+    from arrconn.lauricella import reduced_residues
+
+    explicit = connection_to_json(reduced_residues([Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]))
+    builtin = {"builtin": "A_n", "n": 2, "residues": explicit["residues"]}
+    return [explicit, builtin]
+
+
+def _nodes(value, path=()):
+    """The path of every node below the root, parents first."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+class TestDocumentFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=200)
+    @given(data=st.data(), which=st.integers(0, 1), steps=st.integers(1, 3))
+    def test_mutated_documents_exit_cleanly(self, workdir, data, which, steps):
+        # every exit is 0, 1, 2 or 3, never a traceback; exit 2 is one error line
+        doc = _documents()[which]
+        for _ in range(steps):
+            nodes = list(_nodes(doc))
+            if not nodes:
+                break
+            *parents, key = data.draw(st.sampled_from(nodes))
+            parent = doc
+            for step in parents:
+                parent = parent[step]
+            if data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = data.draw(_swap)
+        path = workdir / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in ("lattice", "check", "recover"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2, 3), (command, doc)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (command, doc)

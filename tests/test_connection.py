@@ -427,22 +427,21 @@ class TestWeightConstraints:
 
     def test_restriction_verdicts_built_once(self, monkeypatch):
         import arrconn.arrangement as arrmod
-        import arrconn.connection as connmod
 
         calls = []
-        original = arrmod._restricted
+        original = arrmod._matroid_components
 
-        def counting(arr, flats):
-            calls.extend(flats)
-            return original(arr, flats)
+        def counting(re, im):
+            calls.append(len(re))
+            return original(re, im)
 
-        monkeypatch.setattr(arrmod, "_restricted", counting)
-        monkeypatch.setattr(connmod, "_restricted", counting)
+        # one matroid per restriction, and one for the arrangement's own essential_irreducible
+        monkeypatch.setattr(arrmod, "_matroid_components", counting)
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10), F(4, 10), F(5, 10)])
         check_weight_constraints(conn)
-        assert len(calls) == len(conn.arrangement) == 10
+        assert len(calls) == len(conn.arrangement) + 1 == 11
         check_weight_constraints(conn)
-        assert len(calls) == 10
+        assert len(calls) == 11
 
 
 class TestNonResonance:

@@ -10,7 +10,9 @@ command prints what it prints for the unscaled file), and ``lattice`` on
 a seeded essential irreducible arrangement with complex entries past
 2^63.  ``lattice`` and ``check`` also run on two reducible arrangements
 with written-out forms: A_2 + A_1 in a basis that mixes the blocks, and a
-block of four generic planes with a coloop.
+block of four generic planes with a coloop.  ``check`` runs on
+x, y, z, x + z, y + z in C^3, whose restriction to z is Boolean, so one
+weight constraint is listed as not valid.
 The sha256 of every command's stdout, stderr and exit code, in order, is
 compared with a recorded digest per file, so any change to what these
 commands print shows here.  ``holonomy`` is left out: its floating-point
@@ -56,6 +58,7 @@ DIGESTS = {
     "random-Qi": "f04d1d56e07fd19b8f7e4f230beea05f7ecb518952c8d703b371ad78725d5f25",
     "A2+A1": "19082e258849ce5cfec2bda9d53e5a78e9e587e01253effa183b9cf3efcb411d",
     "coloop": "1481a45482d1c181f7dadd729e8a1dd48699397a8207eea9e67dc0b324a9f896",
+    "boolean-restriction": "7fe4b3a87f6f907acd2c8f3a02bfee456e8dd1d1eecb5080afa49c1cf2d58618",
 }
 
 COMMANDS = ("lattice", "check", "recover")
@@ -163,6 +166,26 @@ def reducible_file(directory, name: str):
     return path
 
 
+def boolean_restriction_file(directory):
+    """A connection file on x, y, z, x + z, y + z in C^3, essential and
+    irreducible, whose restriction to z is Boolean, so ``check --json``
+    lists z's weight constraint as not valid; the residue at each form f
+    is n (x) f for a fixed n (torsion free), with complex and fractional
+    entries, and the valid rows' residuals are not zero."""
+    i = GaussianRational(0, 1)
+    forms = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1), "x+z": (1, 0, 1), "y+z": (0, 1, 1)}
+    normals = {"x": (1, 0, F(1, 3)), "y": (0, 2, 1), "z": (1, 1, i), "x+z": (F(1, 2), 0, 1), "y+z": (0, 1, 3)}
+    residues = {hid: ExactMatrix([[a * b for b in forms[hid]] for a in normals[hid]]) for hid in forms}
+    obj = {
+        "dimension": 3,
+        "hyperplanes": [{"id": hid, "form": [_entry(GaussianRational.coerce(c)) for c in f]} for hid, f in forms.items()],
+        "residues": {hid: [[_entry(GaussianRational.coerce(e)) for e in row] for row in m.entries] for hid, m in residues.items()},
+    }
+    path = directory / "boolean-restriction.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def output_digest(path, commands=COMMANDS) -> str:
     digest = hashlib.sha256()
     for command in commands:
@@ -206,3 +229,8 @@ def test_random_arrangement_matches_recorded_digest(tmp_path):
 def test_reducible_arrangements_match_recorded_digest(tmp_path, name):
     got = output_digest(reducible_file(tmp_path, name), commands=("lattice", "check"))
     assert got == DIGESTS[name], f"{name}: {got}"
+
+
+def test_boolean_restriction_matches_recorded_digest(tmp_path):
+    got = output_digest(boolean_restriction_file(tmp_path), commands=("check",))
+    assert got == DIGESTS["boolean-restriction"], f"boolean-restriction: {got}"

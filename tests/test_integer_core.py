@@ -317,8 +317,9 @@ class TestPrimitiveKeys:
             if not flat.dim:  # a point lies in every hyperplane: no traces
                 assert fraction_traces(arr, flat) == []
                 continue
-            ((classes, restricted),) = _restricted(arr, [flat])
-            got = [(h.id, h.form, sources) for h, sources in zip(restricted.hyperplanes, classes, strict=True)]
+            restricted, traces = _restricted(arr, flat)
+            got = [(h.id, h.form, sources) for h, (hid, sources) in zip(restricted.hyperplanes, traces, strict=True)]
+            assert [hid for hid, _ in traces] == restricted.ids()
             assert got == fraction_traces(arr, flat)
 
     @given(small_arrangements())
@@ -487,18 +488,32 @@ class TestStoredForm:
                 assert_canonical(restricted)
                 assert [(h.id, h.form) for h in restricted.hyperplanes] == ratio_restriction(arr, flat)
 
+    @staticmethod
+    def _loaded(tmp_path, source):
+        """A_5, or a file in C^3 with complex entries and an entry past 2^64."""
+        if source == "A_5":
+            return build_An(5)
+        forms = [(1, 0, G(0, 1)), (0, G(Fraction(1, 3), 1), 1), (1, 1, 0), (1, G(2, -1), G(Fraction(-5, 7))), (2**64 + 1, 0, 1)]
+        path = tmp_path / "forms.json"
+        planes = [Hyperplane(f"h{k}", vec(f)) for k, f in enumerate(forms)]
+        path.write_text(json.dumps(arrangement_to_json(Arrangement(3, planes))))
+        return load_arrangement(path)
+
+    @pytest.mark.parametrize("source", ["A_5", "file"])
+    def test_restriction_verdicts_build_no_arrangement(self, tmp_path, source):
+        arr = self._loaded(tmp_path, source)
+        with mock.patch.object(Arrangement, "_from_rows", wraps=Arrangement._from_rows) as built:
+            verdicts = arr.essential_irreducible_restrictions
+            assert built.call_count == 0
+            built_one_by_one = {i0 for i0, flat in enumerate(arr.hyperplane_flats) if restriction(arr, flat).essential_irreducible}
+            assert built.call_count == len(arr)  # the wrap sees every restriction built
+        assert verdicts == built_one_by_one
+
     @pytest.mark.parametrize("source", ["A_5", "file"])
     def test_restriction_verdicts_build_no_view(self, tmp_path, source):
-        if source == "A_5":
-            arr = build_An(5)
-        else:
-            forms = [(1, 0, G(0, 1)), (0, G(Fraction(1, 3), 1), 1), (1, 1, 0), (1, G(2, -1), G(Fraction(-5, 7))), (2**64 + 1, 0, 1)]
-            path = tmp_path / "forms.json"
-            planes = [Hyperplane(f"h{k}", vec(f)) for k, f in enumerate(forms)]
-            path.write_text(json.dumps(arrangement_to_json(Arrangement(3, planes))))
-            arr = load_arrangement(path)
+        arr = self._loaded(tmp_path, source)
         for flat in arr.hyperplane_flats:
-            r = _restricted(arr, [flat])[0][1]
+            r = _restricted(arr, flat)[0]
             r.essential_irreducible
             r.lattice()
             assert "hyperplanes" not in vars(r)
@@ -536,6 +551,20 @@ class TestRestrictionsTorsionInduced:
             if deletion_restriction(arr, h.id).restricted.essential_irreducible
         }
         assert arr.essential_irreducible_restrictions == old
+
+    def test_restriction_verdicts_leave_out_a_boolean_restriction(self):
+        # essential and irreducible in C^3; on z = 0, x + z and y + z trace x and y
+        forms = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1], "x+z": [1, 0, 1], "y+z": [0, 1, 1]}
+        arr = Arrangement(3, [Hyperplane(hid, vec(f)) for hid, f in forms.items()])
+        assert arr.essential_irreducible
+        assert arr.essential_irreducible_restrictions == {0, 1, 3, 4}
+        for i0, flat in enumerate(arr.hyperplane_flats):
+            assert (i0 in arr.essential_irreducible_restrictions) == restriction(arr, flat).essential_irreducible
+        assert len(restriction(arr, arr.hyperplane_flats[2])) == 2
+
+    def test_restriction_verdicts_refuse_a_line(self):
+        with pytest.raises(PreconditionError, match="^restriction to a point undefined$"):
+            build_An(1).essential_irreducible_restrictions
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_braid_restrictions(self, n):

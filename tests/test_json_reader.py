@@ -182,7 +182,7 @@ class TestCallCounts:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_one_echelon_form_per_irreducible_restriction(self, n, monkeypatch):
         arr, calls = build_An(n), []
-        counting(monkeypatch, arrmod, "_blocks", calls)
+        counting(monkeypatch, arrmod, "_matroid_components", calls)
         assert len(arr.essential_irreducible_restrictions) == len(arr)
         assert len(calls) == len(arr)
 
