@@ -307,7 +307,7 @@ def holonomy(conn: StandardConnection, loops, tol: float = 1e-8, plan=None):
     single = isinstance(loops, LoopPath)
     loops = [loops] if single else list(loops)
     mats, errs = transport_pieces(conn, [piece for loop in loops for piece in loop.pieces], tol, plan)
-    sizes = [len(loop.pieces) for loop in loops]
+    sizes = np.array([len(loop.pieces) for loop in loops], dtype=int)
     chain = np.repeat(np.arange(len(loops)), sizes)
     depth = np.arange(len(chain)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     products, bounds = chain_product(mats, errs, chain, depth, len(loops))
@@ -421,6 +421,22 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _generator_stack(generators) -> np.ndarray:
+    """The generators as one complex array of shape (G, n, n).
+    PreconditionError unless there is at least one and they are finite
+    square matrices of one size n >= 1."""
+    gens = list(generators)
+    if not gens:
+        raise PreconditionError("need at least one generator")
+    try:
+        stack = np.array(gens, dtype=complex)
+    except (TypeError, ValueError):  # mixed shapes, or entries that are not numbers
+        stack = None
+    if stack is None or stack.ndim != 3 or not 0 < stack.shape[1] == stack.shape[2] or not np.isfinite(stack).all():
+        raise PreconditionError("generators must be finite square matrices of one size, at least 1 x 1")
+    return stack
+
+
 def invariant_forms(generators, tol: float = 1e-8):
     """Real basis of the space of Hermitian X with T* X T = X for all
     generators, via the nullspace of the stacked real linear system.
@@ -428,12 +444,14 @@ def invariant_forms(generators, tol: float = 1e-8):
     On row-major vecs, X -> T* X T is kron(T*, T^T), so each generator's
     constraint block is scale (kron(T*, T^T) B - B) over the Hermitian
     basis B, split into real and imaginary rows; scale = 1/max(1, |T|^2)
-    keeps large transport matrices from drowning the tolerance.  A form
-    is B times a null vector, reshaped to n x n."""
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
-        raise PreconditionError("need at least one generator")
-    n = gens[0].shape[0]
+    keeps large transport matrices from drowning the tolerance.  The
+    Kronecker products of all generators are one broadcast product on
+    their stack, their images of B one stacked product and their 2-norms
+    one batched SVD.  A form is B times a null vector, reshaped to n x n.
+    Generators that are not finite square matrices of one size are a
+    PreconditionError."""
+    gens = _generator_stack(generators)
+    n = gens.shape[1]
     basis = _hermitian_basis(n)
     _, s, vt = np.linalg.svd(_constraint_matrix(gens, basis), full_matrices=False)
     null_dim = int(np.sum(s <= tol * max(s[0], 1.0)))
@@ -451,12 +469,14 @@ def invariant_forms(generators, tol: float = 1e-8):
 
 
 def _constraint_matrix(gens, basis):
-    blocks = []
-    for t in gens:
-        scale = 1.0 / max(1.0, np.linalg.norm(t, 2) ** 2)
-        image = scale * (np.kron(t.conj().T, t.T) @ basis - basis)
-        blocks += [image.real, image.imag]
-    return np.vstack(blocks)
+    count, n, _ = gens.shape
+    left, right = gens.conj().transpose(0, 2, 1), gens.transpose(0, 2, 1)
+    kron = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(count, n * n, n * n)
+    # squared one by one: a scalar's ** 2 is pow, which can differ in the
+    # last bit from the product an array's ** 2 takes
+    scale = np.array([1.0 / max(1.0, s ** 2) for s in np.linalg.svd(gens, compute_uv=False).max(axis=1)])
+    image = scale[:, None, None] * (kron @ basis - basis)
+    return np.stack([image.real, image.imag], axis=1).reshape(-1, n * n)
 
 
 # -- irreducibility -----------------------------------------------------------------
@@ -477,7 +497,8 @@ def _span_closure(start, gens, tol, max_len):
     span has every extension in the span of the kept words' extensions.
 
     The residual is two classical Gram-Schmidt passes against the kept
-    orthonormal rows.  The walk stops once the span is the whole space.
+    orthonormal rows; gens is a stack, so a kept word's extensions are one
+    stacked product.  The walk stops once the span is the whole space.
     Returns (kept, ortho, words): the kept normalized vectors and their
     orthonormalization, as rows, and the number of words tried.
     """
@@ -488,11 +509,11 @@ def _span_closure(start, gens, tol, max_len):
         grown = []
         for word in level:
             words += 1
-            v = word.ravel() / max(np.linalg.norm(word), 1e-300)
+            v = word.ravel() / max(_frobenius(word), 1e-300)
             q = ortho[:len(kept)]
             w = v - (q @ v.conj()).conj() @ q
             w = w - (q @ w.conj()).conj() @ q
-            res = np.linalg.norm(w)
+            res = _frobenius(w)
             if res > tol:
                 ortho[len(kept)] = w / res
                 kept.append(v)
@@ -501,8 +522,15 @@ def _span_closure(start, gens, tol, max_len):
                 grown.append(v.reshape(start.shape))
         if length == max_len or not grown:
             break
-        level = [g @ x for x in grown for g in gens]
+        level = [y for x in grown for y in gens @ x]
     return np.array(kept), ortho[:len(kept)], words
+
+
+def _frobenius(x):
+    """The Frobenius norm of a complex array, as ``np.linalg.norm(x)``
+    computes it, without its argument handling."""
+    x = x.ravel()
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def irreducibility(generators, tol: float = 1e-8) -> IrreducibilityVerdict:
@@ -517,16 +545,15 @@ def irreducibility(generators, tol: float = 1e-8) -> IrreducibilityVerdict:
     ambiguous.  On a reducible verdict the same closure, run from each
     eigenvector of each generator to length n, spans an invariant
     subspace; the smallest one found is the witness, as orthonormal
-    columns.
+    columns.  The generators are checked and inverted as one stack: they
+    must be finite square matrices of one size, each with |det| at least
+    1e-12, or PreconditionError is raised.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
-        raise PreconditionError("need at least one generator")
-    n = gens[0].shape[0]
-    for g in gens:
-        if abs(np.linalg.det(g)) < 1e-12:
-            raise PreconditionError("generators must be invertible")
-    gens_inv = gens + [np.linalg.inv(g) for g in gens]
+    gens = _generator_stack(generators)
+    n = gens.shape[1]
+    if (np.abs(np.linalg.det(gens)) < 1e-12).any():
+        raise PreconditionError("generators must be invertible")
+    gens_inv = np.concatenate([gens, np.linalg.inv(gens)])
     full = n * n
     kept, _, words = _span_closure(np.eye(n, dtype=complex), gens_inv, tol, 4 * n)
     sv = np.linalg.svd(kept, compute_uv=False)
@@ -595,7 +622,7 @@ def holonomy_report(
     matrices = [t for t, _ in transported[:len(ids)]]
     errors = [err for _, err in transported[:len(ids)]]
     central_matrix, central_error = transported[-1] if central else (None, None)
-    analysis = matrices if matrices else [central_matrix]
+    analysis = np.array(matrices if matrices else [central_matrix])
     forms = invariant_forms(analysis, tol=tol * 10)
     signature = (
         hermitian_signature(forms[0], tol=signature_tol) if len(forms) == 1 else None
@@ -607,7 +634,7 @@ def holonomy_report(
         tuple(ids),
         tuple(matrices),
         tuple(errors),
-        tuple(complex(np.linalg.det(m)) for m in matrices),
+        tuple(complex(d) for d in np.linalg.det(analysis[:len(matrices)])),
         central_matrix,
         central_error,
         tuple(forms),

@@ -560,7 +560,15 @@ _EPS = np.finfo(float).eps
 _CHUNK = 1 << 16
 
 
-StepPlan = namedtuple("StepPlan", "lane depth ts ratio w spread count stuck")
+class StepPlan(namedtuple("StepPlan", "lane depth ts ratio w spread count stuck layout")):
+    """The steps of ``ode_transport`` on a stack of arcs, read-only, with
+    the ``chain_layout`` in which their sums are multiplied; made once by
+    ``step_plan`` and kept for every connection on the arcs."""
+
+    __slots__ = ()
+
+
+ChainLayout = namedtuple("ChainLayout", "order spans slot")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -577,7 +585,9 @@ def step_plan(hc, ho, sweep) -> StepPlan:
     plan, all read-only, step i is step depth[i] of lane[i], of count[i]
     steps; ts is the argument of ``rhs``; ratio = u / (i theta tau0); w =
     u / d_k, shape (steps, m); spread = |w| (|h_k(c)| + |h_k(o)|) /
-    |h_k(z)|; stuck, whether a lane runs into a pole.
+    |h_k(z)|; stuck, whether a lane runs into a pole; layout, the
+    ``chain_layout`` of the steps in their lanes, which ``chain_product``
+    takes the step sums in.
     """
     hc, ho = np.asarray(hc, dtype=complex), np.asarray(ho, dtype=complex)
     sweep = np.asarray(sweep, dtype=float)
@@ -590,10 +600,31 @@ def step_plan(hc, ho, sweep) -> StepPlan:
     hz = hc[lane] + tau0[:, None] * ho[lane]
     w = u[:, None] * ho[lane] / hz
     spread = np.abs(w) * (np.abs(hc[lane]) + np.abs(ho[lane])) / np.abs(hz)
+    layout = chain_layout(lane, depth, len(hc))
     arrays = (lane, depth, ts, u / (1j * sweep[lane] * tau0), w, spread, np.bincount(lane, minlength=len(hc))[lane])
-    for a in arrays:
+    for a in arrays + (layout.order, layout.slot):
         a.flags.writeable = False
-    return StepPlan(*arrays, bool(stuck or not np.isfinite(w).all()))
+    return StepPlan(*arrays, bool(stuck or not np.isfinite(w).all()), layout)
+
+
+def chain_layout(chain, depth, count) -> ChainLayout:
+    """The order in which ``chain_product`` takes the factors of ``count``
+    chains, factor i being factor depth[i] of chain chain[i].
+
+    The chains go by factor count, longest first (ties by index), and the
+    factors by depth and then in that chain order, so that the chains with
+    a factor at depth d are the first k_d.  order permutes the factors
+    into this order; spans holds (lo, hi, k_d) for each depth, the
+    reordered factors lo:hi being those of the first k_d chains; slot[c]
+    is the place of chain c.
+    """
+    lengths = np.bincount(chain, minlength=count)
+    slot = np.empty(count, dtype=int)
+    slot[np.argsort(-lengths, kind="stable")] = np.arange(count)
+    order = np.lexsort((slot[chain], depth))
+    levels = np.bincount(depth)
+    hi = np.cumsum(levels)
+    return ChainLayout(order, tuple(zip((hi - levels).tolist(), hi.tolist(), levels.tolist())), slot)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflowing bound stays inf
@@ -618,7 +649,8 @@ def ode_transport(rhs, plan, factors, tol=1e-10):
     a rounding term is added.  Each step stops on its own bound, so a
     lane's result does not depend on the other lanes of its stack.  A
     lane's X(1) and err, shape (L,), are the ``chain_product`` of its step
-    sums and their bounds: err bounds the Frobenius norm of its error.
+    sums and their bounds, in the plan's layout: err bounds the Frobenius
+    norm of its error.
 
     rhs(ts) takes the step starts as times s of shape (L, k), row l holding
     lane l's starts in order and then 1.0, and returns dX/ds there, shape
@@ -662,7 +694,7 @@ def ode_transport(rhs, plan, factors, tol=1e-10):
     # each coefficient is formed with relative error about (n + R + 3) eps,
     # carried to the sum by at most f; adding N + 1 terms loses (N + 1) eps |S|_F
     rounding = 2 * _EPS * ((n + rows + 3) * f * z_norms + (terms + 1) * (np.sqrt(n) + z_norms))
-    return chain_product(sums, trunc + rounding, lane, plan.depth, lanes)
+    return chain_product(sums, trunc + rounding, lane, plan.depth, lanes, plan.layout)
 
 
 def _taylor_sums(u_mat, v_mat, u_cols, w_rows, weight, target):
@@ -672,80 +704,101 @@ def _taylor_sums(u_mat, v_mat, u_cols, w_rows, weight, target):
     w_rows, shape (R, B), holds u / d_k at each row of V; weight, shape
     (R, B), the bound's factor f |U_r| / (1 - |u| / r_k) for each row.
     The coefficients run on stacks laid out (row, step, column), so that
-    each product with U or V is one 2-D product over all steps.  Summing
-    the bound over rows instead of over hyperplanes can only raise it.
+    each product with U or V is one 2-D product over all steps; while
+    every step is live they are scaled by one scalar, and the norm terms
+    of all iterations are added up after the loop, in order.  Summing the
+    bound over rows instead of over hyperplanes can only raise it.
     Returns (S, bound, N, a bound on sum_(j >= 1) |u^j Y_j|_F).
     """
     n, rows = u_mat.shape
     steps = w_rows.shape[1]
-    w_rows = w_rows[:, :, None]
-    g = v_mat[:, None, :] * w_rows  # the scaled coefficients u^(j+1) q^(j), here j = 0
+    g = v_mat[:, None, :] * w_rows[:, :, None]  # the scaled coefficients u^(j+1) q^(j), here j = 0
+    # spread along the columns: a product of contiguous arrays is several
+    # times faster than one that broadcasts the last axis, to the same bits
+    w_rows = np.repeat(w_rows[:, :, None], n, axis=2)
     z = np.empty((n, steps, n), dtype=complex)
     vz = np.empty_like(g)
     z_flat, g_flat, vz_flat = z.reshape(n, steps * n), g.reshape(rows, steps * n), vz.reshape(rows, steps * n)
+    g_real, g_norms = g.view(np.float64), np.empty((rows, steps))
     total = np.zeros_like(z)
     total[np.arange(n), :, np.arange(n)] = 1.0
     live = np.ones(steps, dtype=bool)
-    trunc, terms, z_norms = np.zeros(steps), np.zeros(steps), np.zeros(steps)
+    trunc, terms, z_rows, full = np.zeros(steps), np.zeros(steps), [np.zeros(steps)], 0
+    scale = np.empty((steps, n), dtype=complex)  # each step's factor, spread along the columns like w_rows
     for j in range(MAX_TERMS + 1):
-        g_norms = np.sqrt(_row_sq(g))
-        bound = (weight * g_norms).sum(axis=0) / (j + 1)
+        np.sqrt(np.einsum("ijk,ijk->ij", g_real, g_real, out=g_norms), out=g_norms)
+        bound = np.add.reduce(weight * g_norms, axis=0) / (j + 1)
         np.copyto(trunc, bound, where=live)  # the bound of the sum up to u^j Y_j
         live &= bound > target
-        if j == MAX_TERMS or not live.any():
+        alive = np.count_nonzero(live)
+        if j == MAX_TERMS or not alive:
             break
-        terms += live
         np.matmul(u_mat, g_flat, out=z_flat)
-        z *= live[:, None] / (j + 1)  # u^(j+1) Y_(j+1), zero once a step is done
+        if alive == steps:
+            full += 1
+            z *= 1 / (j + 1)  # u^(j+1) Y_(j+1)
+            z_rows.append((u_cols @ g_norms) / (j + 1))
+        else:
+            terms += live
+            scale[:] = (live / (j + 1))[:, None]
+            z *= scale  # zero once a step is done
+            z_rows.append(live * (u_cols @ g_norms) / (j + 1))
         total += z
-        z_norms += live * (u_cols @ g_norms) / (j + 1)
         np.matmul(v_mat, z_flat, out=vz_flat)
         np.subtract(vz, g, out=g)
         g *= w_rows
-    return total.transpose(1, 0, 2), trunc, terms, z_norms
+    # accumulate adds the rows in order; a sum over a single step would add pairwise
+    z_norms = np.add.accumulate(z_rows, axis=0)[-1]
+    return total.transpose(1, 0, 2), trunc, terms + full, z_norms
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def chain_product(mats, errs, chain, depth, count):
+def chain_product(mats, errs, chain, depth, count, layout=None):
     """The products of ``count`` chains of matrices, each with an error
     bound; returns (products, bounds), shapes (count, n, n) and (count,).
 
     Matrix i, shape (n, n), with a bound errs[i] on the Frobenius norm of
     its error, is factor depth[i] of chain chain[i]; depths run 0, 1, ...
     along a chain, and a chain's product has its last factor on the left.
-    The products are taken by depth for all chains at once.  A chain's
-    bound is the sum over its factors of |S_K ... S_(i+1)|_2 e_i
-    |S_(i-1) ... S_1|_2, from the telescoped difference of the products,
-    with the exact prefix norm bounded by the computed one plus the
-    running bound e <- |S|_2 e + e_S (|M|_2 + e) on its error.  e_i
-    includes the rounding of the product with the factor, and the 2-norms
-    are bounded through the Gram matrices.
+    The products are taken by depth for all chains at once, in the
+    ``chain_layout`` of the factors (layout, if given, else built here):
+    the chains with a factor at a depth are a leading block there, so each
+    level is one product of contiguous slices.  A chain's bound is the sum
+    over its factors of |S_K ... S_(i+1)|_2 e_i |S_(i-1) ... S_1|_2, from
+    the telescoped difference of the products, with the exact prefix norm
+    bounded by the computed one plus the running bound e <- |S|_2 e + e_S
+    (|M|_2 + e) on its error.  e_i includes the rounding of the product
+    with the factor, and the 2-norms are bounded through the Gram
+    matrices.
     """
-    order = np.argsort(depth, kind="stable")
-    mats, chain = np.ascontiguousarray(mats[order]), chain[order]
+    order, spans, slot = chain_layout(chain, depth, count) if layout is None else layout
     n = mats.shape[1]
-    bounds = np.searchsorted(depth[order], np.arange(depth.max(initial=-1) + 2))
-    spans = list(zip(bounds[:-1], bounds[1:]))
     eye = np.eye(n, dtype=complex)
+    # the factors in layout order, and before and after each the product of
+    # the chain's earlier and of its later factors
+    stack = np.empty((3, len(order), n, n), dtype=complex)
+    stack[0], stack[1:] = mats[order], eye
+    mats, prefix, after = stack
     out = np.broadcast_to(eye, (count, n, n)).copy()
-    prefix = np.empty_like(mats)
-    for lo, hi in spans:
-        prefix[lo:hi] = out[chain[lo:hi]]
-        out[chain[lo:hi]] = mats[lo:hi] @ prefix[lo:hi]
-    suffix = np.broadcast_to(eye, (count, n, n)).copy()
-    after = np.empty_like(mats)
-    for lo, hi in reversed(spans):
-        after[lo:hi] = suffix[chain[lo:hi]]
-        suffix[chain[lo:hi]] = after[lo:hi] @ mats[lo:hi]
-    p_norm, a_norm, s_norm = (_norm2_bound(x) for x in (prefix, after, mats))
+    going = [k for _, _, k in spans[1:]] + [0]
+    for (lo, hi, k), k_next in zip(spans, going):
+        # the first k_next chains go on to the next depth, the others end here
+        np.matmul(mats[lo:lo + k_next], prefix[lo:lo + k_next], out=prefix[hi:hi + k_next])
+        if k_next < k:
+            np.matmul(mats[lo + k_next:hi], prefix[lo + k_next:hi], out=out[k_next:k])
+    for d in range(len(spans) - 1, 0, -1):
+        (lo, hi, k), up = spans[d], spans[d - 1][0]
+        np.matmul(after[lo:hi], mats[lo:hi], out=after[up:up + k])
+    s_norm, p_norm, a_norm = _norm2_bound(stack.reshape(-1, n, n)).reshape(3, -1)
     step_err = errs[order] + n * np.sqrt(n) * _EPS * s_norm
     err, running = np.zeros(count), np.zeros(count)
-    for lo, hi in spans:
-        at = chain[lo:hi]
-        term = step_err[lo:hi] * (p_norm[lo:hi] + running[at])
-        err[at] += a_norm[lo:hi] * term
-        running[at] = s_norm[lo:hi] * running[at] + term
-    return out, err
+    for lo, hi, k in spans:
+        now = running[:k]
+        term = step_err[lo:hi] * (p_norm[lo:hi] + now)
+        err[:k] += a_norm[lo:hi] * term
+        now *= s_norm[lo:hi]
+        now += term
+    return out[slot], err[slot]
 
 
 def _arc_steps(hc, ho, sweep):
@@ -770,12 +823,6 @@ def _arc_steps(hc, ho, sweep):
         stuck = (~last & (phi[live] == start)).any()
         live = live[~last]
     return (*(np.concatenate(part) for part in zip(*steps)), stuck)
-
-
-def _row_sq(a):
-    """The squared 2-norms of the last-axis rows of a complex 3-D array."""
-    w = a.view(np.float64)
-    return np.einsum("ijk,ijk->ij", w, w)
 
 
 def _norm2_bound(x):

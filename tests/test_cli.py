@@ -797,7 +797,8 @@ class TestDocumentFuzz:
     @settings(max_examples=200)
     @given(data=st.data(), which=st.integers(0, 1), steps=st.integers(1, 3))
     def test_mutated_documents_exit_cleanly(self, workdir, data, which, steps):
-        # every exit is 0, 1, 2 or 3, never a traceback; exit 2 is one error line
+        # every exit is 0, 1, 2 or 3, never a traceback; exit 2 is one error line.
+        # holonomy reads the same document, then transports and analyses it
         doc = _documents()[which]
         for _ in range(steps):
             nodes = list(_nodes(doc))
@@ -813,7 +814,7 @@ class TestDocumentFuzz:
                 parent[key] = data.draw(_swap)
         path = workdir / "doc.json"
         path.write_text(json.dumps(doc))
-        for command in ("lattice", "check", "recover"):
+        for command in ("lattice", "check", "recover", "holonomy"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, str(path)])

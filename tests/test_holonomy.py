@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import importlib
+import warnings
 from fractions import Fraction
 from functools import cached_property
 
@@ -436,6 +438,24 @@ class TestIrreducibility:
             assert np.linalg.norm(outside @ t @ q, 2) <= 1e-8
 
 
+MALFORMED = {
+    "mixed-sizes": [np.eye(2), np.eye(3)],
+    "not-square": [np.ones((2, 3))],
+    "non-finite": [np.nan * np.eye(2)],
+}
+
+
+class TestMalformedGenerators:
+    # refused with one PreconditionError, not a raw numpy error or warning
+    @pytest.mark.parametrize("analysis", [invariant_forms, irreducibility])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_as_precondition(self, analysis, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="finite square matrices of one size"):
+                analysis(MALFORMED[case])
+
+
 class TestReportAssembly:
     def test_loops_selection(self):
         conn = reduced_residues([F(1, 10), F(2, 10), F(3, 10)])
@@ -649,6 +669,9 @@ class TestKeptLoops:
         assert sorted(gen.plans) == ["all", "central", "meridians"]
         arrays = [v for v in leaves(gen) if isinstance(v, np.ndarray)]
         assert len(arrays) > 40 and not any(a.flags.writeable for a in arrays)
+        # each plan keeps its chain layout: the step order and the lane slots
+        layouts = [a for plan in gen.plans.values() for a in (plan.layout.order, plan.layout.slot)]
+        assert len(layouts) == 6 and all(any(a is b for b in arrays) for a in layouts)
 
     def test_second_report_builds_no_geometry(self, monkeypatch):
         import arrconn.holonomy as hol
@@ -682,6 +705,20 @@ class TestKeptLoops:
             generator_loops(arr)
         monkeypatch.setattr(hol, "_draw_basepoint", real)
         assert bits(generator_loops(arr)) == bits(generator_loops(build_An(2)))
+
+    def test_kept_layouts_serve_only_their_plans(self):
+        # reports on kept arrangements, interleaved with reports on fresh
+        # ones whose arrays are freed in between, give what fresh ones give
+        a = {2: self.A2, 3: [F(2, 9), F(-1, 5), F(3, 11), F(1, 4)], 4: [F(1, 7), F(2, 9), F(-1, 5), F(3, 11), F(1, 4)]}
+        kept = {n: build_An(n) for n in a}
+        for n in (2, 3, 4, 2, 4, 3):
+            for loops in ("all", "meridians"):
+                first = bits(holonomy_report(reduced_residues(a[n], kept[n]), tol=1e-8, loops=loops))
+                gc.collect()
+                fresh = bits(holonomy_report(reduced_residues(a[n], build_An(n)), tol=1e-8, loops=loops))
+                gc.collect()
+                again = bits(holonomy_report(reduced_residues(a[n], kept[n]), tol=1e-8, loops=loops))
+                assert first == fresh == again
 
     @settings(max_examples=8)
     @given(

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrconn.numkernel import (
     ExactMatrix,
@@ -14,6 +16,7 @@ from arrconn.numkernel import (
     PoleProximityError,
     hermitian_signature,
     matrix_exp,
+    chain_layout,
     chain_product,
     ode_transport,
     parse_fraction,
@@ -300,6 +303,46 @@ class TestOdeTransport:
             ode_transport(lambda ts: 2 * rhs(ts), *data, tol=1e-9)
 
 
+def depth_sorted_chain_product(mats, errs, chain, depth, count):
+    """``chain_product`` as first written: the factors sorted by depth, and
+    each depth's chains gathered from and scattered back to the products."""
+    eps = np.finfo(float).eps
+    order = np.argsort(depth, kind="stable")
+    mats, chain = np.ascontiguousarray(mats[order]), chain[order]
+    n = mats.shape[1]
+    bounds = np.searchsorted(depth[order], np.arange(depth.max(initial=-1) + 2))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    eye = np.eye(n, dtype=complex)
+    out = np.broadcast_to(eye, (count, n, n)).copy()
+    prefix = np.empty_like(mats)
+    for lo, hi in spans:
+        prefix[lo:hi] = out[chain[lo:hi]]
+        out[chain[lo:hi]] = mats[lo:hi] @ prefix[lo:hi]
+    suffix = np.broadcast_to(eye, (count, n, n)).copy()
+    after = np.empty_like(mats)
+    for lo, hi in reversed(spans):
+        after[lo:hi] = suffix[chain[lo:hi]]
+        suffix[chain[lo:hi]] = after[lo:hi] @ mats[lo:hi]
+    p_norm, a_norm, s_norm = (norm2_bound(x) for x in (prefix, after, mats))
+    step_err = errs[order] + n * np.sqrt(n) * eps * s_norm
+    err, running = np.zeros(count), np.zeros(count)
+    for lo, hi in spans:
+        at = chain[lo:hi]
+        term = step_err[lo:hi] * (p_norm[lo:hi] + running[at])
+        err[at] += a_norm[lo:hi] * term
+        running[at] = s_norm[lo:hi] * running[at] + term
+    return out, err
+
+
+def norm2_bound(x):
+    gram = np.abs(np.conj(x.transpose(0, 2, 1)) @ x)
+    return np.sqrt(gram.sum(axis=2).max(axis=1))
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestChainProduct:
     def test_bound_covers_perturbed_factors(self):
         # chains of 3, 1 and 5 factors, each factor perturbed by a known
@@ -318,3 +361,41 @@ class TestChainProduct:
             for i in sorted(np.flatnonzero(chain == k), key=lambda i: depth[i]):
                 want = exact[i] @ want
             assert np.linalg.norm(products[k] - want) <= bounds[k] <= 1e-4 * np.linalg.norm(want)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(0, 6), min_size=1, max_size=7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_depth_sorted_products(self, n, lengths, seed):
+        # unequal and tied lengths, unused chains (length 0), one-factor
+        # chains, and the factors given in a shuffled order
+        rng = np.random.default_rng(seed)
+        chain = np.repeat(np.arange(len(lengths)), lengths)
+        depth = np.concatenate([np.arange(k) for k in lengths]).astype(int)
+        shuffle = rng.permutation(len(chain))
+        chain, depth = chain[shuffle], depth[shuffle]
+        mats = np.eye(n) + 0.7 * (rng.standard_normal((len(chain), n, n)) + 1j * rng.standard_normal((len(chain), n, n)))
+        errs = 10.0 ** rng.uniform(-12, -6, len(chain))
+        want = depth_sorted_chain_product(mats, errs, chain, depth, len(lengths))
+        for layout in (None, chain_layout(chain, depth, len(lengths))):
+            got = chain_product(mats, errs, chain, depth, len(lengths), layout)
+            assert all(same_bits(x, y) for x, y in zip(got, want))
+        unused = np.flatnonzero(np.array(lengths) == 0)
+        assert (want[0][unused] == np.eye(n)).all() and (want[1][unused] == 0).all()
+
+    def test_plan_layout_matches_depth_sorted_products(self):
+        # the layout a step plan keeps, over lanes of no step, one step and
+        # many, on the plan's own step order
+        rng = np.random.default_rng(11)
+        _, plan, _ = scalar_lanes([0.3, 0.45], [0.5, -1.05], [0.0, 0.01, 2 * np.pi, 0.0, 6 * np.pi, 2 * np.pi])
+        steps, lanes = len(plan.lane), len(plan.ts)
+        assert not plan.layout.order.flags.writeable and not plan.layout.slot.flags.writeable
+        mats = np.eye(2) + 0.3 * (rng.standard_normal((steps, 2, 2)) + 1j * rng.standard_normal((steps, 2, 2)))
+        errs = 10.0 ** rng.uniform(-12, -6, steps)
+        want = depth_sorted_chain_product(mats, errs, plan.lane, plan.depth, lanes)
+        got = chain_product(mats, errs, plan.lane, plan.depth, lanes, plan.layout)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
+        order, spans, slot = chain_layout(plan.lane, plan.depth, lanes)
+        assert (plan.layout.order == order).all() and plan.layout.spans == spans and (plan.layout.slot == slot).all()

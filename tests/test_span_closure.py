@@ -230,7 +230,7 @@ def test_kronecker_constraint_matches_loop(case):
     basis = _hermitian_basis(n)
     old_basis = reference_hermitian_basis(n)
     assert np.array_equal(basis, np.array([b.ravel() for b in old_basis]).T)
-    new = _constraint_matrix(gens, basis)
+    new = _constraint_matrix(np.array(gens), basis)
     old = reference_constraint_matrix(gens, old_basis)
     assert new.shape == old.shape
     assert np.max(np.abs(new - old)) <= 1e-13
